@@ -19,15 +19,24 @@
 #   make bench-portfolio - just the strategy-portfolio quality benchmark
 #   make bench-store     - just the persistent-store warm-start benchmark
 #   make bench-trace     - just the tracing-overhead benchmark
+#   make bench-repo      - the repository benchmark (perfbench/): pipeline,
+#                          explore-nsga2 and explore-wide at SEED (default 1)
 #   make docs-check      - fail on dead intra-repo links / stale module refs
 #                          / uncataloged benchmarks/results JSONs
 #   make repo-check      - fail on git-tracked build/bytecode artifacts
 #   make examples        - run every example script end to end
+#
+# Only the bench targets rewrite benchmarks/results/*.json (they export
+# REPRO_RECORD_RESULTS=1); `make test` and plain pytest only assert bands.
 
 PYTHON ?= python
+SEED ?= 1
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test unit test-fast bench bench-meta bench-precision bench-dse bench-runtime bench-kernels bench-pruning bench-portfolio bench-store bench-trace docs-check repo-check examples
+.PHONY: test unit test-fast bench bench-meta bench-precision bench-dse bench-runtime bench-kernels bench-pruning bench-portfolio bench-store bench-trace bench-repo docs-check repo-check examples
+
+bench: export REPRO_RECORD_RESULTS := 1
+bench-%: export REPRO_RECORD_RESULTS := 1
 
 test: docs-check repo-check
 	$(PYTHON) -m pytest -x -q
@@ -71,6 +80,12 @@ bench-store:
 
 bench-trace:
 	$(PYTHON) -m pytest benchmarks/test_trace_overhead.py -q
+
+bench-repo:
+	@set -e; for workload in pipeline explore-nsga2 explore-wide; do \
+		echo "== $$workload"; \
+		python3 perfbench/run.py --workload $$workload --seed $(SEED) --seconds 20 --trace 0; \
+	done
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

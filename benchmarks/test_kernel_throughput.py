@@ -9,15 +9,15 @@ multi-core machines.
 
 The pinned workload is the engine's throughput-dominant nn step: one
 **wide-predictor screening round** — a :class:`StackedPredictorSurrogate`
-answering two objectives for a large candidate pool in blocked stacked
-forwards (exactly what ``CampaignEngine`` runs per round when screening
-with adapted predictors).  The two arms execute the *same tiled kernels
-over the same tile boundaries* — ``threads(1)`` vs ``threads(N)`` — so the
-policy's determinism contract makes their predictions **bitwise
-identical** (asserted below; the thread count only decides where each tile
-runs, never what it computes).  The measured ratio is recorded in
-``benchmarks/results/kernel_speedup.json`` (``make bench-kernels``)
-through the pass-gated ``record`` fixture.
+answering two objectives for a large candidate pool with its graph-free
+inference pass, streamed over kernel-tile row blocks (exactly what
+``CampaignEngine`` runs per round when screening with adapted predictors).
+The two arms run the *same blocks over the same boundaries* —
+``threads(1)`` vs ``threads(N)`` — so the policy's determinism contract
+makes their predictions **bitwise identical** (asserted below; the thread
+count only decides where each block runs, never what it computes).  The
+measured ratio is recorded in ``benchmarks/results/kernel_speedup.json``
+(``make bench-kernels``) through the pass-gated ``record`` fixture.
 
 The claim is a *parallel* speed-up, so the benchmark requires at least 4
 CPU cores and skips otherwise (a 1-core machine cannot observe it; the
@@ -51,9 +51,6 @@ HEAD_HIDDEN = 128
 #: Candidate-pool size of the screened round.
 CANDIDATE_POOL = 2048
 
-#: Screening stream block size (rows per stacked forward).
-TILE_SIZE = 256
-
 #: Minimum speed-up of the multi-threaded kernels over one thread.
 MIN_SPEEDUP = 1.5
 
@@ -76,9 +73,7 @@ def _surrogate() -> StackedPredictorSurrogate:
         )
         for seed in (0, 1)
     ]
-    return StackedPredictorSurrogate(
-        predictors, ("ipc", "power"), tile_size=TILE_SIZE
-    )
+    return StackedPredictorSurrogate(predictors, ("ipc", "power"))
 
 
 def _candidate_pool() -> np.ndarray:
@@ -95,7 +90,7 @@ def test_threaded_screening_round_vs_single_thread_speedup(record):
     """The thread-parallel screening round must beat one thread >= 1.5x."""
     workers = min(8, CORES)
     surrogate = _surrogate()
-    assert surrogate.is_stacked  # the one-graph path is what the round runs
+    assert surrogate.is_stacked  # the stacked inference pass is what the round runs
     features = _candidate_pool()
 
     def run_single():
@@ -118,8 +113,8 @@ def test_threaded_screening_round_vs_single_thread_speedup(record):
         nn_parallel.shutdown_pool()
     speedup = single_seconds / threaded_seconds
 
-    # Determinism contract: both arms run the same tiles over the same
-    # boundaries; the thread count only decides where each tile runs, so
+    # Determinism contract: both arms run the same blocks over the same
+    # boundaries; the thread count only decides where each block runs, so
     # the screened predictions are bitwise identical.
     np.testing.assert_array_equal(single_result, threaded_result)
 
@@ -134,10 +129,9 @@ def test_threaded_screening_round_vs_single_thread_speedup(record):
             "num_layers": NUM_LAYERS,
             "head_hidden": HEAD_HIDDEN,
             "candidate_pool": CANDIDATE_POOL,
-            "tile_size": TILE_SIZE,
             "kernel_tile_length": nn_parallel.tile_length(),
             "round": "stacked 2-objective wide-predictor screening round "
-                     "(blocked stacked forwards under the tiled kernels), "
+                     "(graph-free inference pass over kernel-tile blocks), "
                      "threads(N) vs threads(1)",
             "single_thread_seconds": single_seconds,
             "threaded_seconds": threaded_seconds,

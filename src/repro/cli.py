@@ -352,7 +352,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             executor=args.executor,
             checkpoint=args.checkpoint,
-            screen_tile=args.screen_tile,
             focus=focus,
             focus_levels=args.focus_levels,
             trace=args.trace,
@@ -401,7 +400,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
             simulator,
             objectives,
             seed=args.seed,
-            screen_tile=args.screen_tile,
         )
         executor = _campaign_executor(args)
         scope = (
@@ -669,11 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=None,
         help="kernel worker threads for the nn surrogate forward/backward "
              "passes (bitwise identical for every thread count)",
-    )
-    dse.add_argument(
-        "--screen-tile", type=int, default=None,
-        help="stream screening over candidate blocks of this many rows "
-             "(bounds peak memory; bitwise identical to whole-pool screening)",
     )
     dse.add_argument(
         "--focus", type=float, default=None,

@@ -282,7 +282,6 @@ class MetaDSE(CrossWorkloadModel):
         jobs: Optional[int] = None,
         executor: str = "thread",
         checkpoint=None,
-        screen_tile: Optional[int] = None,
         focus: Optional[float] = None,
         focus_levels: int = 1,
         focus_probe: int = 64,
@@ -298,8 +297,10 @@ class MetaDSE(CrossWorkloadModel):
         :class:`~repro.dse.engine.CampaignEngine` campaign, where each
         workload screens a shared candidate pool with a
         :class:`~repro.dse.surrogates.StackedPredictorSurrogate` (all
-        objectives answered in one batched forward) and the union of all
-        selections is measured with a single ``run_sweep``.
+        objectives answered by one graph-free inference pass, streamed over
+        kernel-tile row blocks so memory stays bounded for any pool size)
+        and the union of all selections is measured with a single
+        ``run_sweep``.
 
         Parameters
         ----------
@@ -347,10 +348,6 @@ class MetaDSE(CrossWorkloadModel):
             Optional path: completed campaign rounds are persisted there,
             and a killed campaign re-run with the same arguments resumes
             from the last completed round.
-        screen_tile:
-            Stream every screening step over candidate blocks of this many
-            rows (``None`` screens the whole pool at once); bitwise
-            identical either way (:func:`repro.dse.engine.screen_predict`).
         focus, focus_levels, focus_probe:
             Attention-guided design-space pruning (``docs/pruning.md``).
             With ``focus`` set, the shared candidate pool is drawn by a
@@ -409,7 +406,6 @@ class MetaDSE(CrossWorkloadModel):
                         jobs=jobs,
                         executor=executor,
                         checkpoint=checkpoint,
-                        screen_tile=screen_tile,
                         focus=focus,
                         focus_levels=focus_levels,
                         focus_probe=focus_probe,
@@ -468,7 +464,6 @@ class MetaDSE(CrossWorkloadModel):
             simulator,
             objective_set,
             seed=seed,
-            screen_tile=screen_tile,
         )
 
         if focus is not None and not 0.0 < focus <= 1.0:

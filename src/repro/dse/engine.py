@@ -435,38 +435,17 @@ class FocusedPool(CandidateGenerator):
 
 
 def screen_predict(
-    surrogate: MultiObjectiveSurrogate,
-    features: np.ndarray,
-    tile_size: Optional[int] = None,
+    surrogate: MultiObjectiveSurrogate, features: np.ndarray
 ) -> np.ndarray:
-    """Screen a candidate pool in blocks of ``tile_size`` rows.
+    """Screen a candidate pool: the ``(n, m)`` predicted objective matrix.
 
-    With ``tile_size=None`` (or a tile at least the pool size) this is
-    exactly ``surrogate.predict(features)``.  Otherwise the pool is
-    predicted block by block and the rows are assembled in place, so the
-    surrogate never materialises pool-sized intermediates — the knob that
-    closes the memory-bound screening regime for stacked nn surrogates
-    over large pools.
-
-    Every surrogate in this repository predicts rows independently (trees
-    predict per row; :class:`~repro.dse.surrogates.StackedPredictorSurrogate`
-    runs its stacked forward under the slice-stable kernels of
-    :mod:`repro.nn.parallel`), so the blocked screen is **bitwise
-    identical** to the unblocked one for every tile size — pinned by
-    ``tests/test_dse_engine_equivalence.py``.
+    The one screening entry point of the engine and the runtime, so every
+    campaign's screen step is a single, separately traceable call.
+    Memory-bounded streaming is the surrogate's own business:
+    :class:`~repro.dse.surrogates.StackedPredictorSurrogate` streams its
+    inference pass over kernel-tile row blocks.
     """
-    n_rows = len(features)
-    if tile_size is None or tile_size >= n_rows:
-        return surrogate.predict(features)
-    if tile_size < 1:
-        raise ValueError(f"tile_size must be >= 1, got {tile_size}")
-    predicted: Optional[np.ndarray] = None
-    for start in range(0, n_rows, tile_size):
-        block = surrogate.predict(features[start : start + tile_size])
-        if predicted is None:
-            predicted = np.empty((n_rows,) + block.shape[1:], dtype=block.dtype)
-        predicted[start : start + len(block)] = block
-    return predicted
+    return surrogate.predict(features)
 
 
 class _SharedPrediction:
@@ -839,13 +818,7 @@ SurrogateProvider = Union[
 
 # -- the engine --------------------------------------------------------------------
 class CampaignEngine:
-    """Shared generate/screen/simulate/record core for all DSE loops.
-
-    ``screen_tile`` streams every screening step through
-    :func:`screen_predict` in blocks of that many candidates (``None`` =
-    screen the whole pool at once); the blocked screen is bitwise
-    identical to the unblocked one.
-    """
+    """Shared generate/screen/simulate/record core for all DSE loops."""
 
     def __init__(
         self,
@@ -856,16 +829,12 @@ class CampaignEngine:
         seed: SeedLike = 0,
         sampler: Optional[BaseSampler] = None,
         encoder: Optional[OrdinalEncoder] = None,
-        screen_tile: Optional[int] = None,
     ) -> None:
         self.space = space
         self.simulator = simulator
         self.objectives = objectives
         self.sampler = sampler if sampler is not None else RandomSampler(space, seed=seed)
         self.encoder = encoder if encoder is not None else OrdinalEncoder(space)
-        if screen_tile is not None and int(screen_tile) < 1:
-            raise ValueError(f"screen_tile must be >= 1, got {screen_tile}")
-        self.screen_tile = None if screen_tile is None else int(screen_tile)
 
     # -- shared bookkeeping ----------------------------------------------------
     def measure(
@@ -971,7 +940,7 @@ class CampaignEngine:
                     round=round_index,
                     candidates=len(candidates),
                 ):
-                    predicted = screen_predict(surrogate, features, self.screen_tile)
+                    predicted = screen_predict(surrogate, features)
                 predicted_min = self.objectives.to_minimization(predicted)
                 context = AcquisitionContext(
                     features=features,
@@ -1178,7 +1147,7 @@ class CampaignEngine:
             with obs.span(
                 "campaign.screen", workload=workload, candidates=len(candidates)
             ):
-                predicted = screen_predict(surrogate, features, self.screen_tile)
+                predicted = screen_predict(surrogate, features)
             predicted_min = self.objectives.to_minimization(predicted)
             context = AcquisitionContext(
                 features=features,

@@ -16,10 +16,9 @@ over objectives itself:
   every round;
 * :class:`StackedPredictorSurrogate` — stacks the parameters of several
   architecture-identical nn predictors on a leading axis and answers *all*
-  objectives for a candidate pool in **one** batched functional forward
-  (the same stacked-parameter machinery the task-batched MAML inner loop
-  uses), falling back to a per-predictor loop when the models are not
-  stackable.
+  objectives for a candidate pool with one graph-free stacked inference
+  pass, streamed in kernel-tile row blocks, falling back to a
+  per-predictor loop when the models are not stackable.
 
 Exploration bonuses (ensemble disagreement for forests, distance to the
 already-simulated set otherwise) live here too, blended across *all*
@@ -36,7 +35,6 @@ import numpy as np
 
 from repro.baselines.base import Regressor
 from repro.nn import parallel as nn_parallel
-from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerPredictor
 
 #: Signature of a legacy surrogate callable: features (n, d) -> predictions (n,).
@@ -204,28 +202,27 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
 
     Takes one :class:`TransformerPredictor` per objective (typically the
     per-metric adapted predictors ``MetaDSE.adapt_many`` returns).  When the
-    models are architecture-identical their parameters are stacked on a
-    leading objective axis once, and ``predict`` broadcasts the candidate
-    features across that axis into a single
-    :meth:`~repro.nn.module.Module.functional_call` — one graph instead of
-    one forward per objective.  Models with mismatched parameter sets (e.g.
-    one carries a WAM mask and another does not) or with differing
-    non-parameter tensor state (e.g. *non-learnable* masks, which are
-    absent from ``state_dict`` but shape the forward) fall back to a
-    per-predictor loop transparently.
+    models are architecture-identical their parameters are stacked once, as
+    plain arrays, on a leading objective axis, and ``predict`` answers every
+    objective with the graph-free
+    :meth:`~repro.nn.transformer.TransformerPredictor.stacked_inference`
+    pass.  Models with mismatched parameter sets (e.g. one carries a WAM
+    mask and another does not) or with differing non-parameter tensor state
+    (e.g. *non-learnable* masks, which are absent from ``state_dict`` but
+    shape the forward) fall back to a per-predictor loop transparently.
+
+    The pass streams the candidates in blocks of the kernel tile length
+    (:func:`repro.nn.parallel.tile_spans`), so memory stays bounded by one
+    block whatever the pool size, and the blocks fan out across threads
+    under a ``repro.nn.parallel.threads(n)`` policy.  Every block runs the
+    slice-stable forward functions of :mod:`repro.nn.tensor`, so the rows
+    are bit for bit the autodiff stacked forward under ``threads(1)``, for
+    every pool size and thread count.  ``predict`` only reads the
+    predictors, so concurrent calls on one surrogate are safe.
 
     ``label_means`` / ``label_stds`` undo per-objective label
     standardisation, so a surrogate built from facade-adapted predictors
     emits physical units like ``MetaDSE.predict`` does.
-
-    ``tile_size`` streams the stacked forward over candidate blocks of that
-    many rows instead of materialising one pool-sized ``(m, pool, ...)``
-    stacked intermediate per layer — the memory-bound regime of wide
-    predictors over large pools.  The stacked path always runs under the
-    slice-stable kernels of :mod:`repro.nn.parallel`
-    (``ensure_active``), so the blocked results are **bitwise identical**
-    to the unblocked ones for every tile size, and fan out across threads
-    when a ``repro.nn.parallel.threads(n)`` policy is set.
     """
 
     def __init__(
@@ -235,7 +232,6 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
         *,
         label_means: Optional[Sequence[float]] = None,
         label_stds: Optional[Sequence[float]] = None,
-        tile_size: Optional[int] = None,
     ) -> None:
         predictors = list(predictors)
         objective_names = tuple(objective_names)
@@ -255,12 +251,9 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
         )
         if self._means.shape != (len(predictors),) or self._stds.shape != (len(predictors),):
             raise ValueError("label_means/label_stds must provide one value per objective")
-        if tile_size is not None and int(tile_size) < 1:
-            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
-        self.tile_size = None if tile_size is None else int(tile_size)
         self._params = self._stack_parameters()
 
-    def _stack_parameters(self) -> Optional[dict[str, Tensor]]:
+    def _stack_parameters(self) -> Optional[dict[str, np.ndarray]]:
         """Stack all models' parameters, or ``None`` when not stackable."""
         states = [predictor.state_dict() for predictor in self.predictors]
         names = set(states[0])
@@ -268,7 +261,7 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
             return None
         # Non-parameter tensor state (e.g. a WAM mask installed with
         # ``learnable=False``) is absent from ``state_dict`` yet shapes the
-        # forward.  The stacked path runs the template's forward for every
+        # forward.  The stacked pass reads it from the template for every
         # objective, so it is only valid when all models carry bitwise-
         # identical buffers; otherwise predictor[0]'s mask would silently be
         # applied to every objective.
@@ -280,20 +273,18 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
             for (_, ours), (_, theirs) in zip(reference, buffers):
                 if not np.array_equal(ours.data, theirs.data):
                     return None
-        stacked: dict[str, Tensor] = {}
+        stacked: dict[str, np.ndarray] = {}
         dtype = self.predictors[0].dtype
         for name in states[0]:
             arrays = [state[name] for state in states]
             if any(array.shape != arrays[0].shape for array in arrays[1:]):
                 return None
-            stacked[name] = Tensor(
-                np.stack(arrays).astype(dtype, copy=False), name=name
-            )
+            stacked[name] = np.stack(arrays).astype(dtype, copy=False)
         return stacked
 
     @property
     def is_stacked(self) -> bool:
-        """True when ``predict`` runs the one-graph stacked path."""
+        """True when ``predict`` runs the stacked inference pass."""
         return self._params is not None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -302,43 +293,17 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
             raw = np.stack(
                 [predictor.predict(features) for predictor in self.predictors], axis=1
             )
-            return raw * self._stds[None, :] + self._means[None, :]
-        template = self.predictors[0]
-        cast = features.astype(template.dtype, copy=False)
-        n_rows = len(cast)
-        n_objectives = len(self.predictors)
-        if self.tile_size is None:
-            spans = [(0, n_rows)] if n_rows else []
         else:
-            spans = nn_parallel.tile_spans(n_rows, self.tile_size)
-        raw = np.empty((n_rows, n_objectives), dtype=np.float64)
-        was_training = template.training
-        template.eval()
-        # The streamed forward would leave each attention layer's
-        # ``last_attention`` buffer aliasing only the final block; disable
-        # storage for the duration instead of publishing partial state.
-        stored_flags = [
-            (layer, layer.store_attention) for layer in template.attention_layers()
-        ]
-        try:
-            for layer, _ in stored_flags:
-                layer.store_attention = False
-            # Parameters are bound once around the whole block stream (one
-            # mutation/restore instead of one per block); ensure_active
-            # engages the slice-stable kernels so every block reproduces
-            # the bits of the unblocked forward.
-            with nn_parallel.ensure_active(), template.bound_parameters(self._params):
-                for start, stop in spans:
-                    block = np.broadcast_to(
-                        cast[start:stop],
-                        (n_objectives, stop - start) + cast.shape[1:],
-                    ).copy()
-                    out = template.forward(Tensor(block))
-                    raw[start:stop] = np.asarray(out.data, dtype=np.float64).T
-        finally:
-            for layer, flag in stored_flags:
-                layer.store_attention = flag
-            template.train(was_training)
+            template = self.predictors[0]
+            cast = features.astype(template.dtype, copy=False)
+            raw = np.empty((len(cast), len(self.predictors)), dtype=np.float64)
+
+            def block(start: int, stop: int) -> None:
+                raw[start:stop] = template.stacked_inference(
+                    self._params, cast[start:stop]
+                ).T
+
+            nn_parallel.run_tiles(block, nn_parallel.tile_spans(len(cast)))
         return raw * self._stds[None, :] + self._means[None, :]
 
     def attention_profile(self, features: np.ndarray):

@@ -28,7 +28,6 @@ so one ``functional_call`` evaluates ``n_tasks`` different models at once.
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from typing import Collection, Iterator, Mapping, Optional
 
 import numpy as np
@@ -212,17 +211,17 @@ class Module:
             owners[name] = (module, parts[-1])
         return owners
 
-    @contextmanager
-    def bound_parameters(self, params: Mapping[str, Tensor]):
-        """Context manager binding *params* in place of the registered ones.
+    def functional_call(self, params: Mapping[str, Tensor], *args, **kwargs):
+        """Run ``forward`` with *params* bound in place of the registered ones.
 
-        The single-forward spelling is :meth:`functional_call`; this scoped
-        form exists for callers that run *several* forwards against one
-        binding (the screening tiler streams candidate blocks through a
-        stacked parameter bank without re-binding per block).  Binding
-        mutates the module, so a bound module must not be shared across
-        concurrently-running callers; the registered parameters are restored
-        on exit, even when the body raises.
+        *params* maps qualified parameter names (as produced by
+        :meth:`named_parameters`) to replacement tensors or arrays; unnamed
+        parameters keep their registered values.  A replacement may carry
+        one extra leading task axis (see :meth:`stack_parameters`), which
+        switches the layers onto their batched-parameter forward paths.
+        Binding mutates the module for the call's duration, so one module
+        must not run concurrent functional calls; its own parameters are
+        restored on exit, even when ``forward`` raises.
         """
         owners = self._parameter_owners()
         unknown = set(params) - set(owners)
@@ -240,25 +239,12 @@ class Module:
                 module._parameters[attr] = replacement
                 if is_attribute:
                     object.__setattr__(module, attr, replacement)
-            yield self
+            return self.forward(*args, **kwargs)
         finally:
             for module, attr, original, is_attribute in reversed(bound):
                 module._parameters[attr] = original
                 if is_attribute:
                     object.__setattr__(module, attr, original)
-
-    def functional_call(self, params: Mapping[str, Tensor], *args, **kwargs):
-        """Run ``forward`` with *params* bound in place of the registered ones.
-
-        *params* maps qualified parameter names (as produced by
-        :meth:`named_parameters`) to replacement tensors; unnamed parameters
-        keep their registered values.  A replacement may carry one extra
-        leading task axis (see :meth:`stack_parameters`), which switches the
-        layers onto their batched-parameter forward paths.  The module's own
-        parameters are restored on exit, even when ``forward`` raises.
-        """
-        with self.bound_parameters(params):
-            return self.forward(*args, **kwargs)
 
     def stack_parameters(
         self,

@@ -23,12 +23,13 @@ Determinism contract (pinned by ``tests/test_nn_parallel_equivalence.py``):
 The tiled kernels additionally restrict themselves to *slice-stable* numpy
 forms (batched matmuls over a leading batch axis instead of flattened
 GEMMs), so evaluating a batch in blocks yields the same bits as evaluating
-it whole — the property the engine's screening tiler
-(``repro.dse.engine.screen_predict``) relies on.  The trade: a flattened
-GEMM and the batched form differ in BLAS reduction order, so *activating*
-the policy moves ``affine`` results within the usual float tail
-(``docs/numerics.md``); with the policy **off** (the default) the kernels
-are byte-for-byte the legacy single-threaded code.
+it whole — the property the graph-free stacked inference pass
+(``TransformerPredictor.stacked_inference``, streamed over
+:func:`tile_spans` blocks by ``StackedPredictorSurrogate.predict``) relies
+on.  The trade: a flattened GEMM and the batched form differ in BLAS
+reduction order, so *activating* the policy moves ``affine`` results within
+the usual float tail (``docs/numerics.md``); with the policy **off** (the
+default) the kernels are byte-for-byte the legacy single-threaded code.
 
 See ``docs/kernels.md`` for the full policy/tiling documentation.
 """
@@ -46,21 +47,9 @@ DEFAULT_TILE = 64
 _num_threads: Optional[int] = None  # None = policy off (legacy serial kernels)
 _tile: int = DEFAULT_TILE
 
-#: Per-thread policy override (:func:`ensure_active`).  Concurrent callers —
-#: e.g. campaign screening jobs running on a ThreadExecutor — each pin the
-#: policy for their own thread without racing on the process-global setting.
-_UNSET = object()
-_override = threading.local()
-
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_width: int = 0
 _pool_lock = threading.Lock()
-
-
-def _effective() -> Optional[int]:
-    """The policy visible to the calling thread (override, then global)."""
-    value = getattr(_override, "value", _UNSET)
-    return _num_threads if value is _UNSET else value
 
 # Marks the pool's own worker threads so nested kernel calls (a tile whose
 # work itself hits a tiled kernel) run inline instead of deadlocking a
@@ -70,13 +59,12 @@ _worker = threading.local()
 
 def num_threads() -> int:
     """Effective worker count of the kernel policy (1 when the policy is off)."""
-    effective = _effective()
-    return effective if effective is not None else 1
+    return _num_threads if _num_threads is not None else 1
 
 
 def active() -> bool:
-    """Whether the tiled-kernel policy is engaged for the calling thread."""
-    return _effective() is not None
+    """Whether the tiled-kernel policy is engaged."""
+    return _num_threads is not None
 
 
 def set_num_threads(count: Optional[int]) -> Optional[int]:
@@ -148,7 +136,7 @@ def kernel_spans(total: int) -> Optional[list[tuple[int, int]]]:
     Returns ``None`` when the policy is off or the axis is too short to
     tile (a single item takes the identical batched form either way).
     """
-    if _effective() is None or total < 2:
+    if _num_threads is None or total < 2:
         return None
     return tile_spans(total)
 
@@ -210,20 +198,3 @@ def ordered_sum(partials: list):
         total = total + partial
     return total
 
-
-@contextmanager
-def ensure_active() -> Iterator[None]:
-    """Engage the tiled kernels at the current width (1 if the policy is off).
-
-    Used by code that depends on the slice-stable kernel forms (the
-    screening tiler) regardless of whether the user configured threads.
-    The engagement is **thread-local**: concurrent callers on different
-    threads (campaign screening jobs on a ThreadExecutor) never race on —
-    or leak into — the process-global policy.
-    """
-    previous = getattr(_override, "value", _UNSET)
-    _override.value = num_threads()
-    try:
-        yield
-    finally:
-        _override.value = previous

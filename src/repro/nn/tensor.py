@@ -435,22 +435,14 @@ class Tensor:
         if spans is not None:
             return _gelu_tiled(self, spans)
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        x_sq = x * x
-        inner = x_sq * x
-        inner *= 0.044715
-        inner += x
-        inner *= c
-        tanh_inner = np.tanh(inner, out=inner)
-        out_data = 1.0 + tanh_inner
-        out_data *= x
-        out_data *= 0.5
+        x_sq, out_data = np.empty_like(x), np.empty_like(x)
+        tanh_inner = gelu_forward(x, out_data, x_sq)
 
         def backward(grad: np.ndarray) -> tuple:
             sech2 = 1.0 - tanh_inner * tanh_inner
             d_inner = (3 * 0.044715) * x_sq
             d_inner += 1.0
-            d_inner *= c
+            d_inner *= _GELU_C
             d_inner *= sech2
             d_inner *= x
             d_inner += 1.0 + tanh_inner
@@ -574,18 +566,9 @@ class Tensor:
         )
         if spans is not None:
             return _layer_norm_tiled(self, gamma, beta, eps, spans)
-        x = self.data
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = centered * centered
-        variance = variance.mean(axis=-1, keepdims=True)
-        variance += eps
-        np.sqrt(variance, out=variance)
-        inv_std = np.divide(1.0, variance, out=variance)
-        normalised = centered
-        normalised *= inv_std
-        out_data = normalised * gamma.data
-        out_data += beta.data
+        out_data, normalised, inv_std = layer_norm_forward(
+            self.data, gamma.data, beta.data, eps
+        )
 
         def backward(grad: np.ndarray) -> tuple:
             d_normalised = grad * gamma.data
@@ -709,35 +692,20 @@ def scaled_dot_product_attention(
     this engine, and the op the task-batched meta-training path leans on.
     """
     lead = q.data.shape[:-2]
-    tokens, embed = q.data.shape[-2:]
-    head_dim = embed // num_heads
-    if num_heads * head_dim != embed:
+    embed = q.data.shape[-1]
+    if embed % num_heads:
         raise ValueError(f"embed ({embed}) must be divisible by num_heads ({num_heads})")
 
     spans = _parallel.kernel_spans(lead[0]) if lead else None
     if spans is not None:
         return _attention_tiled(q, k, v, num_heads, scale, mask, spans)
-
-    def split(x: np.ndarray) -> np.ndarray:
-        # (..., tokens, embed) -> (..., heads, tokens, head_dim); view only.
-        return x.reshape(*lead, tokens, num_heads, head_dim).swapaxes(-3, -2)
-
-    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
-    logits = np.matmul(q4, k4.swapaxes(-1, -2))
-    logits *= scale
-    if mask is not None:
-        logits += mask.data
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    attention = logits  # (..., heads, tokens, tokens), now probabilities
-    context = np.matmul(attention, v4)
-    out_data = np.ascontiguousarray(context.swapaxes(-3, -2)).reshape(
-        *lead, tokens, embed
+    out_data, attention = attention_forward(
+        q.data, k.data, v.data, num_heads, scale, None if mask is None else mask.data
     )
+    q4, k4, v4 = (_split_heads(x, num_heads) for x in (q.data, k.data, v.data))
 
     def backward(grad: np.ndarray) -> tuple:
-        d_context = split(grad)
+        d_context = _split_heads(grad, num_heads)
         d_attention = np.matmul(d_context, v4.swapaxes(-1, -2))
         d_v = np.matmul(attention.swapaxes(-1, -2), d_context)
         # Softmax backward, reusing d_attention's buffer for the logits grad.
@@ -752,14 +720,7 @@ def scaled_dot_product_attention(
         d_q *= scale
         d_k = np.matmul(d_logits.swapaxes(-1, -2), q4)
         d_k *= scale
-
-        def merge(x: np.ndarray) -> np.ndarray:
-            # (..., heads, tokens, head_dim) -> (..., tokens, embed)
-            return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(
-                *lead, tokens, embed
-            )
-
-        grads = (merge(d_q), merge(d_k), merge(d_v))
+        grads = (_merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v))
         return grads + ((d_mask,) if mask is not None else ())
 
     parents = (q, k, v) if mask is None else (q, k, v, mask)
@@ -804,6 +765,126 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), backward)
 
 
+# -- slice-stable forward math ------------------------------------------------
+#
+# One array-level forward per fused kernel.  The kernels run them (on the
+# whole array, or once per tile under the thread policy), and so does the
+# graph-free inference pass ``TransformerPredictor.stacked_inference``, once
+# per row block.  Each computes item by item over its leading axes
+# (per-item GEMMs, elementwise ufuncs, last-axis reductions), so a block of
+# rows gets exactly the bits the whole batch would.
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu_forward(
+    x: np.ndarray,
+    out: np.ndarray,
+    x_sq: np.ndarray,
+    tanh_inner: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Tanh-approximation GELU of *x* into *out*; returns ``tanh(inner)``.
+
+    *x_sq* receives ``x * x`` (it may alias *out* when no backward needs
+    it); ``tanh(inner)`` lands in *tanh_inner*, or in a fresh buffer.
+    """
+    np.multiply(x, x, out=x_sq)
+    inner = x_sq * x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    tanh_inner = np.tanh(inner, out=inner if tanh_inner is None else tanh_inner)
+    np.add(1.0, tanh_inner, out=out)
+    out *= x
+    out *= 0.5
+    return tanh_inner
+
+
+def layer_norm_forward(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: ``(out, normalised, inv_std)``."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    variance = centered * centered
+    variance = variance.mean(axis=-1, keepdims=True)
+    variance += eps
+    np.sqrt(variance, out=variance)
+    inv_std = np.divide(1.0, variance, out=variance)
+    centered *= inv_std
+    out = centered * gamma
+    out += beta
+    return out, centered, inv_std
+
+
+def _task_weight(weight: np.ndarray, x_ndim: int) -> np.ndarray:
+    """Align a ``(T, in, out)`` weight with ``(T, ..., in)`` inputs.
+
+    The ``(T, 1, ..., in, out)`` view broadcasts against every batch axis,
+    keeping each item's GEMM independent of the batch extent.
+    """
+    return weight.reshape(weight.shape[0], *([1] * max(x_ndim - 3, 1)), *weight.shape[1:])
+
+
+def affine_forward(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Slice-stable ``x @ weight + bias``: one GEMM per leading item.
+
+    *weight* is ``(in, out)`` against ``(..., in)`` inputs, or task-stacked
+    ``(T, in, out)`` against ``(T, ..., in)``; *bias* is ``(out,)`` or
+    ``(T, out)`` accordingly.  Inputs without a token axis run every row as
+    its own ``(1, in)`` product, so no GEMM ever spans rows.
+    """
+    stacked = weight.ndim == 3
+    if stacked:
+        if bias is not None:
+            bias = bias.reshape(bias.shape[0], *([1] * (x.ndim - 2)), bias.shape[-1])
+        weight = _task_weight(weight, x.ndim)
+    if x.ndim == (3 if stacked else 2):
+        out = np.matmul(x[..., None, :], weight)[..., 0, :]
+    else:
+        out = np.matmul(x, weight)
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """``(..., tokens, embed)`` -> ``(..., heads, tokens, head_dim)``; a view."""
+    return x.reshape(*x.shape[:-1], num_heads, x.shape[-1] // num_heads).swapaxes(-3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """``(..., heads, tokens, head_dim)`` -> ``(..., tokens, embed)``."""
+    *lead, heads, tokens, head_dim = x.shape
+    return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(*lead, tokens, heads * head_dim)
+
+
+def attention_forward(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    num_heads: int,
+    scale: float,
+    mask: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head softmax attention: ``(context, probabilities)``.
+
+    *q*, *k*, *v* are ``(..., tokens, embed)``; *mask* is an additive logit
+    bias broadcastable against the ``(..., heads, tokens, tokens)`` logits.
+    """
+    q4, k4, v4 = (_split_heads(x, num_heads) for x in (q, k, v))
+    logits = np.matmul(q4, k4.swapaxes(-1, -2))
+    logits *= scale
+    if mask is not None:
+        logits += mask
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return _merge_heads(np.matmul(logits, v4)), logits
+
+
 # -- thread-parallel tiled kernel implementations ----------------------------
 #
 # Engaged by the repro.nn.parallel policy (``threads(n)``).  Shared rules,
@@ -825,22 +906,12 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def _gelu_tiled(x_t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
     x = x_t.data
-    c = np.sqrt(2.0 / np.pi)
     x_sq = np.empty_like(x)
     tanh_inner = np.empty_like(x)
     out_data = np.empty_like(x)
 
     def forward_tile(a: int, b: int) -> None:
-        xs = x[a:b]
-        sq = np.multiply(xs, xs, out=x_sq[a:b])
-        inner = sq * xs
-        inner *= 0.044715
-        inner += xs
-        inner *= c
-        np.tanh(inner, out=tanh_inner[a:b])
-        out = np.add(1.0, tanh_inner[a:b], out=out_data[a:b])
-        out *= xs
-        out *= 0.5
+        gelu_forward(x[a:b], out_data[a:b], x_sq[a:b], tanh_inner[a:b])
 
     _parallel.run_tiles(forward_tile, spans)
 
@@ -852,7 +923,7 @@ def _gelu_tiled(x_t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
             sech2 = 1.0 - ti * ti
             d_inner = (3 * 0.044715) * x_sq[a:b]
             d_inner += 1.0
-            d_inner *= c
+            d_inner *= _GELU_C
             d_inner *= sech2
             d_inner *= x[a:b]
             d_inner += 1.0 + ti
@@ -885,20 +956,12 @@ def _layer_norm_tiled(
     out_data = np.empty(x.shape, dtype=np.result_type(x.dtype, g_full.dtype))
 
     def forward_tile(a: int, b: int) -> None:
-        xs = x[a:b]
-        mean = xs.mean(axis=-1, keepdims=True)
-        centered = xs - mean
-        variance = centered * centered
-        variance = variance.mean(axis=-1, keepdims=True)
-        variance += eps
-        np.sqrt(variance, out=variance)
-        inv = np.divide(1.0, variance, out=variance)
-        inv_std[a:b] = inv
-        centered *= inv
-        normalised[a:b] = centered
-        out = centered * (g_full[a:b] if slice_gamma else g_full)
-        out += b_full[a:b] if slice_beta else b_full
-        out_data[a:b] = out
+        out_data[a:b], normalised[a:b], inv_std[a:b] = layer_norm_forward(
+            x[a:b],
+            g_full[a:b] if slice_gamma else g_full,
+            b_full[a:b] if slice_beta else b_full,
+            eps,
+        )
 
     _parallel.run_tiles(forward_tile, spans)
 
@@ -978,39 +1041,12 @@ def _affine_tiled(
     out_data = np.empty(
         x.shape[:-1] + (out_features,), dtype=np.result_type(x.dtype, w.dtype)
     )
-    if stacked:
-        n_tasks = w.shape[0]
-        # (m, 1, ..., in, out): broadcasts against every batch axis, keeping
-        # each item's GEMM independent of the batch extent (slice-stable).
-        w_fwd = w.reshape(n_tasks, *([1] * max(x.ndim - 3, 1)), in_features, out_features)
-        w_bwd = np.swapaxes(w_fwd, -1, -2)
-        b_exp = (
-            None
-            if b_arr is None
-            else b_arr.reshape(n_tasks, *([1] * (x.ndim - 2)), out_features)
-        )
 
-        def forward_tile(a: int, b: int) -> None:
-            xs = x[:, a:b]
-            if x.ndim == 3:
-                out = np.matmul(xs[:, :, None, :], w_fwd)[:, :, 0, :]
-            else:
-                out = np.matmul(xs, w_fwd)
-            if b_exp is not None:
-                out += b_exp
-            out_data[:, a:b] = out
-
-    else:
-
-        def forward_tile(a: int, b: int) -> None:
-            xs = x[a:b]
-            if x.ndim == 2:
-                out = np.matmul(xs[:, None, :], w)[:, 0, :]
-            else:
-                out = np.matmul(xs, w)
-            if b_arr is not None:
-                out += b_arr
-            out_data[a:b] = out
+    def forward_tile(a: int, b: int) -> None:
+        if stacked:
+            out_data[:, a:b] = affine_forward(x[:, a:b], w, b_arr)
+        else:
+            out_data[a:b] = affine_forward(x[a:b], w, b_arr)
 
     _parallel.run_tiles(forward_tile, spans)
 
@@ -1021,6 +1057,8 @@ def _affine_tiled(
         b_parts = [None] * len(spans) if b_arr is not None else None
 
         if stacked:
+            n_tasks = w.shape[0]
+            w_bwd = np.swapaxes(_task_weight(w, x.ndim), -1, -2)
 
             def backward_tile(a: int, b: int) -> None:
                 i = index_of[a]
@@ -1074,7 +1112,6 @@ def _attention_tiled(
 ) -> tuple[Tensor, np.ndarray]:
     lead = q.data.shape[:-2]
     tokens, embed = q.data.shape[-2:]
-    head_dim = embed // num_heads
     att_dtype = np.result_type(q.data.dtype, k.data.dtype)
     attention = np.empty((*lead, num_heads, tokens, tokens), dtype=att_dtype)
     out_data = np.empty(
@@ -1087,29 +1124,11 @@ def _attention_tiled(
         and m_arr.shape[0] == lead[0]
     )
 
-    def split_tile(x: np.ndarray) -> np.ndarray:
-        # (n, ..., tokens, embed) -> (n, ..., heads, tokens, head_dim); view.
-        return x.reshape(
-            x.shape[0], *lead[1:], tokens, num_heads, head_dim
-        ).swapaxes(-3, -2)
-
-    def merge_tile(x: np.ndarray) -> np.ndarray:
-        # (n, ..., heads, tokens, head_dim) -> (n, ..., tokens, embed)
-        return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(
-            x.shape[0], *lead[1:], tokens, embed
-        )
-
     def forward_tile(a: int, b: int) -> None:
-        q4, k4, v4 = split_tile(q.data[a:b]), split_tile(k.data[a:b]), split_tile(v.data[a:b])
-        logits = np.matmul(q4, k4.swapaxes(-1, -2))
-        logits *= scale
-        if m_arr is not None:
-            logits += m_arr[a:b] if slice_mask else m_arr
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
-        attention[a:b] = logits
-        out_data[a:b] = merge_tile(np.matmul(logits, v4))
+        out_data[a:b], attention[a:b] = attention_forward(
+            q.data[a:b], k.data[a:b], v.data[a:b], num_heads, scale,
+            m_arr[a:b] if slice_mask else m_arr,
+        )
 
     _parallel.run_tiles(forward_tile, spans)
 
@@ -1127,11 +1146,11 @@ def _attention_tiled(
             mask_parts = [None] * len(spans) if m_arr is not None else None
 
         def backward_tile(a: int, b: int) -> None:
-            q4, k4, v4 = split_tile(q.data[a:b]), split_tile(k.data[a:b]), split_tile(v.data[a:b])
+            q4, k4, v4 = (_split_heads(x[a:b], num_heads) for x in (q.data, k.data, v.data))
             att = attention[a:b]
-            d_context = split_tile(grad[a:b])
+            d_context = _split_heads(grad[a:b], num_heads)
             d_attention = np.matmul(d_context, v4.swapaxes(-1, -2))
-            d_v_out[a:b] = merge_tile(np.matmul(att.swapaxes(-1, -2), d_context))
+            d_v_out[a:b] = _merge_heads(np.matmul(att.swapaxes(-1, -2), d_context))
             dot = (d_attention * att).sum(axis=-1, keepdims=True)
             d_attention -= dot
             d_attention *= att
@@ -1145,8 +1164,8 @@ def _attention_tiled(
             d_q *= scale
             d_k = np.matmul(d_logits.swapaxes(-1, -2), q4)
             d_k *= scale
-            d_q_out[a:b] = merge_tile(d_q)
-            d_k_out[a:b] = merge_tile(d_k)
+            d_q_out[a:b] = _merge_heads(d_q)
+            d_k_out[a:b] = _merge_heads(d_k)
 
         _parallel.run_tiles(backward_tile, spans)
         grads = (d_q_out, d_k_out, d_v_out)

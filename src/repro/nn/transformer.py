@@ -12,14 +12,20 @@ Table I parameter) to a performance metric (IPC or power):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping
 
 import numpy as np
 
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import MLP, Dropout, LayerNorm, ParameterEmbedding
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import (
+    Tensor,
+    affine_forward,
+    attention_forward,
+    gelu_forward,
+    layer_norm_forward,
+)
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -138,6 +144,70 @@ class TransformerPredictor(Module):
         if self.output_dim == 1:
             return out.reshape(out.shape[:-1])
         return out
+
+    def stacked_inference(
+        self, params: Mapping[str, np.ndarray], inputs: np.ndarray
+    ) -> np.ndarray:
+        """Graph-free eval-mode forward of a stacked parameter bank.
+
+        *params* maps every parameter name to a ``(T, ...)`` stack of T
+        models' values; *inputs* ``(batch, P)`` are shared by all T.
+        Returns ``(T, batch[, output_dim])``, bit for bit what
+        ``functional_call(params, Tensor(broadcast inputs))`` returns in
+        eval mode under the tiled kernels: both run the slice-stable
+        forward functions of :mod:`repro.nn.tensor`, here on plain arrays.
+        Nothing is bound, recorded or toggled on the module (non-learnable
+        masks are only read), so concurrent calls are safe.
+        """
+
+        def norm(name: str, layer: LayerNorm, x: np.ndarray) -> np.ndarray:
+            gamma, beta = params[f"{name}.gamma"], params[f"{name}.beta"]
+            shape = (gamma.shape[0], *([1] * (x.ndim - 2)), gamma.shape[-1])
+            return layer_norm_forward(
+                x, gamma.reshape(shape), beta.reshape(shape), layer.eps
+            )[0]
+
+        def linear(name: str, x: np.ndarray) -> np.ndarray:
+            return affine_forward(x, params[f"{name}.weight"], params.get(f"{name}.bias"))
+
+        def mlp(name: str, module: MLP, x: np.ndarray) -> np.ndarray:
+            # Both MLPs of this model are built with activation="gelu".
+            for index, layer in enumerate(module._layer_names):
+                x = linear(f"{name}.{layer}", x)
+                if index != len(module._layer_names) - 1:
+                    activated = np.empty_like(x)
+                    gelu_forward(x, activated, activated)
+                    x = activated
+            return x
+
+        scale = params["embedding.value_scale"]
+        shape = (scale.shape[0], 1, *scale.shape[1:])
+        tokens = inputs[:, :, None] * scale.reshape(shape)
+        tokens += params["embedding.positional"].reshape(shape)
+        for name in self._layer_names:
+            encoder: TransformerEncoderLayer = self._modules[name]
+            attention = encoder.attention
+            normed = norm(f"{name}.attention_norm", encoder.attention_norm, tokens)
+            q, k, v = (
+                linear(f"{name}.attention.{role}", normed)
+                for role in ("query", "key", "value")
+            )
+            mask = params.get(f"{name}.attention.mask")
+            if mask is not None:
+                mask = mask.reshape(mask.shape[0], 1, 1, *mask.shape[1:])
+            elif attention.mask is not None:
+                mask = attention.mask.data
+            context, _ = attention_forward(
+                q, k, v, attention.num_heads, 1.0 / np.sqrt(attention.head_dim), mask
+            )
+            tokens = tokens + linear(f"{name}.attention.output", context)
+            normed = norm(f"{name}.feedforward_norm", encoder.feedforward_norm, tokens)
+            tokens = tokens + mlp(f"{name}.feedforward", encoder.feedforward, normed)
+        normed = norm("final_norm", self.final_norm, tokens)
+        # Tensor.mean's arithmetic: the sum times the reciprocal count.
+        pooled = normed.sum(axis=-2) * np.asarray(1.0 / normed.shape[-2], normed.dtype)
+        out = mlp("head", self.head, pooled)
+        return out[..., 0] if self.output_dim == 1 else out
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out inference helper (no graph is built)."""

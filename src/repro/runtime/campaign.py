@@ -94,7 +94,6 @@ def _screen_workload(
     acquisition,
     budget: int,
     refit: bool,
-    screen_tile: Optional[int] = None,
 ) -> tuple[list[int], np.ndarray]:
     """One workload's refit/predict/select step (runs on the executor).
 
@@ -102,9 +101,7 @@ def _screen_workload(
     happens on the *worker's* copy of the surrogate under a process
     executor — that is sound because every round refits from scratch on
     the full accumulated measurement set, so no fitted state needs to
-    survive the round.  ``screen_tile`` streams the pool prediction in
-    blocks (bitwise identical to the unblocked screen, see
-    :func:`repro.dse.engine.screen_predict`).
+    survive the round.
     """
     from repro.dse.engine import screen_predict
 
@@ -112,7 +109,7 @@ def _screen_workload(
         with obs.span("campaign.refit"):
             surrogate.fit(known_features, known_targets)
     with obs.span("campaign.screen", candidates=len(features)):
-        predicted = screen_predict(surrogate, features, screen_tile)
+        predicted = screen_predict(surrogate, features)
     predicted_min = objectives.to_minimization(predicted)
     context = AcquisitionContext(
         features=features,
@@ -137,7 +134,6 @@ def _propose_screen_workload(
     acquisition,
     budget: int,
     refit: bool,
-    screen_tile: Optional[int] = None,
 ) -> tuple[list, np.ndarray, int]:
     """One workload's refit/propose/screen/select step (per-workload pools).
 
@@ -166,7 +162,7 @@ def _propose_screen_workload(
         round=round_index,
         candidates=len(candidates),
     ):
-        predicted = screen_predict(surrogate, features, screen_tile)
+        predicted = screen_predict(surrogate, features)
     predicted_min = objectives.to_minimization(predicted)
     acquisition_context = AcquisitionContext(
         features=features,
@@ -443,7 +439,6 @@ def run_campaign_runtime(
                     acquisition,
                     simulation_budget,
                     refit,
-                    engine.screen_tile,
                 ),
             )
             for workload in workloads
@@ -492,7 +487,6 @@ def run_campaign_runtime(
                     acquisition,
                     simulation_budget,
                     refit,
-                    engine.screen_tile,
                 ),
             )
             for workload in workloads

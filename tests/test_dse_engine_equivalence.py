@@ -10,10 +10,13 @@ the same configurations, measure the same objective rows, and report the
 same fronts and hypervolume histories.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.trees import GradientBoostingRegressor
 from repro.dse.active import ActiveLearningExplorer
@@ -21,12 +24,12 @@ from repro.dse.engine import (
     CampaignEngine,
     ObjectiveSet,
     QualityTracker,
-    RandomPool,
     screen_predict,
 )
 from repro.dse.explorer import PredictorGuidedExplorer
 from repro.dse.surrogates import StackedPredictorSurrogate, TreeEnsembleSurrogate
 from repro.nn import parallel as nn_parallel
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerPredictor
 from repro.runtime.executors import ThreadExecutor
 
@@ -136,11 +139,18 @@ class TestActiveLearningEquivalence:
         assert engine_run.hypervolume_history() == reference.hypervolume_history()
 
 
-# -- screening tiling --------------------------------------------------------------
-#: Pool size the tiling tests screen, and the tile sizes the contract pins:
-#: degenerate single-row blocks, one-short, exact, and overshooting tiles.
+# -- blocked screening and the stacked inference pass ------------------------------
+#: Pool size the blocked-screening tests screen, and the block sizes they
+#: pin: single-row blocks, one-short, exact, and overshooting blocks.
 POOL = 40
 SCREEN_TILES = (1, POOL - 1, POOL, POOL + 7)
+
+#: Row counts around the kernel tile length (64): empty, single-row, one
+#: short of / exactly / one past a tile, and a ragged multi-tile pool.
+ROW_COUNTS = (0, 1, 63, 64, 65, 257)
+
+#: Tokens per candidate of the small predictors below.
+TOKENS = 6
 
 
 def _fitted_tree_surrogate(fast_simulator, table1_space, seed=0):
@@ -159,20 +169,57 @@ def _fitted_tree_surrogate(fast_simulator, table1_space, seed=0):
     return surrogate
 
 
-def _stacked_surrogate(num_parameters, tile_size=None):
-    predictors = [
-        TransformerPredictor(
-            num_parameters, embed_dim=8, num_heads=2, num_layers=1, head_hidden=8, seed=s
-        )
-        for s in (0, 1)
-    ]
-    return StackedPredictorSurrogate(
-        predictors, ("ipc", "power"), tile_size=tile_size
+def _predictors(num_objectives, mask=None, dtype="float64"):
+    """Small architecture-identical predictors, one per objective.
+
+    ``mask`` installs a WAM-style logit bias in the last layer: a
+    ``"learnable"`` one (a parameter, different per objective, stacked like
+    the weights) or a ``"buffer"`` (non-learnable, identical across the
+    objectives, read from the template).
+    """
+    predictors = []
+    for seed in range(num_objectives):
+        predictor = TransformerPredictor(
+            TOKENS, embed_dim=8, num_heads=2, num_layers=2, head_hidden=8, seed=seed
+        ).to_dtype(dtype)
+        if mask is not None:
+            learnable = mask == "learnable"
+            bias = np.random.default_rng(seed if learnable else 99)
+            predictor.install_mask(bias.normal(size=(TOKENS, TOKENS)), learnable=learnable)
+        predictors.append(predictor)
+    return predictors
+
+
+def _label_scale(count):
+    """Per-objective ``(means, stds)`` the surrogates de-standardise with."""
+    return np.linspace(-1.0, 2.0, count), np.linspace(0.5, 3.0, count)
+
+
+def _stacked_surrogate(predictors):
+    count = len(predictors)
+    means, stds = _label_scale(count)
+    surrogate = StackedPredictorSurrogate(
+        predictors,
+        tuple(f"objective{i}" for i in range(count)),
+        label_means=means,
+        label_stds=stds,
+    )
+    assert surrogate.is_stacked
+    return surrogate
+
+
+def _screen_in_blocks(surrogate, features, tile):
+    """Screen *features* ``tile`` rows at a time and stack the blocks."""
+    return np.concatenate(
+        [
+            screen_predict(surrogate, features[start:stop])
+            for start, stop in nn_parallel.tile_spans(len(features), tile)
+        ]
     )
 
 
 class TestScreenPredictEquivalence:
-    """Blocked screening == whole-pool screening, bitwise, for every tile."""
+    """Blocked screening == whole-pool screening, bitwise, for every block."""
 
     @pytest.mark.parametrize("tile", SCREEN_TILES)
     def test_tree_surrogate_blocked_bitwise(
@@ -181,128 +228,195 @@ class TestScreenPredictEquivalence:
         surrogate = _fitted_tree_surrogate(fast_simulator, table1_space)
         features = np.random.default_rng(0).uniform(size=(POOL, 22))
         np.testing.assert_array_equal(
-            screen_predict(surrogate, features, tile),
-            surrogate.predict(features),
+            _screen_in_blocks(surrogate, features, tile),
+            screen_predict(surrogate, features),
         )
 
     @pytest.mark.parametrize("tile", SCREEN_TILES)
     def test_stacked_surrogate_blocked_bitwise(self, tile):
-        surrogate = _stacked_surrogate(6)
-        assert surrogate.is_stacked
-        features = np.random.default_rng(1).uniform(size=(POOL, 6))
+        surrogate = _stacked_surrogate(_predictors(2))
+        features = np.random.default_rng(1).uniform(size=(POOL, TOKENS))
         np.testing.assert_array_equal(
-            screen_predict(surrogate, features, tile),
-            surrogate.predict(features),
+            _screen_in_blocks(surrogate, features, tile),
+            screen_predict(surrogate, features),
         )
 
     @pytest.mark.parametrize("tile", (1, 7))
     def test_stacked_surrogate_blocked_under_kernel_threads(self, tile):
-        """Screen tiling composes with the kernel thread policy bitwise."""
-        surrogate = _stacked_surrogate(6)
-        features = np.random.default_rng(2).uniform(size=(POOL, 6))
-        reference = surrogate.predict(features)
-        previous = nn_parallel.set_num_threads(None)
+        """Blocked screening composes with the kernel thread policy bitwise."""
+        surrogate = _stacked_surrogate(_predictors(2))
+        features = np.random.default_rng(2).uniform(size=(POOL, TOKENS))
+        reference = screen_predict(surrogate, features)
         try:
             with nn_parallel.threads(3):
                 np.testing.assert_array_equal(
-                    screen_predict(surrogate, features, tile), reference
+                    _screen_in_blocks(surrogate, features, tile), reference
                 )
         finally:
-            nn_parallel.set_num_threads(previous)
             nn_parallel.shutdown_pool()
 
-    @pytest.mark.parametrize("tile", SCREEN_TILES)
-    def test_surrogate_tile_size_knob_bitwise(self, tile):
-        """The StackedPredictorSurrogate's own tile_size knob agrees too."""
-        features = np.random.default_rng(3).uniform(size=(POOL, 6))
-        np.testing.assert_array_equal(
-            _stacked_surrogate(6, tile_size=tile).predict(features),
-            _stacked_surrogate(6).predict(features),
-        )
 
-    def test_invalid_tile_rejected(self):
-        surrogate = _stacked_surrogate(6)
-        with pytest.raises(ValueError, match="tile_size"):
-            screen_predict(surrogate, np.zeros((5, 6)), 0)
-        with pytest.raises(ValueError, match="tile_size"):
-            _stacked_surrogate(6, tile_size=0)
+class TestStackedInferencePass:
+    """``predict`` is the autodiff stacked forward, bit for bit."""
 
+    @pytest.mark.parametrize("mask", (None, "learnable", "buffer"))
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    @settings(max_examples=12, deadline=None)
+    @given(
+        num_objectives=st.integers(1, 3),
+        rows=st.sampled_from(ROW_COUNTS),
+        threads=st.sampled_from((1, 2)),
+    )
+    def test_predict_equals_autodiff_stacked_forward_bitwise(
+        self, num_objectives, rows, dtype, mask, threads
+    ):
+        predictors = _predictors(num_objectives, mask, dtype)
+        surrogate = _stacked_surrogate(predictors)
+        features = np.random.default_rng(rows).uniform(size=(rows, TOKENS))
+        try:
+            with nn_parallel.threads(threads):
+                predicted = surrogate.predict(features)
+        finally:
+            nn_parallel.shutdown_pool()
 
-class TestCampaignScreenTileEquivalence:
-    """Engine campaigns with screen_tile are bitwise equal to untiled ones."""
+        template = predictors[0]
+        stacked = {
+            name: np.stack([p.state_dict()[name] for p in predictors])
+            for name in template.state_dict()
+        }
+        cast = features.astype(dtype)
+        block = np.broadcast_to(cast, (num_objectives,) + cast.shape).copy()
+        with nn_parallel.threads(1):
+            out = template.functional_call(stacked, Tensor(block))
+        means, stds = _label_scale(num_objectives)
+        expected = np.asarray(out.data, dtype=np.float64).T * stds + means
+        assert predicted.dtype == np.float64
+        np.testing.assert_array_equal(predicted, expected)
 
-    def _make_engine(self, fast_simulator, screen_tile=None):
-        return CampaignEngine(
-            fast_simulator.space,
-            fast_simulator,
-            ObjectiveSet.from_names(("ipc", "power")),
-            seed=5,
-            screen_tile=screen_tile,
-        )
-
-    @pytest.mark.parametrize("tile", SCREEN_TILES)
-    def test_single_workload_run_bitwise(self, fast_simulator, table1_space, tile):
-        def outcome(screen_tile):
+    @pytest.mark.parametrize("kind", ("tree", "stacked"))
+    @settings(max_examples=15, deadline=None)
+    @given(bounds=st.tuples(st.integers(0, 257), st.integers(0, 257)))
+    def test_predict_is_slice_stable(
+        self, fast_simulator, table1_space, kind, bounds
+    ):
+        """``predict(X)[a:b] == predict(X[a:b])`` for tree and stacked surrogates."""
+        start, stop = sorted(bounds)
+        if kind == "tree":
             surrogate = _fitted_tree_surrogate(fast_simulator, table1_space)
-            return self._make_engine(fast_simulator, screen_tile).run(
-                WORKLOAD,
-                surrogate,
-                generator=RandomPool(POOL),
-                simulation_budget=6,
+            width = table1_space.num_parameters
+        else:
+            surrogate = _stacked_surrogate(_predictors(2, "learnable"))
+            width = TOKENS
+        features = np.random.default_rng(start).uniform(size=(257, width))
+        np.testing.assert_array_equal(
+            surrogate.predict(features)[start:stop],
+            surrogate.predict(features[start:stop]),
+        )
+
+    @pytest.mark.parametrize("kernel_threads", (None, 2))
+    def test_concurrent_predict_is_read_only_and_exact(self, kernel_threads):
+        """Four threads predicting on one surrogate get the serial rows and
+        leave every predictor exactly as they found it."""
+        predictors = _predictors(2, "learnable")
+        surrogate = _stacked_surrogate(predictors)
+        features = np.random.default_rng(5).uniform(size=(257, TOKENS))
+        for predictor in predictors:
+            predictor(Tensor(features[:3]))  # record a last_attention to keep
+
+        def snapshot():
+            return [
+                (
+                    {name: value.shape for name, value in p.state_dict().items()},
+                    [module.training for module in p.modules()],
+                    [(layer.store_attention, layer.last_attention) for layer in p.attention_layers()],
+                )
+                for p in predictors
+            ]
+
+        before = snapshot()
+        reference = surrogate.predict(features)
+        barrier = threading.Barrier(4)
+
+        def worker(_):
+            barrier.wait()
+            return [surrogate.predict(features) for _ in range(6)]
+
+        try:
+            with nn_parallel.threads(kernel_threads), ThreadPoolExecutor(4) as pool:
+                results = [row for rows in pool.map(worker, range(4)) for row in rows]
+        finally:
+            nn_parallel.shutdown_pool()
+        for result in results:
+            np.testing.assert_array_equal(result, reference)
+        after = snapshot()
+        for (shapes, training, attention), (shapes_after, training_after, attention_after) in zip(
+            before, after
+        ):
+            assert shapes_after == shapes
+            assert training_after == training
+            assert [flag for flag, _ in attention_after] == [flag for flag, _ in attention]
+            assert all(
+                kept is found for (_, kept), (_, found) in zip(attention, attention_after)
             )
 
-        reference = outcome(None)
-        tiled = outcome(tile)
-        assert tiled.simulated_configs == reference.simulated_configs
-        np.testing.assert_array_equal(
-            tiled.measured_objectives, reference.measured_objectives
-        )
-        np.testing.assert_array_equal(tiled.predicted, reference.predicted)
-        assert tiled.selected_indices == reference.selected_indices
 
-    @pytest.mark.parametrize("tile", (1, POOL - 1))
-    def test_campaign_with_thread_executor_and_kernel_threads_bitwise(
-        self, fast_simulator, table1_space, tile
+class TestCampaignThreadingEquivalence:
+    """Concurrent screening jobs and the kernel thread policy leave a
+    campaign bitwise equal to the plain serial one."""
+
+    @pytest.mark.parametrize("kind", ("tree", "stacked"))
+    def test_thread_executor_and_kernel_threads_bitwise(
+        self, fast_simulator, table1_space, kind
     ):
-        """screen_tile composed with a ThreadExecutor campaign and the nn
-        thread policy reproduces the plain serial campaign bitwise."""
         workloads = (WORKLOAD, "625.x264_s")
+        width = table1_space.num_parameters
 
         def surrogates():
+            if kind == "tree":
+                return {
+                    workload: _fitted_tree_surrogate(fast_simulator, table1_space, seed=i)
+                    for i, workload in enumerate(workloads)
+                }
             return {
-                workload: _fitted_tree_surrogate(fast_simulator, table1_space, seed=i)
+                workload: StackedPredictorSurrogate(
+                    [
+                        TransformerPredictor(
+                            width, embed_dim=8, num_heads=2, num_layers=1,
+                            head_hidden=8, seed=2 * i + j,
+                        )
+                        for j in range(2)
+                    ],
+                    ("ipc", "power"),
+                )
                 for i, workload in enumerate(workloads)
             }
 
-        reference = self._make_engine(fast_simulator).run_campaign(
-            workloads, surrogates(), candidate_pool=POOL, simulation_budget=4
-        )
-        previous = nn_parallel.set_num_threads(None)
+        def engine():
+            return CampaignEngine(
+                fast_simulator.space,
+                fast_simulator,
+                ObjectiveSet.from_names(("ipc", "power")),
+                seed=5,
+            )
+
+        kwargs = dict(candidate_pool=130, simulation_budget=4)
+        reference = engine().run_campaign(workloads, surrogates(), **kwargs)
         try:
             with nn_parallel.threads(2), ThreadExecutor(2) as executor:
-                tiled = self._make_engine(fast_simulator, tile).run_campaign(
-                    workloads,
-                    surrogates(),
-                    candidate_pool=POOL,
-                    simulation_budget=4,
-                    executor=executor,
+                threaded = engine().run_campaign(
+                    workloads, surrogates(), executor=executor, **kwargs
                 )
         finally:
-            nn_parallel.set_num_threads(previous)
             nn_parallel.shutdown_pool()
-        assert tiled.candidates_screened == reference.candidates_screened
+        assert threaded.candidates_screened == reference.candidates_screened
         for workload in workloads:
-            ref, got = reference[workload], tiled[workload]
+            ref, got = reference[workload], threaded[workload]
             np.testing.assert_array_equal(
                 got.measured_objectives, ref.measured_objectives
             )
             assert got.selected_indices == ref.selected_indices
             assert got.simulated_configs == ref.simulated_configs
             np.testing.assert_array_equal(got.predicted, ref.predicted)
-
-    def test_engine_rejects_invalid_screen_tile(self, fast_simulator):
-        with pytest.raises(ValueError, match="screen_tile"):
-            self._make_engine(fast_simulator, screen_tile=0)
 
 
 class TestQualityTrackerScope:

@@ -21,7 +21,15 @@ from repro.nn import parallel as par
 from repro.nn.gradcheck import check_tensor_gradient
 from repro.nn.optim import Adam
 from repro.nn.serialization import load_model, save_model
-from repro.nn.tensor import Tensor, affine, scaled_dot_product_attention
+from repro.nn.tensor import (
+    Tensor,
+    affine,
+    affine_forward,
+    attention_forward,
+    gelu_forward,
+    layer_norm_forward,
+    scaled_dot_product_attention,
+)
 from repro.nn.transformer import TransformerPredictor
 
 THREAD_COUNTS = (1, 2, 7)
@@ -230,6 +238,65 @@ class TestTiledAgainstLegacy:
         """With the policy off (the default), kernel_spans never engages."""
         assert not par.active()
         assert par.kernel_spans(1000) is None
+
+
+# -- the shared array-level forwards ---------------------------------------------
+#: Row blocks that straddle the 4-row kernel tiles.
+BLOCK = 5
+
+
+def _gelu_block(x):
+    out = np.empty_like(x)
+    gelu_forward(x, out, np.empty_like(x))
+    return out
+
+
+#: case -> (kernel forward on tensors, shared forward on arrays, row axis,
+#: number of leading arguments that carry the row axis).
+SHARED_FORWARDS = {
+    "gelu": (lambda x: x.gelu().data, _gelu_block, 0, 1),
+    "layer_norm": (
+        lambda x, g, b: x.layer_norm(g, b).data,
+        lambda x, g, b: layer_norm_forward(x, g, b, 1e-5)[0],
+        0,
+        1,
+    ),
+    "affine-3d": (lambda x, w, b: affine(x, w, b).data, affine_forward, 0, 1),
+    "affine-stacked": (lambda x, w, b: affine(x, w, b).data, affine_forward, 1, 1),
+    "attention-masked": (
+        lambda q, k, v, m: scaled_dot_product_attention(q, k, v, 2, scale=0.5, mask=m)[0].data,
+        lambda q, k, v, m: attention_forward(q, k, v, 2, 0.5, m)[0],
+        0,
+        3,
+    ),
+}
+
+
+class TestSharedForwardFunctions:
+    """The array-level forwards of ``repro.nn.tensor`` are the kernels' own.
+
+    Run block by block over a ragged batch, each forward function gives the
+    tiled kernel's forward output bit for bit; the graph-free stacked
+    inference pass relies on exactly this.
+    """
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("f32", "f64"))
+    @pytest.mark.parametrize("case", tuple(SHARED_FORWARDS))
+    def test_blockwise_forward_matches_tiled_kernel_bitwise(self, case, dtype):
+        kernel_forward, forward, axis, sliced = SHARED_FORWARDS[case]
+        _, arrays = _case_arrays(case, dtype)
+        par.set_tile_length(TILE)
+        with par.threads(1):
+            expected = kernel_forward(*(Tensor(a) for a in arrays))
+        blocks = []
+        for start, stop in par.tile_spans(arrays[0].shape[axis], BLOCK):
+            rows = (slice(None),) * axis + (slice(start, stop),)
+            blocks.append(
+                forward(*(a[rows] if i < sliced else a for i, a in enumerate(arrays)))
+            )
+        got = np.concatenate(blocks, axis=axis)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 # -- gradcheck under an active policy ---------------------------------------------
