@@ -1,7 +1,9 @@
 # Developer chores for the MetaDSE reproduction.
 #
 #   make test            - tier-1 verification (the command ROADMAP.md pins)
-#                          plus the docs consistency check
+#                          plus the docs consistency check; fails if the
+#                          run changed the working tree (git status or the
+#                          git diff checksum differ before and after)
 #   make unit            - fast unit tests only (tests/)
 #   make test-fast       - tests/ minus the `slow`-marked modules (quick
 #                          inner-loop signal; full tier stays `make test`)
@@ -39,7 +41,15 @@ bench: export REPRO_RECORD_RESULTS := 1
 bench-%: export REPRO_RECORD_RESULTS := 1
 
 test: docs-check repo-check
-	$(PYTHON) -m pytest -x -q
+	@snapshot() { git status --porcelain --untracked-files=all; git diff | cksum; }; \
+	scratch=$$(mktemp -d); snapshot > $$scratch/before 2>/dev/null; \
+	echo "$(PYTHON) -m pytest -x -q"; $(PYTHON) -m pytest -x -q; status=$$?; \
+	snapshot > $$scratch/after 2>/dev/null; \
+	if ! diff -u $$scratch/before $$scratch/after; then \
+		echo "tier-1 changed the working tree (git status / git diff checksum above)"; \
+		status=1; \
+	fi; \
+	rm -rf $$scratch; exit $$status
 
 # Includes the DSE engine-vs-reference equivalence tests
 # (tests/test_dse_engine_equivalence.py) alongside the rest of tests/.

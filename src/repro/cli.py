@@ -15,14 +15,15 @@ writing any Python:
 * ``explore``    — run a design-space exploration (active-learning loop or
   surrogate screening) on one workload and print the Pareto front;
 * ``dse``        — run a batched cross-workload campaign through the unified
-  campaign engine (shared candidate pool, one ``run_sweep`` measurement)
-  and print one Pareto front per workload; ``--jobs N`` dispatches it
-  through the parallel campaign runtime (``--executor`` picks
-  thread/process/serial, ``--checkpoint`` makes the campaign resumable),
-  and ``--prune`` / ``--focus F`` shrink the candidate pool to the
-  parameters the adapted predictors' attention marks as important
-  (``docs/pruning.md``); ``--store PATH`` persists every measurement to a
-  store directory reused across campaigns (``docs/store.md``);
+  campaign engine (every workload screens each round's candidates, one
+  ``run_sweep`` measures the selection union) and print one Pareto front
+  per workload; ``--jobs N`` runs it on N workers without changing the
+  result (``--executor`` picks thread/process/serial, ``--checkpoint``
+  makes the campaign resumable), and ``--prune`` / ``--focus F`` shrink
+  the candidate pool to the parameters the adapted predictors' attention
+  marks as important (``docs/pruning.md``); ``--store PATH`` persists
+  every measurement to a store directory reused across campaigns
+  (``docs/store.md``);
   ``--trace PATH`` records a :mod:`repro.obs` span/metric trace of the
   campaign without perturbing its results (``docs/observability.md``);
 * ``store``      — inspect or maintain a persistent measurement store:
@@ -101,8 +102,7 @@ def _campaign_executor(args: argparse.Namespace):
 def cmd_generate(args: argparse.Namespace) -> int:
     simulator = _build_simulator(args)
     workloads = args.workloads if args.workloads else None
-    executor = _campaign_executor(args)
-    try:
+    with _campaign_executor(args) as executor:
         dataset = generate_dataset(
             simulator,
             workloads=workloads,
@@ -111,9 +111,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             seed=args.seed,
             executor=executor,
         )
-    finally:
-        if executor is not None:
-            executor.shutdown()
     path = save_dataset(dataset, args.output)
     print(
         f"labelled {dataset.num_points} design points for {len(dataset)} workloads "
@@ -364,9 +361,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 "no attention to harvest (see docs/pruning.md)"
             )
         # Tree-surrogate path: fit one ensemble per workload on the dataset
-        # labels and drive the shared-pool campaign directly.  The factory
-        # is a functools.partial (not a lambda) so the surrogates stay
-        # picklable for --executor process.
+        # labels and drive the campaign directly.  The factory is a
+        # functools.partial (not a lambda) so the surrogates stay picklable
+        # for --executor process.
         from repro.dse.engine import NSGA2Evolve, RandomPool
         from repro.dse.portfolio import StrategyPortfolio
 
@@ -401,31 +398,26 @@ def cmd_dse(args: argparse.Namespace) -> int:
             objectives,
             seed=args.seed,
         )
-        executor = _campaign_executor(args)
         scope = (
             nn_parallel.threads(args.threads) if args.threads else nullcontext()
         )
         trace_scope = obs.tracing(args.trace) if args.trace else nullcontext()
-        try:
-            with trace_scope, scope:
-                campaign = engine.run_campaign(
-                    workloads,
-                    surrogates,
-                    generator=generator,
-                    candidate_pool=args.candidate_pool,
-                    simulation_budget=args.budget,
-                    rounds=args.rounds,
-                    executor=executor,
-                    checkpoint=args.checkpoint,
-                )
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        with _campaign_executor(args) as executor, trace_scope, scope:
+            campaign = engine.run_campaign(
+                workloads,
+                surrogates,
+                generator=generator,
+                candidate_pool=args.candidate_pool,
+                simulation_budget=args.budget,
+                rounds=args.rounds,
+                executor=executor,
+                checkpoint=args.checkpoint,
+            )
 
     summary = campaign.summary()
     print(
         f"campaign over {len(workloads)} workloads: "
-        f"{campaign.candidates_screened} candidates screened per workload, "
+        f"{campaign.candidates_screened} candidates screened in total, "
         f"{campaign.total_simulations} simulator evaluations"
     )
     for workload, entry in summary["workloads"].items():
@@ -533,9 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these workloads (default: all 17)",
     )
     generate.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel workers for the labelling sweep (bitwise-identical "
-             "output; see docs/runtime.md)",
+        "--jobs", type=int, default=1,
+        help="workers for the labelling sweep (default 1, serial); the "
+             "dataset is bitwise identical for every value (docs/runtime.md)",
     )
     generate.add_argument(
         "--executor", choices=("serial", "thread", "process"), default="thread",
@@ -643,9 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--phases", type=int, default=1)
     dse.add_argument("--seed", type=int, default=0)
     dse.add_argument(
-        "--jobs", type=int, default=None,
-        help="dispatch the campaign through the parallel runtime with this "
-             "many workers (results are bitwise identical to serial)",
+        "--jobs", type=int, default=1,
+        help="workers for the campaign's screen jobs and measurement sweeps "
+             "(default 1, serial); the campaign is bitwise identical for "
+             "every value (docs/runtime.md)",
     )
     dse.add_argument(
         "--executor", choices=("serial", "thread", "process"), default="thread",

@@ -279,7 +279,7 @@ class MetaDSE(CrossWorkloadModel):
         rounds: int = 1,
         seed: int = 0,
         strategy: str = "random",
-        jobs: Optional[int] = None,
+        jobs: Optional[int] = 1,
         executor: str = "thread",
         checkpoint=None,
         focus: Optional[float] = None,
@@ -338,12 +338,14 @@ class MetaDSE(CrossWorkloadModel):
             warm-up plays each arm once, so give it ``rounds >= 3`` to get
             past round-robin.
         jobs, executor:
-            Parallel campaign runtime: with ``jobs=N`` the per-workload
-            screening and the union-measure sweep run on an executor of
-            that width (``executor`` picks the kind, ``"thread"`` by
-            default — nn surrogates are not cheaply picklable, and NumPy
-            screening releases the GIL).  Results are bitwise identical to
-            the serial campaign (``docs/runtime.md``).
+            Width and kind of the campaign's executor: the per-workload
+            screen jobs and the union-measure sweep run on it.  ``jobs=1``
+            (default) is the :class:`~repro.runtime.executors.
+            SerialExecutor`; with ``jobs=N`` ``executor`` picks the pool
+            kind (``"thread"`` by default — nn surrogates are not cheaply
+            picklable, and NumPy screening releases the GIL).  The result
+            is bitwise identical for every ``jobs`` and ``executor``
+            (``docs/runtime.md``).
         checkpoint:
             Optional path: completed campaign rounds are persisted there,
             and a killed campaign re-run with the same arguments resumes
@@ -472,9 +474,8 @@ class MetaDSE(CrossWorkloadModel):
         def harvest_profile():
             # One pooled profile for the campaign: probe once, harvest each
             # workload's stacked surrogate, average.  Fixed-profile
-            # FocusedPool stays surrogate-independent, so the shared-pool
-            # fast path, the DAG runtime, and checkpoint resume all still
-            # apply.
+            # FocusedPool stays surrogate-independent, so the shared pool
+            # and checkpoint resume still apply.
             from repro.designspace.sampling import RandomSampler
             from repro.meta.wam import merge_profiles
 
@@ -536,8 +537,7 @@ class MetaDSE(CrossWorkloadModel):
 
         from repro.runtime.executors import resolve_executor
 
-        campaign_executor = resolve_executor(jobs, executor)
-        try:
+        with resolve_executor(jobs, executor) as campaign_executor:
             with self._thread_scope():
                 return engine.run_campaign(
                     workloads,
@@ -549,9 +549,6 @@ class MetaDSE(CrossWorkloadModel):
                     executor=campaign_executor,
                     checkpoint=checkpoint,
                 )
-        finally:
-            if campaign_executor is not None:
-                campaign_executor.shutdown()
 
     # -- inference -----------------------------------------------------------------------
     def predict(self, features: np.ndarray) -> np.ndarray:

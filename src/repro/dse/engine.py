@@ -23,17 +23,20 @@ snippets in the examples).  :class:`CampaignEngine` owns that skeleton once:
   still warn explicitly instead of silently reporting zero).
 
 The legacy explorers are thin strategy configurations over
-:meth:`CampaignEngine.run` (their pre-refactor loops survive as
-``explore_reference``, pinned bitwise by
+:meth:`CampaignEngine.run`, the single-workload loop (their pre-refactor
+loops survive as ``explore_reference``, pinned bitwise by
 ``tests/test_dse_engine_equivalence.py``).  On top,
-:meth:`CampaignEngine.run_campaign` explores *many* workloads at once from
-one shared candidate pool: the pool is sampled and encoded once, each
-workload screens it with its own multi-objective surrogate (one stacked
-forward when the surrogate supports it), and the union of all selections is
+:meth:`CampaignEngine.run_campaign` explores *many* workloads at once and
+always runs the round loop of :mod:`repro.runtime.campaign`: each round a
+candidate pool is sampled and encoded once (or, for rank-stable
+generators, proposed per workload from keyed streams), each workload
+screens it with its own multi-objective surrogate (one stacked forward
+when the surrogate supports it), and the union of all selections is
 measured with a single :meth:`~repro.sim.simulator.Simulator.run_sweep` —
 the batched cross-workload path ``MetaDSE.explore`` and the ``dse`` CLI
 subcommand drive, benchmarked in
-``benchmarks/test_dse_campaign_throughput.py``.
+``benchmarks/test_dse_campaign_throughput.py``.  The executor only sets
+the throughput: every executor gives the same campaign.
 """
 
 from __future__ import annotations
@@ -118,8 +121,10 @@ class ObjectiveSet:
 class CandidateGenerator(abc.ABC):
     """Propose candidate configurations for one screening round."""
 
-    #: Whether proposals depend on the surrogate (True disables the shared
-    #: cross-workload candidate pool in :meth:`CampaignEngine.run_campaign`).
+    #: Whether proposals depend on the surrogate.  Such a generator cannot
+    #: propose one shared cross-workload pool, so
+    #: :meth:`CampaignEngine.run_campaign` accepts it only when it is also
+    #: :attr:`rank_stable`.
     surrogate_dependent: bool = False
 
     #: Whether :meth:`propose_for` is a pure function of the generator's
@@ -128,7 +133,7 @@ class CandidateGenerator(abc.ABC):
     #: other workloads or rounds.  Rank-stable generators draw from keyed
     #: per-``(workload, round)`` RNG streams (:func:`repro.utils.rng.
     #: keyed_rng`) instead of a shared mutable one, which is what qualifies
-    #: them for the runtime's per-workload-pool parallel path
+    #: them for the campaign's per-workload-pool rounds
     #: (``docs/runtime.md``) even when they are surrogate-dependent.
     rank_stable: bool = False
 
@@ -184,13 +189,13 @@ class CandidateGenerator(abc.ABC):
 class ProposalContext:
     """The slice of :class:`CampaignEngine` that candidate generation needs.
 
-    The parallel campaign runtime proposes pools inside worker jobs; shipping
-    the full engine would drag the simulator through pickling, so workers get
-    this context instead.  It duck-types the engine attributes every
-    generator's :meth:`~CandidateGenerator.propose_for` touches (``space``,
-    ``objectives``, ``encoder``; ``sampler`` stays ``None`` because only
-    rank-stable generators — which never touch the shared stream — run
-    through the per-workload-pool path).
+    The campaign runtime proposes keyed pools inside its screen jobs;
+    shipping the full engine would drag the simulator through pickling, so
+    the jobs get this context instead.  It duck-types the engine attributes
+    every generator's :meth:`~CandidateGenerator.propose_for` touches
+    (``space``, ``objectives``, ``encoder``; ``sampler`` stays ``None``
+    because only rank-stable generators — which never touch the shared
+    stream — propose inside the jobs).
     """
 
     space: DesignSpace
@@ -292,10 +297,10 @@ class FocusedPool(CandidateGenerator):
        the surrogate as it refits between rounds;
     2. **fixed profile**: the ``profile=`` passed at construction — an
        :class:`~repro.meta.wam.ImportanceProfile` or raw score array.  This
-       is the form the shared-pool / runtime campaign paths use (propose is
-       called with ``surrogate=None`` there), which keeps the generator
-       surrogate-independent and therefore eligible for the shared pool,
-       DAG scheduling, and checkpoint resume.
+       is the form shared-pool campaigns use (their pool is proposed with
+       ``surrogate=None``), which keeps the generator
+       surrogate-independent and therefore eligible for the shared pool
+       and checkpoint resume.
 
     ``keep_fraction=1.0`` skips profiling entirely and draws from the
     engine's sampler exactly like :class:`RandomPool` — **bitwise**, the
@@ -725,14 +730,15 @@ class WorkloadCampaignResult:
     pareto_indices: np.ndarray
     #: Simulator invocations attributed to this workload.
     simulations_used: int
-    #: Candidate-pool size screened by the surrogate.
+    #: Candidates this workload's surrogate screened, summed over rounds.
     candidates_screened: int
     #: Per-round quality snapshots (empty when tracking is off).
     rounds: list[CampaignRound] = field(default_factory=list)
-    #: Indices of this workload's acquisition picks.  For a single-workload
-    #: :meth:`CampaignEngine.run` these index the *last candidate pool*; for
-    #: a shared-pool campaign they index ``simulated_configs`` (which then
-    #: holds the measured selection union).
+    #: Indices of this workload's last-round acquisition picks.  For a
+    #: single-workload :meth:`CampaignEngine.run` these index the *last
+    #: candidate pool*; for a :meth:`CampaignEngine.run_campaign` they index
+    #: ``simulated_configs`` (which then holds the measured selection
+    #: unions).
     selected_indices: list[int] = field(default_factory=list)
     #: Surrogate predictions for the last screened pool (original sense).
     predicted: Optional[np.ndarray] = None
@@ -762,14 +768,17 @@ class CampaignResult:
 
     per_workload: dict[str, WorkloadCampaignResult]
     objectives: ObjectiveSet
-    #: Size of the (shared) candidate pool screened per workload.
-    candidates_screened: int
     #: Total simulator invocations across all workloads.
     total_simulations: int
 
     @property
     def workloads(self) -> list[str]:
         return list(self.per_workload)
+
+    @property
+    def candidates_screened(self) -> int:
+        """Candidates screened across all workloads and rounds."""
+        return sum(result.candidates_screened for result in self.per_workload.values())
 
     def __getitem__(self, workload: str) -> WorkloadCampaignResult:
         return self.per_workload[workload]
@@ -1024,179 +1033,41 @@ class CampaignEngine:
     ) -> CampaignResult:
         """Explore many workloads in one batched campaign.
 
-        With a surrogate-independent generator and a single round (the
-        default), the campaign runs the **shared-pool** fast path: one
-        candidate pool is sampled and encoded once, every workload screens
-        it with its own surrogate, and the union of all per-workload
-        selections is measured with a single
-        :meth:`~repro.sim.simulator.Simulator.run_sweep` (configurations
-        encoded once for all workloads; an opt-in
-        ``Simulator(evaluation_cache=True)`` then makes overlapping or
-        repeated selections free).  Every workload's result contains the
-        full measured union — measurements made for one workload's picks
-        are valid (and freely available) observations for the others — with
-        its own acquisition picks recorded in ``selected_indices``.
+        Every campaign runs the round loop of
+        :func:`repro.runtime.campaign.run_campaign_runtime`: each round,
+        every workload (optionally refits and) screens a candidate pool
+        with its own surrogate and runs acquisition, and the union of all
+        per-workload selections is measured on every workload with one
+        :meth:`~repro.sim.simulator.Simulator.run_sweep`, so each
+        workload's result holds the full measured union with its own picks
+        in ``selected_indices``.  A surrogate-independent generator (the
+        default :class:`RandomPool`) proposes one shared pool per round; a
+        rank-stable one (seeded pools, ``NSGA2Evolve``,
+        :class:`~repro.dse.portfolio.StrategyPortfolio`) proposes each
+        workload's pool from keyed per-``(workload, round)`` streams.
+        Surrogate-dependent generators that are not rank-stable are
+        rejected; drive them one workload at a time with :meth:`run`.
 
-        Multi-round / refitting / surrogate-dependent-generator campaigns
-        fall back to per-workload :meth:`run` loops, which still share the
-        simulator's phase tables and evaluation cache.  Rank-stable
-        generators (seeded pools, ``NSGA2Evolve``, ``StrategyPortfolio``)
-        never fall back: they always run the runtime's per-workload-pool
-        rounds — on a :class:`~repro.runtime.executors.SerialExecutor`
-        when no executor is given — so ``executor``/``jobs`` change
-        throughput but never the campaign outcome.
-
-        With an *executor* (:mod:`repro.runtime.executors`) and/or a
-        *checkpoint* path, the campaign is dispatched through the parallel
-        campaign runtime instead (:mod:`repro.runtime.campaign`): each
-        round's per-workload screen steps become DAG jobs joined by a
-        sharded union-measure sweep, completed rounds are checkpointed so
-        a killed campaign resumes from the last completed round, and the
-        results are **bitwise identical** to the
-        :class:`~repro.runtime.executors.SerialExecutor` reference (which
-        itself reproduces the single-round shared-pool path exactly).
-        Multi-round/refit campaigns keep the shared-pool-per-round
-        structure there instead of falling back to per-workload loops.
-        Rank-stable generators (seeded pools, ``NSGA2Evolve``,
-        :class:`~repro.dse.portfolio.StrategyPortfolio`) run the runtime's
-        per-workload-pool mode instead — pools proposed inside the screen
-        jobs from keyed pure RNG streams; surrogate-dependent generators
-        that are *not* rank-stable are rejected there.
+        *executor* (default :class:`~repro.runtime.executors.
+        SerialExecutor`) runs the per-workload screen jobs and shards the
+        union sweep: it changes throughput, never the result.  With a
+        *checkpoint* path every completed round is persisted, and a killed
+        campaign resumes from the last completed round (``docs/runtime.md``).
         """
-        if (
-            executor is None
-            and checkpoint is None
-            and generator is not None
-            and generator.rank_stable
-        ):
-            # Rank-stable generators define their campaign semantics on the
-            # runtime's per-workload-pool rounds (keyed pools, union
-            # measure — docs/portfolio.md): run them there even without an
-            # executor, so `jobs=N` changes throughput but never the
-            # outcome.
-            from repro.runtime.executors import SerialExecutor
+        # Imported at call time: the runtime imports this module.
+        from repro.runtime.campaign import run_campaign_runtime
 
-            executor = SerialExecutor()
-        if executor is not None or checkpoint is not None:
-            from repro.runtime.campaign import run_campaign_runtime
-
-            return run_campaign_runtime(
-                self,
-                workloads,
-                surrogates,
-                generator=generator,
-                acquisition=acquisition,
-                candidate_pool=candidate_pool,
-                simulation_budget=simulation_budget,
-                rounds=rounds,
-                initial_samples=initial_samples,
-                refit=refit,
-                executor=executor,
-                checkpoint=checkpoint,
-            )
-        workloads = list(workloads)
-        if not workloads:
-            raise ValueError("run_campaign needs at least one workload")
-        surrogate_for: Callable[[str], MultiObjectiveSurrogate]
-        if callable(surrogates):
-            surrogate_for = surrogates
-        else:
-            surrogate_for = surrogates.__getitem__
-        acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
-
-        shared_pool = (
-            rounds == 1
-            and initial_samples == 0
-            and not refit
-            and (generator is None or not generator.surrogate_dependent)
-        )
-        if not shared_pool:
-            if generator is None:
-                generator = RandomPool(candidate_pool)
-            per_workload = {
-                workload: self.run(
-                    workload,
-                    surrogate_for(workload),
-                    generator=generator,
-                    acquisition=acquisition,
-                    simulation_budget=simulation_budget,
-                    rounds=rounds,
-                    initial_samples=initial_samples,
-                    refit=refit,
-                )
-                for workload in workloads
-            }
-            return CampaignResult(
-                per_workload=per_workload,
-                objectives=self.objectives,
-                candidates_screened=next(iter(per_workload.values())).candidates_screened,
-                total_simulations=sum(
-                    result.simulations_used for result in per_workload.values()
-                ),
-            )
-
-        if generator is None:
-            generator = RandomPool(candidate_pool)
-        candidates = generator.propose(self, None, 0)
-        features = self.encoder.encode_batch(candidates)
-
-        selections: dict[str, list[int]] = {}
-        predictions: dict[str, np.ndarray] = {}
-        for workload in workloads:
-            surrogate = surrogate_for(workload)
-            with obs.span(
-                "campaign.screen", workload=workload, candidates=len(candidates)
-            ):
-                predicted = screen_predict(surrogate, features)
-            predicted_min = self.objectives.to_minimization(predicted)
-            context = AcquisitionContext(
-                features=features,
-                known_features=None,
-                surrogate=surrogate,
-                objectives=self.objectives,
-            )
-            selections[workload] = acquisition.select(
-                predicted_min, simulation_budget, context
-            )
-            predictions[workload] = predicted
-
-        union = sorted({index for picks in selections.values() for index in picks})
-        position = {index: offset for offset, index in enumerate(union)}
-        union_configs = [candidates[index] for index in union]
-        sweep = self.simulator.run_sweep(union_configs, workloads)
-
-        per_workload = {}
-        for workload in workloads:
-            batch = sweep[workload]
-            measured = np.stack(
-                [batch.objective(name) for name in self.objectives.names], axis=1
-            )
-            measured_min = self.objectives.to_minimization(measured)
-            tracker = QualityTracker(self.objectives)
-            entry = tracker.record(0, measured_min, len(union_configs))
-            obs.event(
-                "campaign.quality",
-                workload=workload,
-                round=0,
-                hypervolume=entry.hypervolume,
-                pareto=entry.pareto_size,
-                simulations=entry.simulations_total,
-            )
-            per_workload[workload] = WorkloadCampaignResult(
-                workload=workload,
-                objectives=self.objectives,
-                simulated_configs=union_configs,
-                measured_objectives=measured,
-                pareto_indices=tracker.last_front_indices,
-                simulations_used=len(union_configs),
-                candidates_screened=len(candidates),
-                rounds=tracker.rounds,
-                selected_indices=[position[index] for index in selections[workload]],
-                predicted=predictions[workload],
-            )
-        return CampaignResult(
-            per_workload=per_workload,
-            objectives=self.objectives,
-            candidates_screened=len(candidates),
-            total_simulations=len(union_configs) * len(workloads),
+        return run_campaign_runtime(
+            self,
+            workloads,
+            surrogates,
+            generator=generator,
+            acquisition=acquisition,
+            candidate_pool=candidate_pool,
+            simulation_budget=simulation_budget,
+            rounds=rounds,
+            initial_samples=initial_samples,
+            refit=refit,
+            executor=executor,
+            checkpoint=checkpoint,
         )

@@ -6,9 +6,10 @@ last a ``end`` line carrying the span book-keeping that lets
 ``span``, ``event`` and ``counters`` records.
 
 Writes follow the measurement-store discipline (``repro.store``): each
-flush renders the *complete* record list into a temporary file in the
-destination directory, fsyncs it, and ``os.replace``s it over the trace
-path.  A reader therefore never observes a torn line from a live writer;
+flush renders the *complete* record list and publishes it with
+:func:`repro.utils.atomic.write_atomic` (a temporary file in the
+destination directory, fsynced at close, ``os.replace``d over the trace
+path).  A reader therefore never observes a torn line from a live writer;
 :func:`read_trace` additionally tolerates a truncated *tail* (a crash or
 an external ``head -c``) by recovering the decodable prefix with a
 warning, exactly like the store's segment recovery.
@@ -23,13 +24,13 @@ the round trip is exact.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+
+from repro.utils.atomic import write_atomic
 
 #: Schema version stamped into the ``meta`` record.
 TRACE_VERSION = 1
@@ -141,22 +142,7 @@ class TraceSink:
                 return
             self._last_publish = now
         payload = "".join(line + "\n" for line in self._lines)
-        handle, temp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(payload)
-                if durable:
-                    stream.flush()
-                    os.fsync(stream.fileno())
-            os.replace(temp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, payload.encode("utf-8"), durable=durable)
         self._flushed = len(self._lines)
 
     def close(self) -> None:

@@ -23,9 +23,8 @@ once:
   (:class:`~repro.runtime.checkpoint.CampaignCheckpoint`) behind resumable
   cross-workload campaigns;
 * :mod:`repro.runtime.campaign` — the round-structured campaign driver
-  :meth:`~repro.dse.engine.CampaignEngine.run_campaign` delegates to when
-  an executor or checkpoint is requested (imported lazily to avoid a
-  cycle with :mod:`repro.dse.engine`).
+  :meth:`~repro.dse.engine.CampaignEngine.run_campaign` always delegates
+  to (imported lazily to avoid a cycle with :mod:`repro.dse.engine`).
 
 The determinism contract, executor model and checkpoint format are
 documented in ``docs/runtime.md``.

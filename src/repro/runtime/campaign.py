@@ -1,8 +1,8 @@
-r"""The round-structured parallel campaign driver.
+r"""The round-structured campaign driver.
 
-:meth:`repro.dse.engine.CampaignEngine.run_campaign` delegates here
-whenever an ``executor`` or ``checkpoint`` is requested.  Each campaign
-round is dispatched as a small DAG:
+:meth:`repro.dse.engine.CampaignEngine.run_campaign` always runs here, on
+a :class:`~repro.runtime.executors.SerialExecutor` unless it is given
+another executor.  Each campaign round is dispatched as a small DAG:
 
 ```
  screen:<w1>@round_r  screen:<w2>@round_r  ...  screen:<wN>@round_r
@@ -10,38 +10,45 @@ round is dispatched as a small DAG:
          +------------- measure@round_r -----------+        (join node)
 ```
 
-* every **screen job** (optionally) refits its workload's surrogate on the
-  measurements accumulated so far, predicts the shared candidate pool and
-  runs acquisition — all independent across workloads, so they run on the
-  executor (module-level function, picklable for process pools);
+* every **screen job** runs one workload's refit → (propose) → screen →
+  select step: it optionally refits the workload's surrogate on the
+  measurements accumulated so far, predicts the round's candidate pool
+  and runs acquisition.  The jobs are independent across workloads, so
+  they run on the executor (module-level function, picklable for process
+  pools);
 * the **measure join** runs inline in the scheduling thread: it unions the
-  per-workload selections in sorted index order and measures the union
-  with one :meth:`~repro.sim.simulator.Simulator.run_sweep`, itself
-  sharded over the same executor.
+  per-workload selections in a fixed order and measures the union with
+  one :meth:`~repro.sim.simulator.Simulator.run_sweep`, itself sharded
+  over the same executor.
 
-Determinism: the shared pool is proposed once per round in the parent (one
-sampler-stream consumer, regardless of executor), screening is a pure
-function of ``(surrogate, pool, accumulated measurements)``, the union is
-sorted, and the sweep merges shards in fixed order — so thread/process
-campaigns are **bitwise identical** to the
-:class:`~repro.runtime.executors.SerialExecutor` reference, which in turn
-reproduces the legacy single-round shared-pool path exactly
-(``tests/test_runtime_equivalence.py``).
+A round's pool comes from one of two sources:
 
-Rank-stable generators (``NSGA2Evolve`` and ``RandomPool``/``FocusedPool``
-constructed with ``seed=``, and :class:`~repro.dse.portfolio.
-StrategyPortfolio` over such arms) run a second mode, **per-workload
-pools**: each screen job *proposes its own workload's pool inside the
-worker* — drawing from keyed per-``(workload, round)`` RNG streams that
-are a pure function of the generator's seed, so there is no shared
-mutable stream sharding could reorder — and the measure join unions the
-selected *configurations* (deduplicated in fixed workload order) before
-the one sweep.  This is what admits surrogate-dependent strategies
-(NSGA-II evolution needs the round's surrogate, which lives in the screen
-job) to the parallel path; only surrogate-dependent generators with a
-shared mutable stream (``NSGA2Evolve`` seeded with an existing numpy
-``Generator``) remain rejected.  See ``docs/runtime.md`` and
-``docs/portfolio.md``.
+* a **shared pool**, for surrogate-independent generators (the default
+  ``RandomPool``, ``FocusedPool`` with a fixed profile): proposed and
+  encoded once per round in the parent — one sampler-stream consumer,
+  whatever the executor — and screened by every workload.  The union is
+  the sorted set of selected pool indices;
+* **per-workload pools**, for rank-stable generators (``NSGA2Evolve`` and
+  ``RandomPool``/``FocusedPool`` constructed with ``seed=``, and
+  :class:`~repro.dse.portfolio.StrategyPortfolio` over such arms): each
+  screen job proposes its own workload's pool after the refit, from
+  keyed per-``(workload, round)`` RNG streams that are a pure function of
+  the generator's seed, so there is no shared mutable stream sharding
+  could reorder.  The union is the selected *configurations*,
+  deduplicated in fixed workload order.  This is what admits
+  surrogate-dependent strategies (NSGA-II evolution needs the round's
+  surrogate, which lives in the screen job).
+
+Surrogate-dependent generators with a shared mutable stream
+(``NSGA2Evolve`` seeded with an existing numpy ``Generator``) fit neither
+source and are rejected; :meth:`~repro.dse.engine.CampaignEngine.run`
+drives them one workload at a time.
+
+Determinism: screening is a pure function of ``(surrogate, pool,
+accumulated measurements)``, the union order is fixed by the inputs, and
+the sweep merges shards in fixed order — so every executor gives the
+**bitwise identical** campaign (``tests/test_campaign_invariance.py``).
+See ``docs/runtime.md`` and ``docs/portfolio.md``.
 
 Resume: with a ``checkpoint`` path, every completed round is persisted
 (:mod:`repro.runtime.checkpoint`); a restarted campaign replays only the
@@ -86,93 +93,67 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 
 def _screen_workload(
-    surrogate,
-    features: np.ndarray,
-    known_features: Optional[np.ndarray],
-    known_targets: Optional[np.ndarray],
-    objectives,
-    acquisition,
-    budget: int,
-    refit: bool,
-) -> tuple[list[int], np.ndarray]:
-    """One workload's refit/predict/select step (runs on the executor).
-
-    Module-level so process pools can pickle it.  With ``refit`` the fit
-    happens on the *worker's* copy of the surrogate under a process
-    executor — that is sound because every round refits from scratch on
-    the full accumulated measurement set, so no fitted state needs to
-    survive the round.
-    """
-    from repro.dse.engine import screen_predict
-
-    if refit:
-        with obs.span("campaign.refit"):
-            surrogate.fit(known_features, known_targets)
-    with obs.span("campaign.screen", candidates=len(features)):
-        predicted = screen_predict(surrogate, features)
-    predicted_min = objectives.to_minimization(predicted)
-    context = AcquisitionContext(
-        features=features,
-        known_features=known_features,
-        surrogate=surrogate,
-        objectives=objectives,
-    )
-    with obs.span("campaign.select", budget=budget):
-        selected = acquisition.select(predicted_min, budget, context)
-    return [int(i) for i in selected], predicted
-
-
-def _propose_screen_workload(
-    proposer,
-    context,
-    surrogate,
     workload: str,
     round_index: int,
+    surrogate,
+    features: Optional[np.ndarray],
+    proposer,
+    context,
     known_features: Optional[np.ndarray],
     known_targets: Optional[np.ndarray],
-    objectives,
     acquisition,
     budget: int,
     refit: bool,
-) -> tuple[list, np.ndarray, int]:
-    """One workload's refit/propose/screen/select step (per-workload pools).
+) -> tuple[list[int], Optional[list], np.ndarray]:
+    """One workload's refit → (propose) → screen → select step.
 
-    The per-workload-pool twin of :func:`_screen_workload`: the pool is
-    proposed *inside the job* because rank-stable proposers draw it from a
-    keyed pure stream (no shared state) and surrogate-dependent ones need
-    the freshly refit surrogate.  Refit precedes proposal, mirroring
-    :meth:`repro.dse.engine.CampaignEngine.run`.  *proposer* is the
-    generator itself — or, for a strategy portfolio, the bandit-selected
-    arm (the parent resolves :meth:`~repro.dse.engine.CandidateGenerator.
-    proposer_for` before submitting, so workers never touch bandit state).
-    Returns the selected configurations, the full-pool predictions and the
-    pool size.
+    Runs on the executor; module-level so process pools can pickle it.
+    *features* is the round's shared pool, proposed and encoded once in
+    the parent.  When it is ``None`` the job proposes its own pool through
+    *proposer* — the rank-stable generator, or the arm the parent resolved
+    with :meth:`~repro.dse.engine.CandidateGenerator.proposer_for`, so
+    workers never touch bandit state — after the refit, because
+    surrogate-dependent proposers need the fitted surrogate (the order
+    :meth:`repro.dse.engine.CampaignEngine.run` uses).  Under a process
+    executor the fit happens on the worker's copy of the surrogate, which
+    is sound because every round refits from scratch on the full
+    accumulated measurement set.
+
+    Returns the selected pool indices, the selected configurations
+    (``None`` for a shared pool, whose configurations the parent holds)
+    and the full-pool predictions.
     """
     from repro.dse.engine import screen_predict
 
     if refit:
         with obs.span("campaign.refit", workload=workload, round=round_index):
             surrogate.fit(known_features, known_targets)
-    with obs.span("campaign.propose", workload=workload, round=round_index):
-        candidates = proposer.propose_for(context, surrogate, workload, round_index)
-    features = context.encoder.encode_batch(candidates)
+    candidates = None
+    if features is None:
+        with obs.span("campaign.propose", workload=workload, round=round_index):
+            candidates = proposer.propose_for(context, surrogate, workload, round_index)
+        features = context.encoder.encode_batch(candidates)
     with obs.span(
         "campaign.screen",
         workload=workload,
         round=round_index,
-        candidates=len(candidates),
+        candidates=len(features),
     ):
         predicted = screen_predict(surrogate, features)
-    predicted_min = objectives.to_minimization(predicted)
+    predicted_min = context.objectives.to_minimization(predicted)
     acquisition_context = AcquisitionContext(
         features=features,
         known_features=known_features,
         surrogate=surrogate,
-        objectives=objectives,
+        objectives=context.objectives,
     )
-    with obs.span("campaign.select", workload=workload, budget=budget):
+    with obs.span(
+        "campaign.select", workload=workload, round=round_index, budget=budget
+    ):
         selected = acquisition.select(predicted_min, budget, acquisition_context)
-    return [candidates[int(i)] for i in selected], predicted, len(candidates)
+    selected = [int(i) for i in selected]
+    picks = None if candidates is None else [candidates[i] for i in selected]
+    return selected, picks, predicted
 
 
 def _describe_generator(generator) -> str:
@@ -203,12 +184,12 @@ def run_campaign_runtime(
     executor: Optional[Executor] = None,
     checkpoint=None,
 ) -> "CampaignResult":
-    """Run a cross-workload campaign through the parallel runtime.
+    """Run a cross-workload campaign round by round.
 
-    Same semantics per round as the engine's shared-pool fast path,
-    generalised to multiple rounds (every round screens a fresh shared
-    pool against all measurements so far and measures the selection
-    union on all workloads), dispatched as DAG jobs on *executor* and
+    The driver behind :meth:`repro.dse.engine.CampaignEngine.run_campaign`:
+    every round screens a fresh pool per workload against all measurements
+    so far and measures the selection union on all workloads, dispatched
+    as DAG jobs on *executor* (:class:`SerialExecutor` when ``None``) and
     checkpointed per round when *checkpoint* is given.
 
     With a persistent measurement store attached to the engine's
@@ -223,6 +204,7 @@ def run_campaign_runtime(
     """
     from repro.dse.engine import (
         CampaignResult,
+        ProposalContext,
         QualityTracker,
         RandomPool,
         WorkloadCampaignResult,
@@ -245,19 +227,19 @@ def run_campaign_runtime(
     )
     executor = executor if executor is not None else SerialExecutor()
     generator = generator if generator is not None else RandomPool(candidate_pool)
-    # Mode selection: rank-stable generators propose per workload inside the
+    # Pool source: rank-stable generators propose per workload inside the
     # screen jobs (keyed pure streams); everything else screens one shared
     # pool proposed in the parent.  Surrogate-dependent generators without
     # rank-stability have neither a shared pool to replay nor pure streams
     # to shard, so they cannot run (or resume) deterministically here.
-    per_workload_pools = bool(getattr(generator, "rank_stable", False))
-    if generator.surrogate_dependent and not per_workload_pools:
+    shared_pool = not getattr(generator, "rank_stable", False)
+    if generator.surrogate_dependent and shared_pool:
         raise ValueError(
-            f"the parallel campaign runtime needs a surrogate-independent "
-            f"or rank-stable generator; {type(generator).__name__} proposes "
-            f"per workload from a shared mutable RNG stream — seed it with "
-            f"an int (keyed per-(workload, round) streams) or use the "
-            f"serial run_campaign path (executor=None, checkpoint=None)"
+            f"run_campaign needs a surrogate-independent or rank-stable "
+            f"generator; {type(generator).__name__} proposes per workload "
+            f"from a shared mutable RNG stream — seed it with an int (keyed "
+            f"per-(workload, round) streams) or drive one workload at a "
+            f"time with CampaignEngine.run"
         )
     acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
     noise_std = getattr(engine.simulator, "noise_std", 0.0)
@@ -325,8 +307,7 @@ def run_campaign_runtime(
     last_predicted: dict[str, Optional[np.ndarray]] = {
         workload: None for workload in workloads
     }
-    candidates_screened = 0
-    screened_by_workload = {workload: 0 for workload in workloads}
+    screened = {workload: 0 for workload in workloads}
     arm_for = getattr(generator, "arm_for", None)
 
     def measure_union(union_configs: list) -> dict[str, np.ndarray]:
@@ -409,68 +390,15 @@ def run_campaign_runtime(
                     ckpt.record_round(record)
             absorb(record)
 
-    # -- rounds (per-workload-pool mode) ----------------------------------------
-    from repro.dse.engine import ProposalContext
-
+    # -- rounds -----------------------------------------------------------------
     proposal_context = ProposalContext(
         space=engine.space, objectives=objectives, encoder=engine.encoder
     )
 
-    def config_key(config) -> tuple:
-        return tuple(sorted(config.items()))
-
-    def make_propose_jobs(round_index: int) -> list[Job]:
-        known_features = (
-            engine.encoder.encode_batch(simulated) if simulated else None
+    def make_screen_jobs(round_index: int, candidates: Optional[list]) -> list[Job]:
+        features = (
+            None if candidates is None else engine.encoder.encode_batch(candidates)
         )
-        return [
-            Job(
-                f"screen:{workload}@round{round_index}",
-                _propose_screen_workload,
-                args=(
-                    generator.proposer_for(workload, round_index),
-                    proposal_context,
-                    surrogate_by_workload[workload],
-                    workload,
-                    round_index,
-                    known_features,
-                    measured[workload] if refit else None,
-                    objectives,
-                    acquisition,
-                    simulation_budget,
-                    refit,
-                ),
-            )
-            for workload in workloads
-        ]
-
-    def union_of(screen_jobs: list[Job], screen_results: dict):
-        """Dedup-union the per-workload picks in fixed workload order.
-
-        Workload order (not arrival order) keys the union, so the result is
-        independent of the executor and of which screen job finished first.
-        """
-        union_configs: list = []
-        position: dict[tuple, int] = {}
-        selections: dict[str, list[int]] = {}
-        pool_sizes: dict[str, int] = {}
-        predicted: dict[str, np.ndarray] = {}
-        for workload, job in zip(workloads, screen_jobs):
-            picks, job_predicted, pool_size = screen_results[job.name]
-            offsets = []
-            for config in picks:
-                key = config_key(config)
-                if key not in position:
-                    position[key] = len(union_configs)
-                    union_configs.append(config)
-                offsets.append(position[key])
-            selections[workload] = offsets
-            pool_sizes[workload] = int(pool_size)
-            predicted[workload] = job_predicted
-        return union_configs, selections, pool_sizes, predicted
-
-    # -- rounds (shared-pool mode) ----------------------------------------------
-    def make_screen_jobs(round_index: int, features: np.ndarray) -> list[Job]:
         known_features = (
             engine.encoder.encode_batch(simulated) if simulated else None
         )
@@ -479,11 +407,16 @@ def run_campaign_runtime(
                 f"screen:{workload}@round{round_index}",
                 _screen_workload,
                 args=(
+                    workload,
+                    round_index,
                     surrogate_by_workload[workload],
                     features,
+                    None
+                    if shared_pool
+                    else generator.proposer_for(workload, round_index),
+                    proposal_context,
                     known_features,
                     measured[workload] if refit else None,
-                    objectives,
                     acquisition,
                     simulation_budget,
                     refit,
@@ -492,192 +425,140 @@ def run_campaign_runtime(
             for workload in workloads
         ]
 
+    def round_record(
+        round_index: int,
+        candidates: Optional[list],
+        arms: dict[str, str],
+        outcomes: list[tuple],
+    ) -> RoundRecord:
+        """The round's union and pick positions, in fixed workload order.
+
+        A shared pool's union is its selected pool indices, sorted; keyed
+        pools union the selected *configurations*, deduplicated in workload
+        order.  Either way the union is a function of the inputs, never of
+        which screen job finished first.  ``measured`` is left empty for
+        the measure join to fill.
+        """
+        record = RoundRecord(round_index, [], {}, {}, arms=arms)
+        if shared_pool:
+            record.union_pool_indices = sorted(
+                {index for selected, _, _ in outcomes for index in selected}
+            )
+            record.union_configs = [
+                candidates[index] for index in record.union_pool_indices
+            ]
+            position = {
+                index: offset
+                for offset, index in enumerate(record.union_pool_indices)
+            }
+            for workload, (selected, _, _) in zip(workloads, outcomes):
+                record.selections[workload] = [position[index] for index in selected]
+            return record
+        position: dict[tuple, int] = {}
+        for workload, (_, picks, predicted) in zip(workloads, outcomes):
+            offsets = []
+            for config in picks:
+                key = tuple(sorted(config.items()))
+                if key not in position:
+                    position[key] = len(record.union_configs)
+                    record.union_configs.append(config)
+                offsets.append(position[key])
+            record.selections[workload] = offsets
+            record.pool_sizes[workload] = len(predicted)
+        return record
+
     for round_index in range(rounds):
         with obs.span("campaign.round", round=round_index):
             obs.add_counter("campaign.rounds", 1)
-            if per_workload_pools:
-                # Bandit selections are resolved parent-side from the state
-                # accumulated over rounds < round_index (arm_for is pure), so
-                # workers never touch — and cannot race on — bandit state.
-                arms_map = (
-                    {
-                        workload: arm_for(workload, round_index)
-                        for workload in workloads
-                    }
-                    if arm_for is not None
-                    else {}
-                )
-                record = completed.get(round_index)
-                if record is not None:
-                    if arm_for is not None and record.arms != arms_map:
-                        raise CheckpointMismatchError(
-                            f"replayed bandit arms for round {round_index} "
-                            f"({arms_map}) do not match the checkpoint "
-                            f"({record.arms}) — the campaign was resumed with a "
-                            f"different portfolio or quality signal"
-                        )
-                    for workload in workloads:
-                        screened_by_workload[workload] += record.pool_sizes.get(
-                            workload, 0
-                        )
-                    if round_index == rounds - 1:
-                        # Final round restored: re-propose and re-screen
-                        # (simulation-free — proposals come from keyed pure
-                        # streams) so `predicted` is populated and the stored
-                        # union and selections verify.
-                        screen_jobs = make_propose_jobs(round_index)
-                        results = run_jobs(screen_jobs, executor)
-                        union_configs, selections, _, predicted = union_of(
-                            screen_jobs, results
-                        )
-                        if (
-                            union_configs != record.union_configs
-                            or selections != record.selections
-                        ):
-                            raise CheckpointMismatchError(
-                                f"re-proposed pools for round {round_index} do "
-                                f"not reproduce the checkpointed union — the "
-                                f"campaign was resumed with different generator "
-                                f"seeds, surrogates or acquisition settings"
-                            )
-                        for workload in workloads:
-                            last_predicted[workload] = predicted[workload]
-                    absorb(record)
-                    continue
-
-                screen_jobs = make_propose_jobs(round_index)
-
-                def propose_measure_join(screen_results: dict):
-                    union_configs, selections, pool_sizes, predicted = union_of(
-                        screen_jobs, screen_results
-                    )
-                    return (
-                        union_configs,
-                        selections,
-                        pool_sizes,
-                        predicted,
-                        measure_union(union_configs),
-                    )
-
-                measure_job = Job(
-                    f"measure@round{round_index}",
-                    propose_measure_join,
-                    deps=screen_jobs,
-                    inline=True,  # it fans its own sweep shards out to the executor
-                    pass_results=True,
-                )
-                results = run_jobs([measure_job], executor)
-                union_configs, selections, pool_sizes, predicted, union_rows = (
-                    results[measure_job.name]
-                )
-                for workload in workloads:
-                    last_predicted[workload] = predicted[workload]
-                    screened_by_workload[workload] += pool_sizes[workload]
-                record = RoundRecord(
-                    round_index=round_index,
-                    union_configs=union_configs,
-                    selections=selections,
-                    measured=union_rows,
-                    arms=dict(arms_map),
-                    pool_sizes=pool_sizes,
-                )
-                if ckpt is not None:
-                    ckpt.record_round(record)
-                absorb(record)
-                continue
-
-            # Propose even for restored rounds: the generator's RNG stream must
-            # advance exactly as in an uninterrupted run.
-            candidates = generator.propose(engine, None, round_index)
-            candidates_screened += len(candidates)
-
+            # Parent-side, before any job runs: the shared stream advances
+            # exactly as in an uninterrupted run (restored rounds included),
+            # and bandit arms resolve from the state of rounds < round_index
+            # (arm_for is pure), so workers never touch bandit state.
+            candidates = None
+            if shared_pool:
+                with obs.span("campaign.propose", round=round_index):
+                    candidates = generator.propose(engine, None, round_index)
+            arms = (
+                {workload: arm_for(workload, round_index) for workload in workloads}
+                if arm_for is not None
+                else {}
+            )
             record = completed.get(round_index)
             if record is not None:
-                replayed_union = [
+                if shared_pool and [
                     candidates[index] for index in record.union_pool_indices
-                ]
-                if replayed_union != record.union_configs:
+                ] != record.union_configs:
                     raise CheckpointMismatchError(
                         f"replayed candidate pool for round {round_index} does "
                         f"not reproduce the checkpointed union — the engine must "
                         f"be reconstructed with the same seed and sampler to "
                         f"resume a campaign"
                     )
+                if record.arms != arms:
+                    raise CheckpointMismatchError(
+                        f"replayed bandit arms for round {round_index} "
+                        f"({arms}) do not match the checkpoint "
+                        f"({record.arms}) — the campaign was resumed with a "
+                        f"different portfolio or quality signal"
+                    )
                 if round_index == rounds - 1:
                     # The campaign ends on a restored round: re-run its
-                    # (simulation-free) screening so `predicted` is populated
-                    # and the stored selections verify — a fully resumed
-                    # campaign result is indistinguishable from an
-                    # uninterrupted one.
-                    screen_jobs = make_screen_jobs(
-                        round_index, engine.encoder.encode_batch(candidates)
-                    )
+                    # (simulation-free) propose/screen steps so `predicted`
+                    # is populated and the stored union and selections
+                    # verify — a fully resumed campaign result is
+                    # indistinguishable from an uninterrupted one.
+                    screen_jobs = make_screen_jobs(round_index, candidates)
                     results = run_jobs(screen_jobs, executor)
-                    position = {
-                        index: offset
-                        for offset, index in enumerate(record.union_pool_indices)
-                    }
-                    for workload, job in zip(workloads, screen_jobs):
-                        selected, predicted = results[job.name]
-                        if [
-                            position.get(index) for index in selected
-                        ] != record.selections[workload]:
-                            raise CheckpointMismatchError(
-                                f"re-screened selections for {workload!r} (round "
-                                f"{round_index}) do not match the checkpoint — "
-                                f"the campaign was resumed with different "
-                                f"surrogates or acquisition settings"
-                            )
+                    outcomes = [results[job.name] for job in screen_jobs]
+                    replayed = round_record(round_index, candidates, arms, outcomes)
+                    if (
+                        replayed.union_configs != record.union_configs
+                        or replayed.selections != record.selections
+                    ):
+                        raise CheckpointMismatchError(
+                            f"re-screened round {round_index} does not "
+                            f"reproduce the checkpointed union and selections "
+                            f"— the campaign was resumed with different "
+                            f"generator seeds, surrogates or acquisition "
+                            f"settings"
+                        )
+                    for workload, (_, _, predicted) in zip(workloads, outcomes):
                         last_predicted[workload] = predicted
-                absorb(record)
-                continue
+            else:
+                screen_jobs = make_screen_jobs(round_index, candidates)
 
-            screen_jobs = make_screen_jobs(
-                round_index, engine.encoder.encode_batch(candidates)
-            )
+                def measure_join(screen_results: dict) -> RoundRecord:
+                    fresh = round_record(
+                        round_index,
+                        candidates,
+                        arms,
+                        [screen_results[job.name] for job in screen_jobs],
+                    )
+                    fresh.measured = measure_union(fresh.union_configs)
+                    return fresh
 
-            def measure_join(screen_results: dict) -> tuple[list[int], dict[str, np.ndarray]]:
-                union = sorted(
-                    {
-                        int(index)
-                        for selected, _ in screen_results.values()
-                        for index in selected
-                    }
+                measure_job = Job(
+                    f"measure@round{round_index}",
+                    measure_join,
+                    deps=screen_jobs,
+                    inline=True,  # it fans its own sweep shards out to the executor
+                    pass_results=True,
                 )
-                return union, measure_union([candidates[index] for index in union])
-
-            measure_job = Job(
-                f"measure@round{round_index}",
-                measure_join,
-                deps=screen_jobs,
-                inline=True,  # it fans its own sweep shards out to the executor
-                pass_results=True,
-            )
-            results = run_jobs([measure_job], executor)
-
-            union, union_rows = results[measure_job.name]
-            position = {index: offset for offset, index in enumerate(union)}
-            selections = {}
-            for workload, job in zip(workloads, screen_jobs):
-                selected, predicted = results[job.name]
-                selections[workload] = [position[index] for index in selected]
-                last_predicted[workload] = predicted
-            record = RoundRecord(
-                round_index=round_index,
-                union_configs=[candidates[index] for index in union],
-                selections=selections,
-                measured=union_rows,
-                union_pool_indices=union,
-            )
-            if ckpt is not None:
-                ckpt.record_round(record)
+                results = run_jobs([measure_job], executor)
+                record = results[measure_job.name]
+                for workload, job in zip(workloads, screen_jobs):
+                    last_predicted[workload] = results[job.name][2]
+                if ckpt is not None:
+                    ckpt.record_round(record)
+            for workload in workloads:
+                screened[workload] += (
+                    len(candidates)
+                    if shared_pool
+                    else record.pool_sizes.get(workload, 0)
+                )
             absorb(record)
 
     # -- assemble ---------------------------------------------------------------
-    if per_workload_pools:
-        # No shared pool: each workload screened its own pools, and the
-        # campaign-level figure is their total.
-        candidates_screened = sum(screened_by_workload.values())
     per_workload = {}
     for workload in workloads:
         tracker = trackers[workload]
@@ -688,11 +569,7 @@ def run_campaign_runtime(
             measured_objectives=measured[workload],
             pareto_indices=tracker.last_front_indices,
             simulations_used=len(simulated),
-            candidates_screened=(
-                screened_by_workload[workload]
-                if per_workload_pools
-                else candidates_screened
-            ),
+            candidates_screened=screened[workload],
             rounds=tracker.rounds,
             selected_indices=last_selected[workload],
             predicted=last_predicted[workload],
@@ -700,6 +577,5 @@ def run_campaign_runtime(
     return CampaignResult(
         per_workload=per_workload,
         objectives=objectives,
-        candidates_screened=candidates_screened,
         total_simulations=len(simulated) * len(workloads),
     )

@@ -12,8 +12,9 @@ uninterrupted run (see ``docs/runtime.md`` for the format and the replay
 argument).
 
 Checkpoints are JSON (finite ``float64`` values round-trip exactly through
-``json``) and written atomically (temp file + ``os.replace``), so a
-campaign killed mid-write never leaves a truncated checkpoint behind.  A
+``json``) and published with :func:`repro.utils.atomic.write_atomic`
+(fsynced temp file + ``os.replace``), so a campaign killed mid-write never
+leaves a truncated checkpoint behind.  A
 ``fingerprint`` of the campaign specification is validated on resume:
 resuming with different workloads, objectives or budgets raises
 :class:`CheckpointMismatchError` instead of silently mixing campaigns.
@@ -22,12 +23,13 @@ resuming with different workloads, objectives or budgets raises
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+
+from repro.utils.atomic import write_atomic
 
 #: Format version written to (and required from) every checkpoint file.
 CHECKPOINT_VERSION = 1
@@ -190,10 +192,9 @@ class CampaignCheckpoint:
             "rounds": [record.to_json() for record in self.rounds],
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = self.path.with_name(self.path.name + ".tmp")
-        with open(temporary, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(temporary, self.path)
+        write_atomic(
+            self.path, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        )
 
 
 def campaign_fingerprint(

@@ -11,11 +11,11 @@ Three implementations cover the repository's needs:
 * :class:`SerialExecutor` — runs the work inline at ``submit`` time.  It is
   the executable reference every parallel result is compared against
   (``tests/test_runtime_equivalence.py`` pins thread/process == serial
-  **bitwise**), and the degenerate case ``jobs=1`` resolves to.
+  **bitwise**), and the default: ``jobs=1`` (or ``None``) resolves to it.
 * :class:`ThreadExecutor` — :class:`concurrent.futures.ThreadPoolExecutor`.
-  The default for campaigns: NumPy kernels release the GIL, nothing needs
-  to be picklable, and workers share the process (so e.g. the simulator's
-  memoized phase tables are shared for free).
+  The default kind for ``jobs > 1``: NumPy kernels release the GIL,
+  nothing needs to be picklable, and workers share the process (so e.g.
+  the simulator's memoized phase tables are shared for free).
 * :class:`ProcessExecutor` — :class:`concurrent.futures.ProcessPoolExecutor`.
   True parallelism for pure-Python hot loops (tree-surrogate refits, the
   scalar models); task functions and arguments must be picklable, and
@@ -253,23 +253,19 @@ class ProcessExecutor(_PoolExecutor):
 EXECUTOR_KINDS: Sequence[str] = ("serial", "thread", "process")
 
 
-def resolve_executor(
-    jobs: Optional[int], kind: str = "thread"
-) -> Optional[Executor]:
+def resolve_executor(jobs: Optional[int], kind: str = "thread") -> Executor:
     """Map the user-facing ``jobs=N`` knob to an executor instance.
 
-    ``None`` stays ``None`` (callers treat that as "keep the serial legacy
-    path"); ``jobs <= 1`` or ``kind="serial"`` is the
+    ``jobs`` of ``1`` or ``None``, or ``kind="serial"``, is the
     :class:`SerialExecutor` reference; otherwise a thread or process pool
-    of the requested width.
+    of the requested width.  The executor only sets the throughput: every
+    executor gives the same result.
     """
-    if jobs is None:
-        return None
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if kind not in EXECUTOR_KINDS:
         raise ValueError(f"unknown executor kind {kind!r}; choose from {EXECUTOR_KINDS}")
-    if jobs == 1 or kind == "serial":
+    if jobs is None or jobs == 1 or kind == "serial":
         return SerialExecutor()
     if kind == "process":
         return ProcessExecutor(jobs)

@@ -24,7 +24,7 @@ Concurrency model
 *Appends are whole new segments.*  A writer never modifies an existing file:
 it claims the next segment number under an exclusive advisory ``flock``,
 writes the records to a temporary file, fsyncs, and atomically renames it
-into place.  Concurrent writers (multiple campaigns, multiple processes)
+into place (:func:`repro.utils.atomic.write_atomic`).  Concurrent writers (multiple campaigns, multiple processes)
 therefore never interleave bytes, and a killed writer leaves at worst an
 ignorable temp file.  Readers take **no locks**: segments are immutable once
 renamed, so a reader scans the directory and loads any segment it has not
@@ -57,6 +57,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from repro.utils.atomic import write_atomic
 
 try:  # POSIX advisory locking; unavailable on some exotic platforms.
     import fcntl
@@ -349,12 +351,10 @@ class MeasurementStore:
             "digest": self._digest,
             "fingerprint": self._fingerprint,
         }
-        tmp = self._path / f".{_MANIFEST_NAME}.tmp-{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, manifest_path)
+        write_atomic(
+            manifest_path,
+            json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
+        )
 
     def _validate_manifest(self) -> None:
         manifest = self._read_manifest(self._path)
@@ -496,18 +496,13 @@ class MeasurementStore:
         return self._path / f"seg-{next_index:08d}.seg"
 
     def _write_segment(self, target: Path, records: Iterable[tuple[str, tuple, np.ndarray]]) -> None:
-        """Write *records* to a temp file and atomically rename to *target*."""
+        """Publish *records* as the segment file *target*, atomically."""
         blob = [_segment_header(self._digest)]
         blob.extend(
             _frame_record(encode_record(workload, key, row))
             for workload, key, row in records
         )
-        tmp = self._path / f".{target.name}.tmp-{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(blob))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
+        write_atomic(target, b"".join(blob))
 
     def put_batch(self, records: Sequence[tuple[str, tuple, np.ndarray]]) -> int:
         """Append records as one new segment (atomic; safe under concurrency).

@@ -235,6 +235,29 @@ class TestDseCampaign:
             assert entry["pareto_front"]
             assert len(entry["hypervolume_curve"]) == 1
 
+    def test_jobs_one_writes_the_default_campaign(self, dataset_path, tmp_path):
+        # --jobs only sets the throughput: the default multi-round campaign
+        # and an explicit serial one write the same bytes.
+        outputs = []
+        for extra in ([], ["--jobs", "1"]):
+            output = tmp_path / f"campaign{len(outputs)}.json"
+            exit_code = main(
+                [
+                    "dse",
+                    "--dataset", str(dataset_path),
+                    "--workloads", "605.mcf_s", "620.omnetpp_s",
+                    "--budget", "4",
+                    "--candidate-pool", "30",
+                    "--phases", "1",
+                    "--rounds", "3",
+                    "--output", str(output),
+                    *extra,
+                ]
+            )
+            assert exit_code == 0
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_portfolio_campaign_multi_round(self, dataset_path, tmp_path):
         # --portfolio on the tree-surrogate path: a two-arm (random/nsga2)
         # UCB bandit per workload, one hypervolume point per round.
@@ -398,7 +421,7 @@ class TestTraceCli:
         records = obs.read_trace(trace_path)
         spans = obs.validate_trace(records)
         names = {span["name"] for span in spans.values()}
-        assert {"campaign.round", "campaign.measure", "sim.run_batch"} <= names
+        assert {"campaign.round", "campaign.measure", "sim.run_sweep"} <= names
         capsys.readouterr()
 
         summary_json = tmp_path / "summary.json"
@@ -412,8 +435,8 @@ class TestTraceCli:
         assert "campaign.round" in printed
         summary = json.loads(summary_json.read_text())
         assert summary["span_count"] == len(spans)
-        # Serial engine rounds are per workload: 2 workloads x 2 rounds.
-        assert summary["counters"]["campaign.rounds"] == 4.0
+        # One campaign round covers every workload: 2 rounds.
+        assert summary["counters"]["campaign.rounds"] == 2.0
 
         assert main(["trace", "timeline", str(trace_path)]) == 0
         assert "campaign.measure" in capsys.readouterr().out

@@ -308,7 +308,8 @@ class TestCampaignEngine:
                 second[workload].measured_objectives,
             )
 
-    def test_multi_round_campaign_falls_back_to_per_workload(self, engine):
+    def test_multi_round_campaign_measures_each_union_on_every_workload(self, engine):
+        budget = 3
         campaign = engine.run_campaign(
             WORKLOADS,
             lambda workload: TreeEnsembleSurrogate(
@@ -317,15 +318,52 @@ class TestCampaignEngine:
             ),
             acquisition=ExplorationBonusAcquisition(),
             candidate_pool=40,
-            simulation_budget=3,
+            simulation_budget=budget,
             rounds=2,
             initial_samples=4,
             refit=True,
         )
+        first, second = campaign
+        # Every round's selection union is measured on every workload, so
+        # both workloads hold the same configurations and round totals.
+        assert first.simulated_configs == second.simulated_configs
+        totals = [entry.simulations_total for entry in first.rounds]
+        assert totals == [entry.simulations_total for entry in second.rounds]
+        assert totals[-1] == first.simulations_used
+        # A union holds at least one workload's picks and at most all of them.
+        unions = np.diff([4] + totals)
+        assert all(budget <= size <= budget * len(WORKLOADS) for size in unions)
+        assert campaign.total_simulations == len(WORKLOADS) * first.simulations_used
         for result in campaign:
-            assert result.simulations_used == 4 + 2 * 3
-            assert [r.simulations_total for r in result.rounds] == [7, 10]
-        assert campaign.total_simulations == 2 * 10
+            assert result.measured_objectives.shape == (result.simulations_used, 2)
+            # The last round's picks index into the last round's union.
+            assert len(set(result.selected_indices)) == budget
+            assert all(
+                totals[-2] <= index < totals[-1] for index in result.selected_indices
+            )
+            assert result.candidates_screened == 2 * 40
+        assert campaign.candidates_screened == len(WORKLOADS) * 2 * 40
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            pytest.param(lambda: RandomPool(16), id="shared-pool"),
+            pytest.param(
+                lambda: NSGA2Evolve(population_size=16, generations=2, seed=0),
+                id="keyed-pools",
+            ),
+        ],
+    )
+    def test_candidates_screened_totals_the_workloads(self, engine, generator):
+        workloads = ("605.mcf_s", "602.gcc_s", "625.x264_s")
+        surrogates = self._tree_surrogates(engine, workloads, points=30)
+        campaign = engine.run_campaign(
+            workloads, surrogates, generator=generator(), simulation_budget=4
+        )
+        for result in campaign:
+            assert result.candidates_screened == 16
+        assert campaign.candidates_screened == 3 * 16
+        assert campaign.summary()["candidates_screened"] == 3 * 16
 
     def test_campaign_summary_is_json_serialisable(self, engine):
         import json

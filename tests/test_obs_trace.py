@@ -251,6 +251,34 @@ class TestTracedCampaignEquivalence:
         assert all("arm" in record["attrs"] for record in quality)
 
 
+@pytest.mark.parametrize(
+    "make_generator",
+    [
+        pytest.param(lambda: RandomPool(20), id="shared-pool"),
+        pytest.param(make_portfolio, id="keyed-pools"),
+    ],
+)
+def test_screen_spans_name_their_workload_and_round(tmp_path, make_generator):
+    # `repro trace summarize` attributes screening per workload only if
+    # every refit/screen/select span says which workload and round it ran.
+    path = tmp_path / "campaign.trace.jsonl"
+    with obs.tracing(path):
+        make_engine().run_campaign(
+            WORKLOADS, tree_surrogates(), generator=make_generator(), **CAMPAIGN
+        )
+    spans = obs.validate_trace(obs.read_trace(path)).values()
+    expected = {
+        (workload, round_index)
+        for workload in WORKLOADS
+        for round_index in range(CAMPAIGN["rounds"])
+    }
+    for name in ("campaign.refit", "campaign.screen", "campaign.select"):
+        named = [span["attrs"] for span in spans if span["name"] == name]
+        assert all("workload" in attrs and "round" in attrs for attrs in named)
+        assert {(attrs["workload"], attrs["round"]) for attrs in named} == expected
+        assert len(named) == len(expected)
+
+
 # -- satellite: exact simulator accounting across executors --------------------------
 class TestExactAccounting:
     def test_counts_equal_across_executors_cold_and_warm(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for campaign checkpoints and resumable campaigns."""
 
+import os
 from functools import partial
 
 import numpy as np
@@ -138,8 +139,30 @@ class TestCheckpointFile:
         path = tmp_path / "campaign.json"
         checkpoint = CampaignCheckpoint.resume_or_start(path, fingerprint())
         checkpoint.write()
-        assert path.exists()
-        assert not path.with_name(path.name + ".tmp").exists()
+        # The temporary file was renamed into place: nothing else is left.
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_rename_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "campaign.json"
+        checkpoint = CampaignCheckpoint.resume_or_start(path, fingerprint())
+        checkpoint.write()
+        before = path.read_bytes()
+
+        def failing_replace(source, target):
+            raise OSError("simulated crash during rename")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            checkpoint.record_round(
+                RoundRecord(
+                    round_index=-1,
+                    union_configs=[],
+                    selections={workload: [] for workload in WORKLOADS},
+                    measured={workload: np.empty((0, 2)) for workload in WORKLOADS},
+                )
+            )
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestResumableCampaign:

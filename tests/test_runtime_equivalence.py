@@ -3,9 +3,10 @@
 The runtime's determinism contract (``docs/runtime.md``): for noise-free
 simulators, every executor path — sharded ``run_batch``/``run_sweep``,
 parallel dataset generation, and thread/process campaigns — produces
-results **bitwise identical** to the :class:`SerialExecutor` reference,
-which in turn reproduces the pre-runtime serial paths exactly.  These
-tests pin that contract for every executor kind (the same idiom as
+results **bitwise identical** to the :class:`SerialExecutor` reference.
+These tests pin that contract for every executor kind, and pin a
+single-round campaign against an independent spec,
+``PredictorGuidedExplorer.explore_reference`` (the same idiom as
 ``tests/test_sim_batch_equivalence.py`` pinning ``run_batch`` against
 ``run_scalar``).
 """
@@ -19,6 +20,7 @@ from repro.baselines.trees import GradientBoostingRegressor
 from repro.datasets.generation import generate_dataset
 from repro.designspace.sampling import RandomSampler
 from repro.dse.engine import CampaignEngine, NSGA2Evolve, ObjectiveSet
+from repro.dse.explorer import PredictorGuidedExplorer
 from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
 from repro.runtime.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.sim.simulator import Simulator
@@ -216,25 +218,47 @@ def _assert_campaigns_bitwise_equal(reference, candidate):
         assert ref.hypervolume_history() == got.hypervolume_history()
 
 
+def _sorted_by_config(configs, rows):
+    order = sorted(range(len(configs)), key=lambda i: tuple(sorted(configs[i].items())))
+    return [configs[i] for i in order], rows[order]
+
+
 class TestCampaignEquivalence:
+    @pytest.mark.parametrize("pool, budget", [(80, 12), (60, 40)])
     @pytest.mark.parametrize("make_executor", _executor_factories())
-    def test_single_round_matches_legacy_shared_pool_bitwise(self, make_executor):
-        legacy = make_engine().run_campaign(
-            WORKLOADS, callable_surrogates(), candidate_pool=60, simulation_budget=5
+    def test_single_round_matches_explorer_reference(self, make_executor, pool, budget):
+        # The independent spec of a one-workload, one-round shared-pool
+        # campaign: PredictorGuidedExplorer's pre-engine loop over the same
+        # sampler seed, simulator and predictors.
+        workload = WORKLOADS[0]
+        predictors = {
+            "ipc": partial(_linear_ipc, 0.0),
+            "power": partial(_linear_power, 0.0),
+        }
+        simulator = Simulator(simpoint_phases=2, seed=11)
+        reference = PredictorGuidedExplorer(
+            simulator.space, simulator, seed=5
+        ).explore_reference(
+            workload, predictors, candidate_pool=pool, simulation_budget=budget
         )
+        kwargs = dict(candidate_pool=pool, simulation_budget=budget)
+        surrogates = {workload: CallableSurrogate(predictors)}
         with make_executor() as executor:
-            runtime = make_engine().run_campaign(
-                WORKLOADS,
-                callable_surrogates(),
-                candidate_pool=60,
-                simulation_budget=5,
-                executor=executor,
+            campaign = make_engine().run_campaign(
+                [workload], surrogates, executor=executor, **kwargs
             )
-        _assert_campaigns_bitwise_equal(legacy, runtime)
-        for workload in WORKLOADS:
-            np.testing.assert_array_equal(
-                legacy[workload].predicted, runtime[workload].predicted
-            )
+        result = campaign[workload]
+        configs, rows = _sorted_by_config(
+            result.simulated_configs, result.measured_objectives
+        )
+        expected_configs, expected_rows = _sorted_by_config(
+            reference.simulated_configs, reference.measured_objectives
+        )
+        assert configs == expected_configs
+        np.testing.assert_array_equal(rows, expected_rows)
+        np.testing.assert_array_equal(result.predicted, reference.extras["predicted"])
+        serial = make_engine().run_campaign([workload], surrogates, **kwargs)
+        _assert_campaigns_bitwise_equal(serial, campaign)
 
     @pytest.mark.parametrize("make_executor", _executor_factories()[1:])
     def test_multi_round_refit_campaign_bitwise(self, make_executor):
@@ -259,18 +283,22 @@ class TestCampaignEquivalence:
         # tests/test_dse_portfolio_equivalence.py); seeding with an existing
         # Generator keeps the legacy shared mutable stream, which the
         # runtime cannot shard or resume deterministically.
+        # The default executor (None) is the serial one, so it refuses too;
+        # single-workload CampaignEngine.run still drives such generators.
         shared_stream = NSGA2Evolve(
             population_size=8, generations=2, seed=np.random.default_rng(0)
         )
         assert not shared_stream.rank_stable
-        with pytest.raises(ValueError, match="rank-stable"):
-            make_engine().run_campaign(
-                WORKLOADS,
-                callable_surrogates(),
-                generator=shared_stream,
-                simulation_budget=4,
-                executor=SerialExecutor(),
-            )
+        for executor in (None, SerialExecutor()):
+            with pytest.raises(ValueError, match="rank-stable") as info:
+                make_engine().run_campaign(
+                    WORKLOADS,
+                    callable_surrogates(),
+                    generator=shared_stream,
+                    simulation_budget=4,
+                    executor=executor,
+                )
+            assert "CampaignEngine.run" in str(info.value)
 
     def test_refit_requires_refittable_surrogates(self):
         with pytest.raises(ValueError, match="refittable"):

@@ -83,8 +83,9 @@ class TestPoolExecutors:
 
 
 class TestResolveExecutor:
-    def test_none_jobs_stays_none(self):
-        assert resolve_executor(None) is None
+    def test_none_jobs_is_serial(self):
+        # Every campaign runs on an executor: the default is the serial one.
+        assert isinstance(resolve_executor(None), SerialExecutor)
 
     def test_jobs_one_is_serial(self):
         assert isinstance(resolve_executor(1), SerialExecutor)
