@@ -9,10 +9,10 @@ pool per workload, and simulate each workload's acquisition picks.
 The **legacy arm** is the sequential pre-engine path, kept in-repo as the
 executable specification (the same pattern as ``Simulator.run_scalar`` and
 ``meta_step_scalar``): per workload, ``adapt_predictor`` fine-tunes each
-metric's predictor separately, and ``PredictorGuidedExplorer
-.explore_reference`` samples and encodes its own candidate pool, calls each
-objective's surrogate separately and measures its selection with its own
-``run_batch``.
+metric's predictor separately, and
+``repro.dse.reference.predictor_guided_reference`` samples and encodes its
+own candidate pool, calls each objective's surrogate separately and
+measures its selection with its own ``run_batch``.
 
 The **campaign arm** is the engine path ``MetaDSE.explore`` drives:
 ``adapt_predictor_batch`` fine-tunes all targets in one stacked graph per
@@ -44,9 +44,9 @@ from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.sampling import RandomSampler
 from repro.designspace.spec import build_table1_space
 from repro.dse.engine import CampaignEngine, ObjectiveSet
-from repro.dse.explorer import PredictorGuidedExplorer
 from repro.dse.pareto import to_minimization
 from repro.dse.quality import hypervolume_ratio
+from repro.dse.reference import predictor_guided_reference
 from repro.dse.surrogates import StackedPredictorSurrogate
 from repro.meta.adaptation import (
     AdaptationConfig,
@@ -142,10 +142,9 @@ def test_campaign_vs_sequential_legacy_speedup(record):
     legacy_simulator = Simulator(simpoint_phases=1, seed=7)
     campaign_simulator = Simulator(simpoint_phases=1, seed=7, evaluation_cache=True)
 
-    legacy_explorers = {
-        workload: PredictorGuidedExplorer(space, legacy_simulator, seed=5)
-        for workload in WORKLOADS
-    }
+    # One sampler stream per workload, advancing across repetitions like
+    # the campaign engine's.
+    legacy_streams = {workload: np.random.default_rng(5) for workload in WORKLOADS}
 
     def run_legacy():
         results = {}
@@ -157,11 +156,14 @@ def test_campaign_vs_sequential_legacy_speedup(record):
                     config=ADAPTATION,
                 )
                 predictors[metric] = adapted.predictor.predict
-            results[workload] = legacy_explorers[workload].explore_reference(
+            results[workload] = predictor_guided_reference(
+                space,
+                legacy_simulator,
                 workload,
                 predictors,
                 candidate_pool=CANDIDATE_POOL,
                 simulation_budget=BUDGET,
+                seed=legacy_streams[workload],
             )
         return results
 

@@ -6,8 +6,8 @@ simulations.  This benchmark compares, on one unseen workload and a matched
 simulation budget:
 
 * budget-matched **random search**;
-* the **active-learning** simulate/train/refine loop
-  (:class:`repro.dse.ActiveLearningExplorer`);
+* the **active-learning** simulate/train/refine loop (a one-workload
+  refit campaign of :class:`repro.dse.CampaignEngine`);
 * **surrogate screening** with a GBRT trained on the active-learning
   measurements followed by NSGA-II search
   (:class:`repro.dse.NSGA2Explorer`), validated in simulation.
@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.trees import GradientBoostingRegressor
+from repro.baselines.trees import GradientBoostingRegressor, RandomForestRegressor
 from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.sampling import RandomSampler
-from repro.dse.active import ActiveLearningExplorer
-from repro.dse.explorer import PredictorGuidedExplorer
+from repro.dse.acquisition import ExplorationBonusAcquisition
+from repro.dse.engine import CampaignEngine, ObjectiveSet, RandomPool
 from repro.dse.nsga2 import NSGA2Explorer
 from repro.dse.pareto import pareto_front, to_minimization
 from repro.dse.quality import adrs, hypervolume_ratio
+from repro.dse.surrogates import TreeEnsembleSurrogate
 from repro.sim.simulator import Simulator
 from repro.core.config import is_full_eval
 
@@ -58,21 +59,28 @@ def test_dse_quality_under_budget(benchmark, record):
     def run_methods():
         results = {}
 
-        random_explorer = PredictorGuidedExplorer(space, simulator, seed=5)
-        random_rows = random_explorer.random_search(
-            TARGET_WORKLOAD, simulation_budget=BUDGET
-        ).measured_objectives
+        random_batch = simulator.run_batch(
+            RandomSampler(space, seed=5).sample(BUDGET), TARGET_WORKLOAD
+        )
+        random_rows = np.stack([random_batch.ipc, random_batch.power_w], axis=1)
         results["random"] = {"rows": random_rows, "simulations": BUDGET}
 
-        active_explorer = ActiveLearningExplorer(
-            space, simulator, candidate_pool=400, seed=5
+        objectives = ObjectiveSet.from_names(("ipc", "power"))
+        engine = CampaignEngine(space, simulator, objectives, seed=5)
+        forest = TreeEnsembleSurrogate(
+            lambda: RandomForestRegressor(n_estimators=30, max_depth=10, seed=0),
+            objectives.names,
         )
-        active = active_explorer.explore(
-            TARGET_WORKLOAD,
-            initial_samples=BUDGET // 3,
-            batch_size=max(BUDGET // 6, 1),
+        active = engine.run_campaign(
+            [TARGET_WORKLOAD],
+            {TARGET_WORKLOAD: forest},
+            generator=RandomPool(400),
+            acquisition=ExplorationBonusAcquisition(),
+            simulation_budget=max(BUDGET // 6, 1),
             rounds=4,
-        )
+            initial_samples=BUDGET // 3,
+            refit=True,
+        )[TARGET_WORKLOAD]
         results["active"] = {
             "rows": active.measured_objectives,
             "simulations": active.simulations_used,

@@ -2,17 +2,16 @@
 """Budget-constrained design-space exploration of a single workload.
 
 The surrogate models exist to steer exploration.  This example compares
-three ways of spending a small simulation budget on an unseen workload,
-all expressed as strategy configurations over the shared
+three ways of spending a small simulation budget on an unseen workload;
+the two guided ones are one-workload campaigns of the shared
 :class:`repro.dse.CampaignEngine` (candidate generator + acquisition +
-surrogate; the legacy explorer classes are thin wrappers over the same
-engine):
+surrogate):
 
 1. **random search** — simulate random configurations;
 2. **active learning** — the simulate/train/refine strategy
    (``rounds + refit`` with a tree-ensemble surrogate and the
-   exploration-bonus acquisition, i.e. what
-   :class:`repro.dse.ActiveLearningExplorer` configures);
+   exploration-bonus acquisition, what ``repro explore --method active``
+   runs);
 3. **NSGA-II screening** — an :class:`repro.dse.NSGA2Evolve` candidate
    generator that evolves the pool against surrogates trained on the
    active-learning measurements before any further simulation is spent.
@@ -44,7 +43,6 @@ from repro.dse import (
     NSGA2Evolve,
     ObjectiveSet,
     ParetoRankAcquisition,
-    PredictorGuidedExplorer,
     RandomPool,
     TreeEnsembleSurrogate,
     adrs,
@@ -100,21 +98,20 @@ def main() -> None:
     results = {}
 
     # ---- 1. budget-matched random search -------------------------------------
-    explorer = PredictorGuidedExplorer(space, simulator, seed=1)
-    random_result = explorer.random_search(WORKLOAD, simulation_budget=BUDGET)
-    results["random search"] = random_result.measured_objectives
+    random_configs = RandomSampler(space, seed=1).sample(BUDGET)
+    results["random search"], _ = measured_front(simulator, random_configs, WORKLOAD)
 
-    # ---- 2. active learning: rounds + refit over the engine --------------------
-    active_result = engine.run(
-        WORKLOAD,
-        tree_surrogate(objectives),
+    # ---- 2. active learning: rounds + refit, a one-workload campaign -----------
+    active_result = engine.run_campaign(
+        [WORKLOAD],
+        {WORKLOAD: tree_surrogate(objectives)},
         generator=RandomPool(600),
         acquisition=ExplorationBonusAcquisition(),
         simulation_budget=BUDGET // 6,
         rounds=4,
         initial_samples=BUDGET // 3,
         refit=True,
-    )
+    )[WORKLOAD]
     results["active learning"] = active_result.measured_objectives
     print("\nactive-learning hypervolume per round: "
           f"{[round(v, 3) for v in active_result.hypervolume_history()]}")
@@ -125,13 +122,13 @@ def main() -> None:
         engine.encoder.encode_batch(active_result.simulated_configs),
         active_result.measured_objectives,
     )
-    nsga_result = engine.run(
-        WORKLOAD,
-        nsga_surrogate,
+    nsga_result = engine.run_campaign(
+        [WORKLOAD],
+        {WORKLOAD: nsga_surrogate},
         generator=NSGA2Evolve(population_size=32, generations=15, seed=1),
         acquisition=ParetoRankAcquisition(),
         simulation_budget=20,
-    )
+    )[WORKLOAD]
     results["NSGA-II + validate"] = np.concatenate(
         [active_result.measured_objectives, nsga_result.measured_objectives], axis=0
     )

@@ -20,8 +20,8 @@ The package is organised bottom-up:
   quality (Spearman, Kendall, top-k recall, regret@k);
 * :mod:`repro.dse` -- the unified DSE campaign engine (batched
   multi-objective surrogates, pluggable candidate generation and
-  acquisition, cross-workload campaigns), the explorer strategy wrappers
-  (screening, NSGA-II, active learning), constraints and
+  acquisition, cross-workload campaigns; a single-workload exploration is
+  a one-workload campaign), NSGA-II, constraints and
   Pareto/ADRS/hypervolume utilities;
 * :mod:`repro.runtime` -- the parallel campaign runtime: DAG job
   scheduler, serial/thread/process executors, deterministic sharding and

@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.baselines.trees import GradientBoostingRegressor
+from repro.baselines.trees import GradientBoostingRegressor, RandomForestRegressor
 from repro.core.config import default_config, paper_scale_config
 from repro.core.metadse import MetaDSE
 from repro.datasets.generation import generate_dataset
@@ -60,8 +60,6 @@ from repro.datasets.similarity import similarity_matrix
 from repro.datasets.splits import paper_split
 from repro.datasets.tasks import holdout_task
 from repro.designspace.spec import build_table1_space
-from repro.dse.active import ActiveLearningExplorer
-from repro.dse.explorer import PredictorGuidedExplorer
 from repro.metrics.regression import evaluate_predictions
 from repro.nn import parallel as nn_parallel
 from repro.sim.simulator import Simulator
@@ -218,19 +216,55 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # -- explore ----------------------------------------------------------------------
 def cmd_explore(args: argparse.Namespace) -> int:
+    """One-workload campaign: active learning or surrogate screening."""
+    from repro.dse.acquisition import (
+        ExplorationBonusAcquisition,
+        ParetoRankAcquisition,
+    )
+    from repro.dse.engine import CampaignEngine, ObjectiveSet
+    from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
+
     simulator = _build_simulator(args)
-    space = simulator.space
+    objectives = ObjectiveSet.from_names(("ipc", "power"))
     if args.method == "active":
-        explorer = ActiveLearningExplorer(
-            space, simulator, candidate_pool=args.candidate_pool, seed=args.seed
+        surrogate = TreeEnsembleSurrogate(
+            functools.partial(
+                RandomForestRegressor, n_estimators=30, max_depth=10, seed=0
+            ),
+            objectives.names,
         )
-        result = explorer.explore(
-            args.workload,
-            initial_samples=max(args.budget // 3, 4),
-            batch_size=max(args.budget // 6, 2),
+        acquisition = ExplorationBonusAcquisition()
+        schedule = dict(
+            simulation_budget=max(args.budget // 6, 2),
             rounds=4,
+            initial_samples=max(args.budget // 3, 4),
+            refit=True,
         )
-        rounds = [
+    else:  # screen
+        dataset = load_dataset(args.dataset) if args.dataset else None
+        if dataset is None or args.workload not in dataset:
+            raise SystemExit("--method screen needs --dataset containing the workload")
+        data = dataset[args.workload]
+        predictors = {}
+        for metric in objectives.names:
+            model = GradientBoostingRegressor(n_estimators=60, max_depth=3, seed=args.seed)
+            model.fit(data.features, data.metric(metric))
+            predictors[metric] = model.predict
+        surrogate = CallableSurrogate(predictors)
+        acquisition = ParetoRankAcquisition()
+        schedule = dict(simulation_budget=args.budget)
+
+    engine = CampaignEngine(simulator.space, simulator, objectives, seed=args.seed)
+    result = engine.run_campaign(
+        [args.workload],
+        {args.workload: surrogate},
+        acquisition=acquisition,
+        candidate_pool=args.candidate_pool,
+        **schedule,
+    )[args.workload]
+    extras = {}
+    if args.method == "active":
+        extras["rounds"] = [
             {
                 "round": entry.round_index,
                 "simulations": entry.simulations_total,
@@ -239,33 +273,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
             }
             for entry in result.rounds
         ]
-        extras = {"rounds": rounds}
-    else:  # screen
-        dataset = load_dataset(args.dataset) if args.dataset else None
-        if dataset is None or args.workload not in dataset:
-            raise SystemExit("--method screen needs --dataset containing the workload")
-        data = dataset[args.workload]
-        surrogates = {}
-        for metric in ("ipc", "power"):
-            surrogate = GradientBoostingRegressor(n_estimators=60, max_depth=3, seed=args.seed)
-            surrogate.fit(data.features, data.metric(metric))
-            surrogates[metric] = surrogate.predict
-        explorer = PredictorGuidedExplorer(space, simulator, seed=args.seed)
-        result = explorer.explore(
-            args.workload,
-            surrogates,
-            candidate_pool=args.candidate_pool,
-            simulation_budget=args.budget,
-        )
-        extras = {}
 
     print(
         f"{args.workload}: {result.simulations_used} simulations, "
         f"{len(result.pareto_indices)} Pareto-optimal points"
     )
     front = []
-    for config, objectives in zip(result.pareto_configs, result.pareto_objectives):
-        row = dict(zip(result.objective_names, (float(v) for v in objectives)))
+    for config, values in zip(result.pareto_configs, result.pareto_objectives):
+        row = dict(zip(result.objective_names, (float(v) for v in values)))
         print("  " + "  ".join(f"{k}={v:.3f}" for k, v in row.items()))
         row["configuration"] = {k: config[k] for k in sorted(config)}
         front.append(row)

@@ -1,9 +1,10 @@
 """Design-space-exploration utilities built on top of the surrogate models.
 
-The exploration loops are thin strategy configurations over one shared
+Every exploration is a campaign of one shared
 :class:`~repro.dse.engine.CampaignEngine` (candidate generation,
-acquisition scoring, measure/record bookkeeping); see
-``docs/architecture.md`` for the layer diagram.
+acquisition scoring, quality bookkeeping): a single-workload exploration
+is a one-workload :meth:`~repro.dse.engine.CampaignEngine.run_campaign`.
+See ``docs/architecture.md`` for the layer diagram.
 """
 
 from repro.dse.acquisition import (
@@ -12,11 +13,6 @@ from repro.dse.acquisition import (
     ExplorationBonusAcquisition,
     GreedyTopK,
     ParetoRankAcquisition,
-)
-from repro.dse.active import (
-    ActiveLearningExplorer,
-    ActiveLearningResult,
-    ActiveLearningRound,
 )
 from repro.dse.constraints import (
     Constraint,
@@ -35,11 +31,6 @@ from repro.dse.engine import (
     QualityTracker,
     RandomPool,
     WorkloadCampaignResult,
-)
-from repro.dse.explorer import (
-    ExplorationResult,
-    NSGA2GuidedExplorer,
-    PredictorGuidedExplorer,
 )
 from repro.dse.nsga2 import NSGA2Explorer, NSGA2Result, fast_non_dominated_sort
 from repro.dse.portfolio import StrategyPortfolio
@@ -92,15 +83,9 @@ __all__ = [
     "CallableSurrogate",
     "TreeEnsembleSurrogate",
     "StackedPredictorSurrogate",
-    "PredictorGuidedExplorer",
-    "NSGA2GuidedExplorer",
-    "ExplorationResult",
     "NSGA2Explorer",
     "NSGA2Result",
     "fast_non_dominated_sort",
-    "ActiveLearningExplorer",
-    "ActiveLearningResult",
-    "ActiveLearningRound",
     "adrs",
     "adrs_slope",
     "pareto_coverage",

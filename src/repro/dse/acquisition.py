@@ -7,8 +7,8 @@ loops:
 
 * :class:`ParetoRankAcquisition` — simulate the predicted Pareto front
   first, then fill the remaining budget with the best-ranked candidates by
-  the first objective (the screen-then-simulate policy of
-  :class:`~repro.dse.explorer.PredictorGuidedExplorer`);
+  the first objective (the screen-then-simulate policy, ``repro explore
+  --method screen``);
 * :class:`ExplorationBonusAcquisition` — rank by predicted Pareto
   membership, breaking ties with the surrogate's exploration bonus
   (ensemble disagreement / distance-to-known; the active-learning policy);

@@ -1,11 +1,8 @@
 """The unified DSE campaign engine.
 
-Every exploration loop in this repository has the same skeleton — generate
-candidates, score them with a surrogate, simulate the chosen few, track the
-measured Pareto front — but the seed implementation grew three disjoint
-copies of it (:class:`~repro.dse.explorer.PredictorGuidedExplorer`,
-:class:`~repro.dse.active.ActiveLearningExplorer`, NSGA-II validation
-snippets in the examples).  :class:`CampaignEngine` owns that skeleton once:
+Every exploration loop has the same skeleton — generate candidates, score
+them with a surrogate, simulate the chosen few, track the measured Pareto
+front.  :class:`CampaignEngine` owns that skeleton once:
 
 * **objective handling** — :class:`ObjectiveSet` holds names and maximize
   flags and converts measured/predicted matrices to minimisation form;
@@ -15,18 +12,13 @@ snippets in the examples).  :class:`CampaignEngine` owns that skeleton once:
   machinery);
 * **acquisition scoring** — pluggable
   :class:`~repro.dse.acquisition.AcquisitionStrategy`;
-* **measure/record bookkeeping** — one vectorized
-  :meth:`~repro.sim.simulator.Simulator.run_batch` per acquisition batch and
-  a :class:`QualityTracker` that records front size and hypervolume per
-  round (exact 2-D sweep; seeded Monte-Carlo estimate for 3+ objectives,
-  with the sample count recorded alongside; single-objective campaigns
-  still warn explicitly instead of silently reporting zero).
+* **quality bookkeeping** — a :class:`QualityTracker` that records front
+  size and hypervolume per round (exact 2-D sweep; seeded Monte-Carlo
+  estimate for 3+ objectives, with the sample count recorded alongside;
+  single-objective campaigns still warn explicitly instead of silently
+  reporting zero).
 
-The legacy explorers are thin strategy configurations over
-:meth:`CampaignEngine.run`, the single-workload loop (their pre-refactor
-loops survive as ``explore_reference``, pinned bitwise by
-``tests/test_dse_engine_equivalence.py``).  On top,
-:meth:`CampaignEngine.run_campaign` explores *many* workloads at once and
+:meth:`CampaignEngine.run_campaign` is the one exploration loop, and it
 always runs the round loop of :mod:`repro.runtime.campaign`: each round a
 candidate pool is sampled and encoded once (or, for rank-stable
 generators, proposed per workload from keyed streams), each workload
@@ -35,8 +27,11 @@ when the surrogate supports it), and the union of all selections is
 measured with a single :meth:`~repro.sim.simulator.Simulator.run_sweep` —
 the batched cross-workload path ``MetaDSE.explore`` and the ``dse`` CLI
 subcommand drive, benchmarked in
-``benchmarks/test_dse_campaign_throughput.py``.  The executor only sets
-the throughput: every executor gives the same campaign.
+``benchmarks/test_dse_campaign_throughput.py``.  A single-workload
+exploration (``repro explore``) is a one-workload campaign; its
+pre-engine loops survive in :mod:`repro.dse.reference`, pinned bitwise by
+``tests/test_dse_engine_equivalence.py``.  The executor only sets the
+throughput: every executor gives the same campaign.
 """
 
 from __future__ import annotations
@@ -48,15 +43,10 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import obs
 from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.sampling import BaseSampler, FocusedSampler, RandomSampler
 from repro.designspace.space import Configuration, DesignSpace
-from repro.dse.acquisition import (
-    AcquisitionContext,
-    AcquisitionStrategy,
-    ParetoRankAcquisition,
-)
+from repro.dse.acquisition import AcquisitionStrategy
 from repro.dse.pareto import (
     fast_pareto_front,
     hypervolume_2d,
@@ -138,14 +128,6 @@ class CandidateGenerator(abc.ABC):
     rank_stable: bool = False
 
     @abc.abstractmethod
-    def propose(
-        self,
-        engine: "CampaignEngine",
-        surrogate: Optional[MultiObjectiveSurrogate],
-        round_index: int,
-    ) -> list[Configuration]:
-        """Return the candidate pool for *round_index*."""
-
     def propose_for(
         self,
         engine: "CampaignEngine",
@@ -155,12 +137,12 @@ class CandidateGenerator(abc.ABC):
     ) -> list[Configuration]:
         """Return the candidate pool for ``(workload, round_index)``.
 
-        Workload-agnostic generators ignore the workload and delegate to
-        :meth:`propose`; rank-stable generators key their RNG stream on it.
-        ``engine`` may be a full :class:`CampaignEngine` or the light
+        ``workload`` is ``None`` for the shared pool a campaign proposes
+        once per round (with ``surrogate=None``) for every workload;
+        rank-stable generators key their RNG stream on it.  ``engine`` may
+        be a full :class:`CampaignEngine` or the light
         :class:`ProposalContext` the parallel runtime ships to workers.
         """
-        return self.propose(engine, surrogate, round_index)
 
     def proposer_for(
         self, workload: Optional[str], round_index: int
@@ -243,33 +225,6 @@ class RandomPool(CandidateGenerator):
         )
         return f"RandomPool(size={self.size}, {mode})"
 
-    def _pool_sampler(
-        self,
-        engine: "CampaignEngine",
-        workload: Optional[str],
-        round_index: int,
-    ) -> BaseSampler:
-        if self.seed_entropy is not None:
-            from repro.utils.rng import keyed_rng
-
-            return RandomSampler(
-                engine.space,
-                seed=keyed_rng(
-                    self.seed_entropy,
-                    workload if workload is not None else "",
-                    round_index,
-                ),
-            )
-        return self.sampler if self.sampler is not None else engine.sampler
-
-    def propose(
-        self,
-        engine: "CampaignEngine",
-        surrogate: Optional[MultiObjectiveSurrogate],
-        round_index: int,
-    ) -> list[Configuration]:
-        return self._pool_sampler(engine, None, round_index).sample(self.size)
-
     def propose_for(
         self,
         engine: "CampaignEngine",
@@ -277,7 +232,20 @@ class RandomPool(CandidateGenerator):
         workload: Optional[str],
         round_index: int,
     ) -> list[Configuration]:
-        return self._pool_sampler(engine, workload, round_index).sample(self.size)
+        if self.seed_entropy is None:
+            sampler = self.sampler if self.sampler is not None else engine.sampler
+        else:
+            from repro.utils.rng import keyed_rng
+
+            sampler = RandomSampler(
+                engine.space,
+                seed=keyed_rng(
+                    self.seed_entropy,
+                    workload if workload is not None else "",
+                    round_index,
+                ),
+            )
+        return sampler.sample(self.size)
 
 
 class FocusedPool(CandidateGenerator):
@@ -388,14 +356,6 @@ class FocusedPool(CandidateGenerator):
             "exposing attention_profile() and refocus=True"
         )
 
-    def propose(
-        self,
-        engine: "CampaignEngine",
-        surrogate: Optional[MultiObjectiveSurrogate],
-        round_index: int,
-    ) -> list[Configuration]:
-        return self.propose_for(engine, surrogate, None, round_index)
-
     def propose_for(
         self,
         engine: "CampaignEngine",
@@ -481,23 +441,18 @@ class NSGA2Evolve(CandidateGenerator):
 
     Reuses :class:`~repro.dse.nsga2.NSGA2Explorer` wholesale; the final
     population (already concentrated around the predicted front) becomes
-    the screening pool.  The RNG plumbing has two modes:
-
-    * **keyed streams** (``seed`` is an int / ``SeedSequence`` / ``None``,
-      the default): every proposal evolves from a fresh generator keyed on
-      ``(seed, workload, round_index)``, so the pool for one workload-round
-      is a pure function of those three values — invariant to the executor,
-      the shard count, and any evolution already run for other workloads.
-      This is the :attr:`~CandidateGenerator.rank_stable` mode the parallel
-      campaign runtime and the strategy portfolio require;
-    * **shared stream** (``seed`` is an existing ``numpy`` ``Generator``):
-      every proposal continues the caller's mutable stream, preserving the
-      pre-portfolio behaviour :class:`~repro.dse.explorer.
-      NSGA2GuidedExplorer` pins bitwise (it deliberately shares its
-      sampler's stream).  Order-dependent, hence not rank-stable.
+    the screening pool.  Every proposal evolves from a fresh generator
+    keyed on ``(seed, workload, round_index)`` (``seed`` is an int,
+    ``SeedSequence`` or ``None``; a ``numpy`` ``Generator`` raises
+    ``TypeError``), so the pool for one workload-round is a pure function
+    of those three values — invariant to the executor, the shard count,
+    and any evolution already run for other workloads.  That makes it
+    :attr:`~CandidateGenerator.rank_stable`, which the campaign runtime and
+    the strategy portfolio require of surrogate-dependent generators.
     """
 
     surrogate_dependent = True
+    rank_stable = True
 
     def __init__(
         self,
@@ -512,27 +467,16 @@ class NSGA2Evolve(CandidateGenerator):
         self.population_size = population_size
         self.generations = generations
         self.nsga2_kwargs = nsga2_kwargs
-        if isinstance(seed, np.random.Generator):
-            self.seed_entropy = None
-            self.rng: Optional[np.random.Generator] = seed
-        else:
-            self.seed_entropy = seed_entropy(seed)
-            self.rng = None
-        self.rank_stable = self.seed_entropy is not None
+        self.seed_entropy = seed_entropy(seed)
 
     def fingerprint(self) -> str:
         """Checkpoint descriptor: every knob that changes the proposals."""
-        mode = (
-            "shared-stream"
-            if self.seed_entropy is None
-            else f"entropy={self.seed_entropy}"
-        )
         extras = "".join(
             f", {key}={self.nsga2_kwargs[key]!r}" for key in sorted(self.nsga2_kwargs)
         )
         return (
             f"NSGA2Evolve(population_size={self.population_size}, "
-            f"generations={self.generations}, {mode}{extras})"
+            f"generations={self.generations}, entropy={self.seed_entropy}{extras})"
         )
 
     def _evolve(
@@ -561,14 +505,6 @@ class NSGA2Evolve(CandidateGenerator):
         )
         return result.configs
 
-    def propose(
-        self,
-        engine: "CampaignEngine",
-        surrogate: Optional[MultiObjectiveSurrogate],
-        round_index: int,
-    ) -> list[Configuration]:
-        return self.propose_for(engine, surrogate, None, round_index)
-
     def propose_for(
         self,
         engine: "CampaignEngine",
@@ -576,18 +512,15 @@ class NSGA2Evolve(CandidateGenerator):
         workload: Optional[str],
         round_index: int,
     ) -> list[Configuration]:
+        from repro.utils.rng import keyed_rng
+
         if surrogate is None:
             raise ValueError("NSGA2Evolve needs a surrogate to evolve against")
-        if self.seed_entropy is None:
-            rng = self.rng
-        else:
-            from repro.utils.rng import keyed_rng
-
-            rng = keyed_rng(
-                self.seed_entropy,
-                workload if workload is not None else "",
-                round_index,
-            )
+        rng = keyed_rng(
+            self.seed_entropy,
+            workload if workload is not None else "",
+            round_index,
+        )
         return self._evolve(engine, surrogate, rng)
 
 
@@ -734,11 +667,8 @@ class WorkloadCampaignResult:
     candidates_screened: int
     #: Per-round quality snapshots (empty when tracking is off).
     rounds: list[CampaignRound] = field(default_factory=list)
-    #: Indices of this workload's last-round acquisition picks.  For a
-    #: single-workload :meth:`CampaignEngine.run` these index the *last
-    #: candidate pool*; for a :meth:`CampaignEngine.run_campaign` they index
-    #: ``simulated_configs`` (which then holds the measured selection
-    #: unions).
+    #: Indices (into ``simulated_configs``, which holds the measured
+    #: selection unions) of this workload's last-round acquisition picks.
     selected_indices: list[int] = field(default_factory=list)
     #: Surrogate predictions for the last screened pool (original sense).
     predicted: Optional[np.ndarray] = None
@@ -827,7 +757,7 @@ SurrogateProvider = Union[
 
 # -- the engine --------------------------------------------------------------------
 class CampaignEngine:
-    """Shared generate/screen/simulate/record core for all DSE loops."""
+    """The design space, simulator, objectives and sampler a campaign runs on."""
 
     def __init__(
         self,
@@ -844,176 +774,6 @@ class CampaignEngine:
         self.objectives = objectives
         self.sampler = sampler if sampler is not None else RandomSampler(space, seed=seed)
         self.encoder = encoder if encoder is not None else OrdinalEncoder(space)
-
-    # -- shared bookkeeping ----------------------------------------------------
-    def measure(
-        self, configs: Sequence[Configuration], workload: str
-    ) -> np.ndarray:
-        """Simulate *configs* on *workload*: one vectorized batch call.
-
-        Returns the ``(n, m)`` measured objective matrix in declaration
-        order (``BatchSimulationResult.objective`` resolves the
-        dataset-layer alias ``"power"``).
-        """
-        batch = self.simulator.run_batch(list(configs), workload)
-        return np.stack(
-            [batch.objective(name) for name in self.objectives.names], axis=1
-        )
-
-    # -- single-workload loop ----------------------------------------------------
-    def run(
-        self,
-        workload: str,
-        surrogate: MultiObjectiveSurrogate,
-        *,
-        generator: CandidateGenerator,
-        acquisition: Optional[AcquisitionStrategy] = None,
-        simulation_budget: int,
-        rounds: int = 1,
-        initial_samples: int = 0,
-        refit: bool = False,
-        track_quality: bool = True,
-    ) -> WorkloadCampaignResult:
-        """Run one workload's generate/screen/simulate loop.
-
-        Parameters
-        ----------
-        workload:
-            Target workload name.
-        surrogate:
-            Multi-objective surrogate answering every objective per
-            candidate.
-        generator, acquisition:
-            The candidate-generation and budget-allocation strategies
-            (default acquisition: :class:`ParetoRankAcquisition`).
-        simulation_budget:
-            Simulations per acquisition round.
-        rounds, initial_samples, refit:
-            ``rounds=1, initial_samples=0, refit=False`` is the single-shot
-            screen-then-simulate loop; ``rounds=r, initial_samples=k,
-            refit=True`` is the active simulate/train/refine loop (the
-            surrogate is refit on all measurements before each round).
-        track_quality:
-            Record a :class:`CampaignRound` (front size, hypervolume) after
-            every acquisition round.
-        """
-        if simulation_budget < 1:
-            raise ValueError("simulation_budget must be >= 1")
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if initial_samples < 0:
-            raise ValueError("initial_samples must be >= 0")
-        if refit and not surrogate.supports_fit:
-            raise ValueError(
-                f"refit=True needs a refittable surrogate, "
-                f"{type(surrogate).__name__} is not"
-            )
-        if refit and initial_samples < 2:
-            raise ValueError("refit=True needs initial_samples >= 2 to fit on")
-        acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
-
-        simulated: list[Configuration] = []
-        measured = np.empty((0, self.objectives.num_objectives), dtype=np.float64)
-        if initial_samples:
-            initial = self.sampler.sample(initial_samples)
-            measured = self.measure(initial, workload)
-            simulated.extend(initial)
-
-        tracker = QualityTracker(self.objectives) if track_quality else None
-        candidates_screened = 0
-        last_selected: list[int] = []
-        last_predicted: Optional[np.ndarray] = None
-
-        for round_index in range(rounds):
-            with obs.span("campaign.round", workload=workload, round=round_index):
-                obs.add_counter("campaign.rounds", 1)
-                known_features = (
-                    self.encoder.encode_batch(simulated) if simulated else None
-                )
-                if refit:
-                    with obs.span(
-                        "campaign.refit", workload=workload, round=round_index
-                    ):
-                        surrogate.fit(known_features, measured)
-
-                with obs.span(
-                    "campaign.propose", workload=workload, round=round_index
-                ):
-                    candidates = generator.propose_for(
-                        self, surrogate, workload, round_index
-                    )
-                features = self.encoder.encode_batch(candidates)
-                with obs.span(
-                    "campaign.screen",
-                    workload=workload,
-                    round=round_index,
-                    candidates=len(candidates),
-                ):
-                    predicted = screen_predict(surrogate, features)
-                predicted_min = self.objectives.to_minimization(predicted)
-                context = AcquisitionContext(
-                    features=features,
-                    known_features=known_features,
-                    surrogate=surrogate,
-                    objectives=self.objectives,
-                )
-                with obs.span(
-                    "campaign.select", workload=workload, budget=simulation_budget
-                ):
-                    selected = acquisition.select(
-                        predicted_min, simulation_budget, context
-                    )
-
-                chosen = [candidates[i] for i in selected]
-                with obs.span("campaign.measure", configs=len(chosen)):
-                    rows = self.measure(chosen, workload)
-                simulated.extend(chosen)
-                measured = np.concatenate([measured, rows], axis=0)
-
-                candidates_screened += len(candidates)
-                last_selected = selected
-                last_predicted = predicted
-                if tracker is not None:
-                    entry = tracker.record(
-                        round_index,
-                        self.objectives.to_minimization(measured),
-                        len(simulated),
-                    )
-                    arm_for = getattr(generator, "arm_for", None)
-                    if arm_for is not None:
-                        entry.extras["arm"] = arm_for(workload, round_index)
-                    quality = {
-                        "workload": workload,
-                        "round": round_index,
-                        "hypervolume": entry.hypervolume,
-                        "pareto": entry.pareto_size,
-                        "simulations": entry.simulations_total,
-                    }
-                    if "arm" in entry.extras:
-                        quality["arm"] = entry.extras["arm"]
-                    obs.event("campaign.quality", **quality)
-                    generator.observe_round(workload, round_index, tracker)
-
-        measured_min = self.objectives.to_minimization(measured)
-        # The tracker already computed the final front when it recorded the
-        # last round; only the untracked path has to compute it here.
-        pareto_indices = (
-            tracker.last_front_indices
-            if tracker is not None and tracker.last_front_indices is not None
-            else fast_pareto_front(measured_min)
-        )
-        return WorkloadCampaignResult(
-            workload=workload,
-            objectives=self.objectives,
-            simulated_configs=simulated,
-            measured_objectives=measured,
-            pareto_indices=pareto_indices,
-            simulations_used=len(simulated),
-            candidates_screened=candidates_screened,
-            rounds=tracker.rounds if tracker is not None else [],
-            selected_indices=last_selected,
-            predicted=last_predicted,
-        )
 
     # -- cross-workload campaign ---------------------------------------------------
     def run_campaign(
@@ -1046,7 +806,8 @@ class CampaignEngine:
         :class:`~repro.dse.portfolio.StrategyPortfolio`) proposes each
         workload's pool from keyed per-``(workload, round)`` streams.
         Surrogate-dependent generators that are not rank-stable are
-        rejected; drive them one workload at a time with :meth:`run`.
+        rejected.  A one-workload campaign is the single-workload
+        exploration loop: its picks are measured in acquisition order.
 
         *executor* (default :class:`~repro.runtime.executors.
         SerialExecutor`) runs the per-workload screen jobs and shards the

@@ -1,6 +1,6 @@
 """Surrogate-driven NSGA-II search over the Table I design space.
 
-The screen-then-simulate loop of :class:`~repro.dse.explorer.PredictorGuidedExplorer`
+A screen-then-simulate campaign with a :class:`~repro.dse.engine.RandomPool`
 evaluates one random candidate pool.  When the design space is large, a
 genetic search over the surrogate's predictions finds better trade-off
 configurations for the same (cheap) prediction budget.  This module
@@ -12,7 +12,9 @@ operation stays inside the legal design space by construction.
 Objective values come from surrogate callables (``features -> predictions``),
 exactly the ones an adapted MetaDSE predictor provides, so the search itself
 never touches the simulator; validating the resulting front against simulation
-is the caller's (or the benchmark's) job.
+is the caller's job.  In a campaign, :class:`~repro.dse.engine.NSGA2Evolve`
+runs the search per ``(workload, round)`` from a keyed RNG stream and hands
+the final population to acquisition.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ Determinism is load-bearing (``docs/portfolio.md``):
   statistics accumulated for rounds ``< round_index`` of the same
   workload: registration-order round-robin while ``round_index`` is below
   the arm count, then UCB1 with registration-order tie-breaks.  Bandit
-  state only mutates in :meth:`observe_round`, which the engine and the
-  runtime call in round order in the *parent* process — workers holding a
+  state only mutates in :meth:`observe_round`, which the campaign runtime
+  calls in round order in the *parent* process — workers holding a
   pickled copy never race on it, and a resumed campaign replays the same
   observations from its checkpoint to land in the same state bitwise.
 
@@ -140,14 +140,6 @@ class StrategyPortfolio(CandidateGenerator):
         return self.arms[self.arm_for(workload, round_index)]
 
     # -- proposal --------------------------------------------------------------
-    def propose(
-        self,
-        engine,
-        surrogate: Optional[MultiObjectiveSurrogate],
-        round_index: int,
-    ) -> list[Configuration]:
-        return self.propose_for(engine, surrogate, None, round_index)
-
     def propose_for(
         self,
         engine,

@@ -130,9 +130,10 @@ class MultiObjectiveSurrogate(abc.ABC):
 class CallableSurrogate(MultiObjectiveSurrogate):
     """Wrap the legacy per-objective callables in the engine interface.
 
-    Predictions are collected with one call per objective, exactly like the
-    pre-engine explorers did (same call order, same ``float64`` coercion), so
-    the engine path reproduces their results bitwise.
+    Predictions are collected with one call per objective, exactly like
+    :func:`repro.dse.reference.predictor_guided_reference` (same call
+    order, same ``float64`` coercion), so a one-workload campaign
+    reproduces it bitwise.
     """
 
     def __init__(self, predictors: Mapping[str, PredictorFn]) -> None:

@@ -26,23 +26,24 @@ A round's pool comes from one of two sources:
 * a **shared pool**, for surrogate-independent generators (the default
   ``RandomPool``, ``FocusedPool`` with a fixed profile): proposed and
   encoded once per round in the parent — one sampler-stream consumer,
-  whatever the executor — and screened by every workload.  The union is
-  the sorted set of selected pool indices;
+  whatever the executor — and screened by every workload;
 * **per-workload pools**, for rank-stable generators (``NSGA2Evolve`` and
   ``RandomPool``/``FocusedPool`` constructed with ``seed=``, and
   :class:`~repro.dse.portfolio.StrategyPortfolio` over such arms): each
   screen job proposes its own workload's pool after the refit, from
   keyed per-``(workload, round)`` RNG streams that are a pure function of
   the generator's seed, so there is no shared mutable stream sharding
-  could reorder.  The union is the selected *configurations*,
-  deduplicated in fixed workload order.  This is what admits
-  surrogate-dependent strategies (NSGA-II evolution needs the round's
-  surrogate, which lives in the screen job).
+  could reorder.  This is what admits surrogate-dependent strategies
+  (NSGA-II evolution needs the round's surrogate, which lives in the
+  screen job).
 
-Surrogate-dependent generators with a shared mutable stream
-(``NSGA2Evolve`` seeded with an existing numpy ``Generator``) fit neither
-source and are rejected; :meth:`~repro.dse.engine.CampaignEngine.run`
-drives them one workload at a time.
+Either way the round's union is the workloads' picks — workloads in
+order, each in acquisition order — deduplicated by configuration.  A
+one-workload campaign therefore measures its picks in acquisition order,
+which makes it the single-workload exploration loop too: it is pinned
+bitwise against the pre-engine loops of :mod:`repro.dse.reference`.
+Surrogate-dependent generators with a shared mutable stream fit neither
+source and are rejected.
 
 Determinism: screening is a pure function of ``(surrogate, pool,
 accumulated measurements)``, the union order is fixed by the inputs, and
@@ -113,8 +114,7 @@ def _screen_workload(
     *proposer* — the rank-stable generator, or the arm the parent resolved
     with :meth:`~repro.dse.engine.CandidateGenerator.proposer_for`, so
     workers never touch bandit state — after the refit, because
-    surrogate-dependent proposers need the fitted surrogate (the order
-    :meth:`repro.dse.engine.CampaignEngine.run` uses).  Under a process
+    surrogate-dependent proposers need the fitted surrogate.  Under a process
     executor the fit happens on the worker's copy of the surrogate, which
     is sound because every round refits from scratch on the full
     accumulated measurement set.
@@ -238,8 +238,7 @@ def run_campaign_runtime(
             f"run_campaign needs a surrogate-independent or rank-stable "
             f"generator; {type(generator).__name__} proposes per workload "
             f"from a shared mutable RNG stream — seed it with an int (keyed "
-            f"per-(workload, round) streams) or drive one workload at a "
-            f"time with CampaignEngine.run"
+            f"per-(workload, round) streams)"
         )
     acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
     noise_std = getattr(engine.simulator, "noise_std", 0.0)
@@ -431,37 +430,28 @@ def run_campaign_runtime(
         arms: dict[str, str],
         outcomes: list[tuple],
     ) -> RoundRecord:
-        """The round's union and pick positions, in fixed workload order.
+        """The round's union and pick positions.
 
-        A shared pool's union is its selected pool indices, sorted; keyed
-        pools union the selected *configurations*, deduplicated in workload
-        order.  Either way the union is a function of the inputs, never of
-        which screen job finished first.  ``measured`` is left empty for
-        the measure join to fill.
+        The union is the workloads' picks — workloads in order, each in
+        acquisition order — deduplicated by configuration: a function of
+        the inputs, never of which screen job finished first.  A shared
+        pool's picks come from *candidates*, and each union configuration
+        keeps the pool index it was picked at, which a resume replays
+        against.  ``measured`` is left empty for the measure join to fill.
         """
         record = RoundRecord(round_index, [], {}, {}, arms=arms)
-        if shared_pool:
-            record.union_pool_indices = sorted(
-                {index for selected, _, _ in outcomes for index in selected}
-            )
-            record.union_configs = [
-                candidates[index] for index in record.union_pool_indices
-            ]
-            position = {
-                index: offset
-                for offset, index in enumerate(record.union_pool_indices)
-            }
-            for workload, (selected, _, _) in zip(workloads, outcomes):
-                record.selections[workload] = [position[index] for index in selected]
-            return record
         position: dict[tuple, int] = {}
-        for workload, (_, picks, predicted) in zip(workloads, outcomes):
+        for workload, (selected, picks, predicted) in zip(workloads, outcomes):
+            if picks is None:
+                picks = [candidates[index] for index in selected]
             offsets = []
-            for config in picks:
+            for index, config in zip(selected, picks):
                 key = tuple(sorted(config.items()))
                 if key not in position:
                     position[key] = len(record.union_configs)
                     record.union_configs.append(config)
+                    if candidates is not None:
+                        record.union_pool_indices.append(index)
                 offsets.append(position[key])
             record.selections[workload] = offsets
             record.pool_sizes[workload] = len(predicted)
@@ -477,7 +467,7 @@ def run_campaign_runtime(
             candidates = None
             if shared_pool:
                 with obs.span("campaign.propose", round=round_index):
-                    candidates = generator.propose(engine, None, round_index)
+                    candidates = generator.propose_for(engine, None, None, round_index)
             arms = (
                 {workload: arm_for(workload, round_index) for workload in workloads}
                 if arm_for is not None
@@ -551,11 +541,7 @@ def run_campaign_runtime(
                 if ckpt is not None:
                     ckpt.record_round(record)
             for workload in workloads:
-                screened[workload] += (
-                    len(candidates)
-                    if shared_pool
-                    else record.pool_sizes.get(workload, 0)
-                )
+                screened[workload] += record.pool_sizes[workload]
             absorb(record)
 
     # -- assemble ---------------------------------------------------------------

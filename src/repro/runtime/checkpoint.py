@@ -32,7 +32,10 @@ import numpy as np
 from repro.utils.atomic import write_atomic
 
 #: Format version written to (and required from) every checkpoint file.
-CHECKPOINT_VERSION = 1
+#: Version 2 orders every round's union by the workloads' picks (it was
+#: sorted by pool index for a shared pool), so a version-1 file would
+#: replay into rows in the wrong order.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointMismatchError(RuntimeError):
@@ -58,9 +61,10 @@ class RoundRecord:
     selections: dict[str, list[int]]
     #: Per-workload measured objective matrices over ``union_configs``.
     measured: dict[str, np.ndarray]
-    #: Candidate-pool indices the union came from (sorted; empty for the
-    #: initial-samples round, which has no pool).  On resume the campaign
-    #: driver replays the round's pool and cross-checks
+    #: The pool index of each union configuration, in union order
+    #: (shared-pool rounds only; empty for keyed pools and for the
+    #: initial-samples round).  On resume the campaign driver replays the
+    #: round's pool and cross-checks
     #: ``pool[union_pool_indices] == union_configs`` — the guard that
     #: catches an engine rebuilt with the wrong seed for *every* campaign
     #: shape, including the default single-round one.
@@ -70,10 +74,9 @@ class RoundRecord:
     #: cross-checks its selections against these — the guard that catches a
     #: portfolio rebuilt with different arms or bandit knobs.
     arms: dict[str, str] = field(default_factory=dict)
-    #: Per-workload candidate-pool sizes (per-workload-pool campaigns only;
-    #: empty for shared-pool rounds, whose pool replays from the sampler).
-    #: Restores the ``candidates_screened`` accounting without re-proposing
-    #: restored rounds.
+    #: Per-workload candidate-pool sizes (empty for the initial-samples
+    #: round).  Restores the ``candidates_screened`` accounting without
+    #: re-proposing restored rounds.
     pool_sizes: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -92,14 +95,13 @@ class RoundRecord:
                 workload: [[float(v) for v in row] for row in rows]
                 for workload, rows in self.measured.items()
             },
+            "pool_sizes": {
+                workload: int(size) for workload, size in self.pool_sizes.items()
+            },
         }
         if self.arms:
             payload["arms"] = {
                 workload: str(arm) for workload, arm in self.arms.items()
-            }
-        if self.pool_sizes:
-            payload["pool_sizes"] = {
-                workload: int(size) for workload, size in self.pool_sizes.items()
             }
         return payload
 
@@ -123,7 +125,7 @@ class RoundRecord:
             },
             pool_sizes={
                 workload: int(size)
-                for workload, size in payload.get("pool_sizes", {}).items()
+                for workload, size in payload["pool_sizes"].items()
             },
         )
 

@@ -1,11 +1,11 @@
-"""Tests for the DSE utilities (Pareto analysis and the guided explorer)."""
+"""Tests for the DSE utilities (Pareto analysis and one-workload screening)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.dse.explorer import PredictorGuidedExplorer
+from repro.dse.engine import CampaignEngine, ObjectiveSet
 from repro.dse.pareto import (
     crowding_distance,
     fast_pareto_front,
@@ -14,6 +14,7 @@ from repro.dse.pareto import (
     pareto_mask,
     to_minimization,
 )
+from repro.dse.surrogates import CallableSurrogate
 
 
 class TestParetoMask:
@@ -165,18 +166,33 @@ class TestCrowdingDistance:
         assert crowding_distance(np.empty((0, 2))).size == 0
 
 
-class TestPredictorGuidedExplorer:
-    @pytest.fixture(scope="class")
-    def explorer(self, table1_space, fast_simulator):
-        return PredictorGuidedExplorer(table1_space, fast_simulator, seed=0)
+class TestScreeningCampaign:
+    """Screen-then-simulate as a one-workload campaign (``repro explore --method screen``)."""
 
-    def test_random_search_budget(self, explorer):
-        result = explorer.random_search("625.x264_s", simulation_budget=10)
+    @pytest.fixture(scope="class")
+    def engine(self, table1_space, fast_simulator):
+        return CampaignEngine(
+            table1_space, fast_simulator, ObjectiveSet.from_names(("ipc", "power")), seed=0
+        )
+
+    @staticmethod
+    def _screen(engine, workload, predictors, pool, budget):
+        return engine.run_campaign(
+            [workload],
+            {workload: CallableSurrogate(predictors)},
+            candidate_pool=pool,
+            simulation_budget=budget,
+        )[workload]
+
+    def test_budget_accounting(self, engine):
+        linear = {"ipc": lambda x: x.sum(axis=1), "power": lambda x: x[:, 0]}
+        result = self._screen(engine, "625.x264_s", linear, pool=40, budget=10)
         assert result.simulations_used == 10
         assert result.measured_objectives.shape == (10, 2)
+        assert result.candidates_screened == 40
         assert len(result.pareto_indices) >= 1
 
-    def test_guided_exploration_with_oracle_predictors(self, explorer, fast_simulator, table1_space):
+    def test_guided_exploration_with_oracle_predictors(self, engine, fast_simulator, table1_space):
         """With oracle predictors the guided front must beat random search."""
         from repro.designspace.encoding import OrdinalEncoder
 
@@ -192,22 +208,24 @@ class TestPredictorGuidedExplorer:
                 return np.array(values)
             return predict
 
-        guided = explorer.explore(
+        guided = self._screen(
+            engine,
             "625.x264_s",
-            predictors={"ipc": oracle("ipc"), "power": oracle("power")},
-            candidate_pool=60,
-            simulation_budget=12,
+            {"ipc": oracle("ipc"), "power": oracle("power")},
+            pool=60,
+            budget=12,
         )
         assert guided.simulations_used <= 12
         assert guided.candidates_screened == 60
         # The best measured IPC among simulated points should be near the pool's top.
         assert guided.measured_objectives[:, 0].max() > 1.0
 
-    def test_explore_requires_predictors(self, explorer):
+    def test_screening_requires_predictors(self):
         with pytest.raises(ValueError):
-            explorer.explore("625.x264_s", predictors={})
+            CallableSurrogate({})
 
-    def test_pareto_configs_accessor(self, explorer):
-        result = explorer.random_search("605.mcf_s", simulation_budget=6)
+    def test_pareto_configs_accessor(self, engine):
+        linear = {"ipc": lambda x: x[:, 1], "power": lambda x: x[:, 2]}
+        result = self._screen(engine, "605.mcf_s", linear, pool=30, budget=6)
         assert len(result.pareto_configs) == len(result.pareto_indices)
         assert result.pareto_objectives.shape[0] == len(result.pareto_indices)

@@ -1,28 +1,53 @@
-"""Tests for the active-learning DSE loop."""
+"""Tests for the active-learning exploration: a one-workload refit campaign."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.trees import GradientBoostingRegressor, RandomForestRegressor
-from repro.dse.active import ActiveLearningExplorer
+from repro.dse.acquisition import ExplorationBonusAcquisition
+from repro.dse.engine import CampaignEngine, ObjectiveSet, RandomPool
 from repro.dse.pareto import pareto_mask, to_minimization
+from repro.dse.surrogates import TreeEnsembleSurrogate, regressor_exploration_bonus
+
+
+def _forest():
+    return RandomForestRegressor(n_estimators=30, max_depth=10, seed=0)
+
+
+def active_campaign(
+    space,
+    simulator,
+    workload,
+    *,
+    seed=0,
+    candidate_pool=60,
+    surrogate_factory=_forest,
+    objective_names=("ipc", "power"),
+    initial_samples=6,
+    batch_size=3,
+    rounds=3,
+):
+    """The simulate/refit/refine loop ``repro explore --method active`` runs."""
+    objectives = ObjectiveSet.from_names(objective_names)
+    engine = CampaignEngine(space, simulator, objectives, seed=seed)
+    return engine.run_campaign(
+        [workload],
+        {workload: TreeEnsembleSurrogate(surrogate_factory, objectives.names)},
+        generator=RandomPool(candidate_pool),
+        acquisition=ExplorationBonusAcquisition(),
+        simulation_budget=batch_size,
+        rounds=rounds,
+        initial_samples=initial_samples,
+        refit=True,
+    )[workload]
 
 
 @pytest.fixture(scope="module")
-def explorer(table1_space, fast_simulator):
-    return ActiveLearningExplorer(
-        table1_space, fast_simulator, candidate_pool=60, seed=0
-    )
+def result(table1_space, fast_simulator):
+    return active_campaign(table1_space, fast_simulator, "605.mcf_s")
 
 
-@pytest.fixture(scope="module")
-def result(explorer):
-    return explorer.explore(
-        "605.mcf_s", initial_samples=6, batch_size=3, rounds=3
-    )
-
-
-class TestActiveLearningExplorer:
+class TestActiveLearningCampaign:
     def test_budget_accounting(self, result):
         assert result.simulations_used == 6 + 3 * 3
         assert [entry.simulations_total for entry in result.rounds] == [9, 12, 15]
@@ -52,45 +77,44 @@ class TestActiveLearningExplorer:
 
     def test_measurements_match_the_simulator(self, result, fast_simulator):
         """Every recorded row is the simulator's ground truth for that config."""
-        index = 0
-        config = result.simulated_configs[index]
-        truth = fast_simulator.run(config, "605.mcf_s")
-        assert result.measured_objectives[index, 0] == pytest.approx(truth.ipc)
-        assert result.measured_objectives[index, 1] == pytest.approx(truth.power_w)
+        batch = fast_simulator.run_batch(result.simulated_configs, "605.mcf_s")
+        np.testing.assert_allclose(result.measured_objectives[:, 0], batch.ipc, rtol=1e-12)
+        np.testing.assert_allclose(result.measured_objectives[:, 1], batch.power_w, rtol=1e-12)
 
     def test_custom_surrogate_factory(self, table1_space, fast_simulator):
-        explorer = ActiveLearningExplorer(
+        result = active_campaign(
             table1_space,
             fast_simulator,
+            "625.x264_s",
+            seed=1,
+            candidate_pool=40,
             surrogate_factory=lambda: GradientBoostingRegressor(
                 n_estimators=20, max_depth=2, seed=0
             ),
-            candidate_pool=40,
-            seed=1,
+            initial_samples=5,
+            batch_size=2,
+            rounds=2,
         )
-        result = explorer.explore("625.x264_s", initial_samples=5, batch_size=2, rounds=2)
         assert result.simulations_used == 9
 
-    def test_exploration_bonus_forest_vs_distance(self, table1_space):
+    def test_exploration_bonus_forest_vs_distance(self):
         features = np.random.default_rng(0).normal(size=(10, 4))
         known = features[:3]
         forest = RandomForestRegressor(n_estimators=5, max_depth=3, seed=0)
         forest.fit(known, np.array([1.0, 2.0, 3.0]))
-        forest_bonus = ActiveLearningExplorer._exploration_bonus(forest, features, known)
+        forest_bonus = regressor_exploration_bonus(forest, features, known)
         assert forest_bonus.shape == (10,)
         assert np.all(forest_bonus >= 0)
 
-        gbrt = GradientBoostingRegressor(n_estimators=5, max_depth=2, seed=0)
-        gbrt.fit(known, np.array([1.0, 2.0, 3.0]))
-        # GBRT exposes trees_ as well, so force the distance fallback with a
-        # bare object implementing only predict.
+        # A bare object implementing only predict (no usable trees) falls
+        # back to the distance to the known set.
         class _Plain:
             trees_ = None
 
             def predict(self, x):
                 return np.zeros(len(x))
 
-        distance_bonus = ActiveLearningExplorer._exploration_bonus(_Plain(), features, known)
+        distance_bonus = regressor_exploration_bonus(_Plain(), features, known)
         assert np.allclose(distance_bonus[:3], 0.0, atol=1e-9)
         assert np.all(distance_bonus[3:] >= 0)
 
@@ -102,22 +126,23 @@ class TestActiveLearningExplorer:
             {"rounds": 0},
         ],
     )
-    def test_invalid_explore_arguments(self, explorer, kwargs):
+    def test_invalid_arguments(self, table1_space, fast_simulator, kwargs):
         arguments = dict(initial_samples=4, batch_size=2, rounds=1)
         arguments.update(kwargs)
         with pytest.raises(ValueError):
-            explorer.explore("605.mcf_s", **arguments)
+            active_campaign(table1_space, fast_simulator, "605.mcf_s", **arguments)
 
     def test_invalid_candidate_pool(self, table1_space, fast_simulator):
         with pytest.raises(ValueError):
-            ActiveLearningExplorer(table1_space, fast_simulator, candidate_pool=5)
+            active_campaign(table1_space, fast_simulator, "605.mcf_s", candidate_pool=0)
 
     def test_power_alias_and_custom_objectives(self, table1_space, fast_simulator):
-        explorer = ActiveLearningExplorer(
-            table1_space, fast_simulator, candidate_pool=40, seed=2
-        )
-        result = explorer.explore(
+        result = active_campaign(
+            table1_space,
+            fast_simulator,
             "605.mcf_s",
+            seed=2,
+            candidate_pool=40,
             objective_names=("ipc", "energy_per_instruction_nj"),
             initial_samples=4,
             batch_size=2,

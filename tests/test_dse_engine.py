@@ -17,7 +17,6 @@ from repro.dse.engine import (
     ObjectiveSet,
     RandomPool,
 )
-from repro.dse.explorer import NSGA2GuidedExplorer
 from repro.dse.pareto import pareto_mask
 from repro.dse.surrogates import (
     CallableSurrogate,
@@ -234,7 +233,10 @@ class TestCampaignEngine:
         configs = sampler.sample(points)
         features = engine.encoder.encode_batch(configs)
         for workload in workloads:
-            targets = engine.measure(configs, workload)
+            batch = engine.simulator.run_batch(configs, workload)
+            targets = np.stack(
+                [batch.objective(name) for name in engine.objectives.names], axis=1
+            )
             surrogate = TreeEnsembleSurrogate(
                 lambda: GradientBoostingRegressor(n_estimators=15, max_depth=2, seed=0),
                 engine.objectives.names,
@@ -243,17 +245,21 @@ class TestCampaignEngine:
             surrogates[workload] = surrogate
         return surrogates
 
-    def test_run_validations(self, engine):
-        surrogate = CallableSurrogate({"ipc": lambda x: x[:, 0], "power": lambda x: x[:, 1]})
+    def test_one_workload_campaign_validations(self, engine):
+        surrogates = {
+            "605.mcf_s": CallableSurrogate(
+                {"ipc": lambda x: x[:, 0], "power": lambda x: x[:, 1]}
+            )
+        }
         with pytest.raises(ValueError):
-            engine.run("605.mcf_s", surrogate, generator=RandomPool(10),
-                       simulation_budget=0)
+            engine.run_campaign(["605.mcf_s"], surrogates, generator=RandomPool(10),
+                                simulation_budget=0)
         with pytest.raises(ValueError):
-            engine.run("605.mcf_s", surrogate, generator=RandomPool(10),
-                       simulation_budget=5, rounds=0)
+            engine.run_campaign(["605.mcf_s"], surrogates, generator=RandomPool(10),
+                                simulation_budget=5, rounds=0)
         with pytest.raises(ValueError):  # refit without a refittable surrogate
-            engine.run("605.mcf_s", surrogate, generator=RandomPool(10),
-                       simulation_budget=5, refit=True, initial_samples=4)
+            engine.run_campaign(["605.mcf_s"], surrogates, generator=RandomPool(10),
+                                simulation_budget=5, refit=True, initial_samples=4)
 
     def test_shared_pool_campaign(self, engine):
         surrogates = self._tree_surrogates(engine, WORKLOADS)
@@ -380,30 +386,34 @@ class TestCampaignEngine:
 
 
 class TestNSGA2Strategies:
-    def test_nsga2_guided_explorer(self, table1_space, fast_simulator):
-        explorer = NSGA2GuidedExplorer(
-            table1_space,
-            fast_simulator,
-            population_size=16,
-            generations=3,
-            seed=0,
+    def test_nsga2_one_workload_campaign(self, table1_space, fast_simulator):
+        engine = CampaignEngine(
+            table1_space, fast_simulator, ObjectiveSet.from_names(("ipc", "power")), seed=0
         )
         surrogate = CallableSurrogate(
             {"ipc": lambda x: x.sum(axis=1), "power": lambda x: x[:, 0]}
         )
-        result = explorer.explore(
-            "605.mcf_s",
-            surrogate.predictors,
+        result = engine.run_campaign(
+            ["605.mcf_s"],
+            {"605.mcf_s": surrogate},
+            generator=NSGA2Evolve(population_size=16, generations=3, seed=0),
             simulation_budget=6,
-        )
+        )["605.mcf_s"]
         assert result.simulations_used <= 6
         assert result.candidates_screened == 16  # final population
         for config in result.simulated_configs:
             assert table1_space.is_valid(config)
+
+    def test_nsga2_evolve_rejects_a_generator_seed(self):
+        # A Generator is a shared mutable stream, not a keyed stream family.
+        with pytest.raises(TypeError, match="Generator"):
+            NSGA2Evolve(seed=np.random.default_rng(0))
 
     def test_nsga2_evolve_requires_surrogate(self, table1_space, fast_simulator):
         engine = CampaignEngine(
             table1_space, fast_simulator, ObjectiveSet.from_names(("ipc",)), seed=0
         )
         with pytest.raises(ValueError):
-            NSGA2Evolve(population_size=8, generations=1).propose(engine, None, 0)
+            NSGA2Evolve(population_size=8, generations=1).propose_for(
+                engine, None, None, 0
+            )

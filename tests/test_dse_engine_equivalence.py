@@ -1,13 +1,14 @@
-"""Equivalence of the engine-backed explorers and their reference loops.
+"""Equivalence of one-workload campaigns and the pre-engine reference loops.
 
-The legacy explorers are now thin strategy configurations over
-``repro.dse.engine.CampaignEngine``; their pre-refactor loops survive as
-``explore_reference`` — the executable specification, exactly like
-``Simulator.run_scalar`` specifies the batch path
-(``tests/test_sim_batch_equivalence.py``).  This module pins the engine
-path against the reference **bitwise**: same sampler streams must select
-the same configurations, measure the same objective rows, and report the
-same fronts and hypervolume histories.
+A single-workload exploration is a one-workload
+``CampaignEngine.run_campaign``; the loops it replaced survive as the
+plain functions of ``repro.dse.reference`` — the executable
+specification, exactly like ``Simulator.run_scalar`` specifies the batch
+path (``tests/test_sim_batch_equivalence.py``).  This module pins the
+campaign against the reference **bitwise**: same sampler streams must
+simulate the same configurations in the same order, measure the same
+objective rows, and report the same fronts, hypervolume histories and
+last-round predictions.
 """
 
 import threading
@@ -18,16 +19,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.trees import GradientBoostingRegressor
-from repro.dse.active import ActiveLearningExplorer
+from repro.baselines.trees import GradientBoostingRegressor, RandomForestRegressor
+from repro.dse.acquisition import ExplorationBonusAcquisition, ParetoRankAcquisition
 from repro.dse.engine import (
     CampaignEngine,
     ObjectiveSet,
     QualityTracker,
+    RandomPool,
     screen_predict,
 )
-from repro.dse.explorer import PredictorGuidedExplorer
-from repro.dse.surrogates import StackedPredictorSurrogate, TreeEnsembleSurrogate
+from repro.dse.reference import active_learning_reference, predictor_guided_reference
+from repro.dse.surrogates import (
+    CallableSurrogate,
+    StackedPredictorSurrogate,
+    TreeEnsembleSurrogate,
+)
 from repro.nn import parallel as nn_parallel
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerPredictor
@@ -53,6 +59,26 @@ def _surrogate_callables(fast_simulator, table1_space, seed=0):
     return predictors
 
 
+def _assert_matches_reference(result, reference):
+    """The campaign and reference results agree bitwise, rows in order."""
+    assert result.simulated_configs == reference.simulated_configs
+    np.testing.assert_array_equal(
+        result.measured_objectives, reference.measured_objectives
+    )
+    np.testing.assert_array_equal(result.pareto_indices, reference.pareto_indices)
+    assert result.hypervolume_history() == reference.hypervolume_history()
+    assert result.rounds == reference.rounds
+    np.testing.assert_array_equal(result.predicted, reference.predicted)
+    assert result.selected_indices == reference.selected_indices
+    assert result.simulations_used == reference.simulations_used
+    assert result.candidates_screened == reference.candidates_screened
+
+
+def _one_workload_campaign(space, simulator, objectives, surrogate, seed, **kwargs):
+    engine = CampaignEngine(space, simulator, objectives, seed=seed)
+    return engine.run_campaign([WORKLOAD], {WORKLOAD: surrogate}, **kwargs)[WORKLOAD]
+
+
 class TestPredictorGuidedEquivalence:
     @pytest.fixture(scope="class")
     def predictors(self, fast_simulator, table1_space):
@@ -62,81 +88,93 @@ class TestPredictorGuidedEquivalence:
     def test_engine_matches_reference_bitwise(
         self, table1_space, fast_simulator, predictors, budget, pool
     ):
-        engine_run = PredictorGuidedExplorer(
-            table1_space, fast_simulator, seed=3
-        ).explore(
-            WORKLOAD, predictors, candidate_pool=pool, simulation_budget=budget
+        campaign = _one_workload_campaign(
+            table1_space,
+            fast_simulator,
+            ObjectiveSet.from_names(tuple(predictors)),
+            CallableSurrogate(predictors),
+            3,
+            generator=RandomPool(pool),
+            acquisition=ParetoRankAcquisition(),
+            simulation_budget=budget,
         )
-        reference = PredictorGuidedExplorer(
-            table1_space, fast_simulator, seed=3
-        ).explore_reference(
-            WORKLOAD, predictors, candidate_pool=pool, simulation_budget=budget
+        reference = predictor_guided_reference(
+            table1_space,
+            fast_simulator,
+            WORKLOAD,
+            predictors,
+            candidate_pool=pool,
+            simulation_budget=budget,
+            seed=3,
         )
-
-        assert engine_run.simulated_configs == reference.simulated_configs
-        np.testing.assert_array_equal(
-            engine_run.measured_objectives, reference.measured_objectives
-        )
-        np.testing.assert_array_equal(
-            engine_run.pareto_indices, reference.pareto_indices
-        )
-        np.testing.assert_array_equal(
-            engine_run.extras["predicted"], reference.extras["predicted"]
-        )
-        assert engine_run.extras["selected_indices"] == reference.extras["selected_indices"]
-        assert engine_run.simulations_used == reference.simulations_used
-        assert engine_run.candidates_screened == reference.candidates_screened
+        _assert_matches_reference(campaign, reference)
 
     def test_selected_indices_are_plain_ints(
         self, table1_space, fast_simulator, predictors
     ):
-        result = PredictorGuidedExplorer(table1_space, fast_simulator, seed=1).explore(
-            WORKLOAD, predictors, candidate_pool=50, simulation_budget=20
+        result = _one_workload_campaign(
+            table1_space,
+            fast_simulator,
+            ObjectiveSet.from_names(tuple(predictors)),
+            CallableSurrogate(predictors),
+            1,
+            candidate_pool=50,
+            simulation_budget=20,
         )
-        assert all(type(i) is int for i in result.extras["selected_indices"])
+        assert all(type(i) is int for i in result.selected_indices)
+
+
+def _forest():
+    return RandomForestRegressor(n_estimators=30, max_depth=10, seed=0)
 
 
 class TestActiveLearningEquivalence:
-    def test_engine_matches_reference_bitwise(self, table1_space, fast_simulator):
-        kwargs = dict(initial_samples=6, batch_size=3, rounds=3)
-        engine_run = ActiveLearningExplorer(
-            table1_space, fast_simulator, candidate_pool=50, seed=4
-        ).explore(WORKLOAD, **kwargs)
-        reference = ActiveLearningExplorer(
-            table1_space, fast_simulator, candidate_pool=50, seed=4
-        ).explore_reference(WORKLOAD, **kwargs)
+    def _compare(self, table1_space, fast_simulator, seed, pool, objective_names, **kwargs):
+        objectives = ObjectiveSet.from_names(objective_names)
+        campaign = _one_workload_campaign(
+            table1_space,
+            fast_simulator,
+            objectives,
+            TreeEnsembleSurrogate(_forest, objectives.names),
+            seed,
+            generator=RandomPool(pool),
+            acquisition=ExplorationBonusAcquisition(),
+            simulation_budget=kwargs["batch_size"],
+            rounds=kwargs["rounds"],
+            initial_samples=kwargs["initial_samples"],
+            refit=True,
+        )
+        reference = active_learning_reference(
+            table1_space,
+            fast_simulator,
+            WORKLOAD,
+            surrogate_factory=_forest,
+            objective_names=objective_names,
+            candidate_pool=pool,
+            seed=seed,
+            **kwargs,
+        )
+        _assert_matches_reference(campaign, reference)
 
-        assert engine_run.simulated_configs == reference.simulated_configs
-        np.testing.assert_array_equal(
-            engine_run.measured_objectives, reference.measured_objectives
+    def test_engine_matches_reference_bitwise(self, table1_space, fast_simulator):
+        self._compare(
+            table1_space, fast_simulator, 4, 50, ("ipc", "power"),
+            initial_samples=6, batch_size=3, rounds=3,
         )
-        np.testing.assert_array_equal(
-            engine_run.pareto_indices, reference.pareto_indices
-        )
-        assert len(engine_run.rounds) == len(reference.rounds)
-        for engine_round, reference_round in zip(engine_run.rounds, reference.rounds):
-            assert engine_round.round_index == reference_round.round_index
-            assert engine_round.simulations_total == reference_round.simulations_total
-            assert engine_round.pareto_size == reference_round.pareto_size
-            assert engine_round.hypervolume == reference_round.hypervolume
 
     def test_custom_objectives_match_reference(self, table1_space, fast_simulator):
-        kwargs = dict(
-            objective_names=("ipc", "energy_per_instruction_nj"),
-            initial_samples=4,
-            batch_size=2,
-            rounds=2,
+        self._compare(
+            table1_space, fast_simulator, 9, 40, ("ipc", "energy_per_instruction_nj"),
+            initial_samples=4, batch_size=2, rounds=2,
         )
-        engine_run = ActiveLearningExplorer(
-            table1_space, fast_simulator, candidate_pool=40, seed=9
-        ).explore(WORKLOAD, **kwargs)
-        reference = ActiveLearningExplorer(
-            table1_space, fast_simulator, candidate_pool=40, seed=9
-        ).explore_reference(WORKLOAD, **kwargs)
-        np.testing.assert_array_equal(
-            engine_run.measured_objectives, reference.measured_objectives
+
+    def test_refit_rounds_match_reference(self, table1_space, fast_simulator):
+        # Enough refits after the first for a row-order change to show:
+        # every refit fits its forest on the rows in measured order.
+        self._compare(
+            table1_space, fast_simulator, 0, 200, ("ipc", "power"),
+            initial_samples=12, batch_size=8, rounds=4,
         )
-        assert engine_run.hypervolume_history() == reference.hypervolume_history()
 
 
 # -- blocked screening and the stacked inference pass ------------------------------

@@ -105,7 +105,7 @@ class TestFocusedPoolValidation:
         engine = _make_engine(table1_space, suite)
         pool = FocusedPool(10, keep_fraction=0.5)
         with pytest.raises(ValueError, match="importance source"):
-            pool.propose(engine, None, 0)
+            pool.propose_for(engine, None, None, 0)
 
 
 class TestDegradesToRandomPoolBitwise:
@@ -182,7 +182,7 @@ class TestFocusedCampaigns:
         pool = FocusedPool(
             80, keep_fraction=0.4, coarse_levels=2, profile=profile
         )
-        candidates = pool.propose(engine, None, 0)
+        candidates = pool.propose_for(engine, None, None, 0)
         assert len(candidates) == 80
         grid = FocusedSampler(
             table1_space, profile, keep_fraction=0.4, coarse_levels=2
@@ -236,12 +236,12 @@ class TestFocusedCampaigns:
         ]
         surrogate = StackedPredictorSurrogate(predictors, OBJECTIVES)
         pool = FocusedPool(40, keep_fraction=0.4, probe_size=16)
-        first = pool.propose(engine, surrogate, 0)
+        first = pool.propose_for(engine, surrogate, None, 0)
         assert len(first) == 40
         # Identical engine state and surrogate: the refocused proposals
         # reproduce exactly (the probe pool comes from a private seed).
-        again = FocusedPool(40, keep_fraction=0.4, probe_size=16).propose(
-            _make_engine(table1_space, suite), surrogate, 0
+        again = FocusedPool(40, keep_fraction=0.4, probe_size=16).propose_for(
+            _make_engine(table1_space, suite), surrogate, None, 0
         )
         assert first == again
 

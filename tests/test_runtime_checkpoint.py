@@ -1,5 +1,6 @@
 """Tests for campaign checkpoints and resumable campaigns."""
 
+import json
 import os
 from functools import partial
 
@@ -10,6 +11,7 @@ from repro.baselines.trees import GradientBoostingRegressor
 from repro.dse.engine import CampaignEngine, ObjectiveSet
 from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
 from repro.runtime.checkpoint import (
+    CHECKPOINT_VERSION,
     CampaignCheckpoint,
     CheckpointMismatchError,
     RoundRecord,
@@ -115,6 +117,18 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointMismatchError, match="different campaign"):
             CampaignCheckpoint.resume_or_start(path, fingerprint(rounds=7))
 
+    def test_version_one_file_is_refused(self, tmp_path):
+        # Version 1 ordered a shared pool's union by pool index; its rows
+        # would still pass the replay check but resume in the wrong order.
+        path = tmp_path / "campaign.json"
+        CampaignCheckpoint.resume_or_start(path, fingerprint()).write()
+        payload = json.loads(path.read_text())
+        assert payload["version"] == CHECKPOINT_VERSION == 2
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointMismatchError, match="version 1 != 2"):
+            CampaignCheckpoint.resume_or_start(path, fingerprint())
+
     def test_missing_file_starts_fresh(self, tmp_path):
         checkpoint = CampaignCheckpoint.resume_or_start(
             tmp_path / "absent.json", fingerprint()
@@ -130,8 +144,8 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointMismatchError, match="campaign checkpoint"):
             CampaignCheckpoint.resume_or_start(tmp_path, fingerprint())
         # Valid JSON but not a checkpoint: still the mismatch error.
-        path.write_text('{"version": 1, "fingerprint": %s, "rounds": [{}]}'
-                        % __import__("json").dumps(fingerprint()))
+        path.write_text('{"version": %d, "fingerprint": %s, "rounds": [{}]}'
+                        % (CHECKPOINT_VERSION, json.dumps(fingerprint())))
         with pytest.raises(CheckpointMismatchError, match="malformed"):
             CampaignCheckpoint.resume_or_start(path, fingerprint())
 

@@ -6,11 +6,12 @@ parallel dataset generation, and thread/process campaigns — produces
 results **bitwise identical** to the :class:`SerialExecutor` reference.
 These tests pin that contract for every executor kind, and pin a
 single-round campaign against an independent spec,
-``PredictorGuidedExplorer.explore_reference`` (the same idiom as
+``repro.dse.reference.predictor_guided_reference`` (the same idiom as
 ``tests/test_sim_batch_equivalence.py`` pinning ``run_batch`` against
 ``run_scalar``).
 """
 
+import json
 from functools import partial
 
 import numpy as np
@@ -18,10 +19,13 @@ import pytest
 
 from repro.baselines.trees import GradientBoostingRegressor
 from repro.datasets.generation import generate_dataset
+from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.sampling import RandomSampler
-from repro.dse.engine import CampaignEngine, NSGA2Evolve, ObjectiveSet
-from repro.dse.explorer import PredictorGuidedExplorer
+from repro.dse.acquisition import AcquisitionContext, ParetoRankAcquisition
+from repro.dse.engine import CampaignEngine, CandidateGenerator, ObjectiveSet
+from repro.dse.reference import predictor_guided_reference
 from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
+from repro.runtime.checkpoint import CampaignCheckpoint
 from repro.runtime.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.sim.simulator import Simulator
 
@@ -218,28 +222,27 @@ def _assert_campaigns_bitwise_equal(reference, candidate):
         assert ref.hypervolume_history() == got.hypervolume_history()
 
 
-def _sorted_by_config(configs, rows):
-    order = sorted(range(len(configs)), key=lambda i: tuple(sorted(configs[i].items())))
-    return [configs[i] for i in order], rows[order]
-
-
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("pool, budget", [(80, 12), (60, 40)])
     @pytest.mark.parametrize("make_executor", _executor_factories())
     def test_single_round_matches_explorer_reference(self, make_executor, pool, budget):
         # The independent spec of a one-workload, one-round shared-pool
-        # campaign: PredictorGuidedExplorer's pre-engine loop over the same
-        # sampler seed, simulator and predictors.
+        # campaign: the pre-engine screening loop over the same sampler
+        # seed, simulator and predictors.
         workload = WORKLOADS[0]
         predictors = {
             "ipc": partial(_linear_ipc, 0.0),
             "power": partial(_linear_power, 0.0),
         }
         simulator = Simulator(simpoint_phases=2, seed=11)
-        reference = PredictorGuidedExplorer(
-            simulator.space, simulator, seed=5
-        ).explore_reference(
-            workload, predictors, candidate_pool=pool, simulation_budget=budget
+        reference = predictor_guided_reference(
+            simulator.space,
+            simulator,
+            workload,
+            predictors,
+            candidate_pool=pool,
+            simulation_budget=budget,
+            seed=5,
         )
         kwargs = dict(candidate_pool=pool, simulation_budget=budget)
         surrogates = {workload: CallableSurrogate(predictors)}
@@ -248,15 +251,12 @@ class TestCampaignEquivalence:
                 [workload], surrogates, executor=executor, **kwargs
             )
         result = campaign[workload]
-        configs, rows = _sorted_by_config(
-            result.simulated_configs, result.measured_objectives
+        # Measured in acquisition order: configurations and rows in order.
+        assert result.simulated_configs == reference.simulated_configs
+        np.testing.assert_array_equal(
+            result.measured_objectives, reference.measured_objectives
         )
-        expected_configs, expected_rows = _sorted_by_config(
-            reference.simulated_configs, reference.measured_objectives
-        )
-        assert configs == expected_configs
-        np.testing.assert_array_equal(rows, expected_rows)
-        np.testing.assert_array_equal(result.predicted, reference.extras["predicted"])
+        np.testing.assert_array_equal(result.predicted, reference.predicted)
         serial = make_engine().run_campaign([workload], surrogates, **kwargs)
         _assert_campaigns_bitwise_equal(serial, campaign)
 
@@ -278,27 +278,83 @@ class TestCampaignEquivalence:
             )
         _assert_campaigns_bitwise_equal(reference, parallel)
 
-    def test_shared_stream_surrogate_dependent_generator_is_rejected(self):
-        # Int-seeded NSGA2Evolve is rank-stable and accepted (pinned by
-        # tests/test_dse_portfolio_equivalence.py); seeding with an existing
-        # Generator keeps the legacy shared mutable stream, which the
-        # runtime cannot shard or resume deterministically.
-        # The default executor (None) is the serial one, so it refuses too;
-        # single-workload CampaignEngine.run still drives such generators.
-        shared_stream = NSGA2Evolve(
-            population_size=8, generations=2, seed=np.random.default_rng(0)
+    def test_shared_pool_union_is_picks_in_workload_then_acquisition_order(
+        self, tmp_path
+    ):
+        workloads = WORKLOADS[:2]
+        pool, budget = 60, 8
+        engine = make_engine()
+        surrogates = callable_surrogates()
+        checkpoint = tmp_path / "campaign.json"
+        campaign = engine.run_campaign(
+            workloads,
+            surrogates,
+            candidate_pool=pool,
+            simulation_budget=budget,
+            checkpoint=checkpoint,
         )
-        assert not shared_stream.rank_stable
+        # The independent expectation: replay the shared pool, select per
+        # workload, union the picks in workload order then acquisition
+        # order, first occurrence wins.
+        candidates = RandomSampler(engine.space, seed=5).sample(pool)
+        features = OrdinalEncoder(engine.space).encode_batch(candidates)
+        picks = {}
+        for workload in workloads:
+            predicted = surrogates[workload].predict(features)
+            picks[workload] = ParetoRankAcquisition().select(
+                engine.objectives.to_minimization(predicted),
+                budget,
+                AcquisitionContext(
+                    features=features,
+                    known_features=None,
+                    surrogate=surrogates[workload],
+                    objectives=engine.objectives,
+                ),
+            )
+        expected, expected_indices = [], []
+        for workload in workloads:
+            for index in picks[workload]:
+                if candidates[index] not in expected:
+                    expected.append(candidates[index])
+                    expected_indices.append(index)
+        # The case exercises both deduplication and a non-sorted union.
+        assert len(expected) < sum(len(p) for p in picks.values())
+        assert expected_indices != sorted(expected_indices)
+
+        (record,) = CampaignCheckpoint.resume_or_start(
+            checkpoint, json.loads(checkpoint.read_text())["fingerprint"]
+        ).rounds
+        assert record.union_configs == expected
+        assert record.union_pool_indices == expected_indices
+        assert [candidates[i] for i in record.union_pool_indices] == record.union_configs
+        for workload in workloads:
+            result = campaign[workload]
+            assert result.simulated_configs == expected
+            assert [result.simulated_configs[i] for i in result.selected_indices] == [
+                candidates[i] for i in picks[workload]
+            ]
+
+    def test_shared_stream_surrogate_dependent_generator_is_rejected(self):
+        # A surrogate-dependent generator that draws from one shared
+        # mutable stream (not rank-stable) can neither propose a shared
+        # pool nor shard deterministically; the default executor (None)
+        # is the serial one, so it refuses too.
+        class SharedStreamEvolve(CandidateGenerator):
+            surrogate_dependent = True
+
+            def propose_for(self, engine, surrogate, workload, round_index):
+                return engine.sampler.sample(8)
+
         for executor in (None, SerialExecutor()):
             with pytest.raises(ValueError, match="rank-stable") as info:
                 make_engine().run_campaign(
                     WORKLOADS,
                     callable_surrogates(),
-                    generator=shared_stream,
+                    generator=SharedStreamEvolve(),
                     simulation_budget=4,
                     executor=executor,
                 )
-            assert "CampaignEngine.run" in str(info.value)
+            assert "CampaignEngine.run" not in str(info.value)
 
     def test_refit_requires_refittable_surrogates(self):
         with pytest.raises(ValueError, match="refittable"):

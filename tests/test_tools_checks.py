@@ -1,9 +1,10 @@
-"""Tests for the repository hygiene checker (tools/check_repo.py).
+"""Tests for the repository checkers (tools/check_repo.py, tools/check_docs.py).
 
-The classifier is a pure function over path lists, so the rules are
+The hygiene classifier is a pure function over path lists, so the rules are
 verified against planted offenders without touching the real git index;
 one integration test also runs the checker against the actual repository,
-which must be clean (that is the guard ``make test`` relies on).
+which must be clean (that is the guard ``make test`` relies on).  The docs
+checker's dotted-reference resolver is checked against planted names.
 """
 
 import importlib.util
@@ -13,15 +14,25 @@ from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_repo.py"
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_TOOL = _TOOLS / "check_repo.py"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def check_repo():
-    spec = importlib.util.spec_from_file_location("check_repo", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_tool("check_repo")
+
+
+@pytest.fixture(scope="module")
+def check_docs():
+    return _load_tool("check_docs")
 
 
 class TestIsArtifact:
@@ -126,3 +137,32 @@ class TestMain:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "OK" in result.stdout
+
+
+class TestDottedReferences:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "repro.dse",
+            "repro.dse.engine",
+            "repro.dse.engine.CampaignEngine",
+            "repro.dse.engine.CampaignEngine.run_campaign",
+            "repro.nn.tensor.stack",
+            "repro.dse.RandomPool",
+        ],
+    )
+    def test_existing_names_resolve(self, check_docs, name):
+        assert check_docs._dotted_resolves(name)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # A deleted method under a live class: only the tail is stale.
+            "repro.dse.engine.CampaignEngine.run",
+            "repro.dse.engine.vanished_function",
+            "repro.dse.vanished_module",
+            "repro.vanished_package.module",
+        ],
+    )
+    def test_planted_stale_names_are_caught(self, check_docs, name):
+        assert not check_docs._dotted_resolves(name)

@@ -10,10 +10,10 @@ Three failure classes, all of which have bitten stale docs before:
 2. **Stale module references** — ``docs/*.md`` and ``README.md`` routinely
    name modules (``repro.nn.precision``, ``src/repro/meta/maml.py``,
    ``benchmarks/test_meta_throughput.py``).  Every such reference must
-   resolve to an existing file: dotted ``repro.…`` names are resolved
-   against ``src/`` (a trailing attribute like ``repro.nn.tensor.stack`` is
-   fine — some prefix must resolve to a module), and path-like references
-   are resolved against the repo root.
+   resolve: dotted ``repro.…`` names are resolved against ``src/`` (the
+   longest prefix that is a module or package is imported and any
+   attribute tail, like ``repro.nn.tensor.stack``, must resolve on it),
+   and path-like references are resolved against the repo root.
 3. **Uncataloged benchmark results** — ``benchmarks/results/*.json`` files
    are committed artefacts whose meaning lives in the ``docs/benchmarks.md``
    catalog.  Every result JSON must be named there, so a benchmark cannot
@@ -64,34 +64,34 @@ def _dotted_resolves(name: str) -> bool:
     """True when a dotted ``repro.…`` reference names something that exists.
 
     The longest prefix that is a module file (``repro.nn.tensor`` →
-    ``src/repro/nn/tensor.py``) accepts any attribute tail (``….stack``) —
-    attributes of a real module are not the staleness this tool hunts.  A
-    tail hanging off a *package* directory, however, must be an attribute
-    the package actually exports (``repro.nn.vanished_module`` is exactly
-    the stale reference to catch), which is checked by importing it.
+    ``src/repro/nn/tensor.py``) or a package directory is imported, and the
+    rest is resolved on it attribute by attribute, so a doc naming a
+    deleted function, class or method (``repro.dse.engine.CampaignEngine.
+    vanished``) is as stale as one naming a deleted module.
     """
     parts = name.split(".")
     for end in range(len(parts), 0, -1):
         base = REPO_ROOT / "src" / Path(*parts[:end])
-        if base.with_suffix(".py").exists():
-            return True
-        if base.is_dir():
-            if end == len(parts):
-                return True
-            return _package_has_attribute(".".join(parts[:end]), parts[end])
+        if base.with_suffix(".py").exists() or base.is_dir():
+            return _has_attributes(".".join(parts[:end]), parts[end:])
     return False
 
 
-def _package_has_attribute(package: str, attribute: str) -> bool:
+def _has_attributes(module: str, tail: list[str]) -> bool:
     import importlib
 
+    if not tail:
+        return True
     source = str(REPO_ROOT / "src")
     if source not in sys.path:
         sys.path.insert(0, source)
     try:
-        return hasattr(importlib.import_module(package), attribute)
-    except Exception:
+        target = importlib.import_module(module)
+        for attribute in tail:
+            target = getattr(target, attribute)
+    except (ImportError, AttributeError):
         return False
+    return True
 
 
 def check_module_references(path: Path) -> list[str]:
