@@ -179,7 +179,7 @@ def generate_dataset(
     features = encoder.encode_batch(configs)
 
     per_workload: dict[str, WorkloadDataset] = {}
-    # run_batch returns freshly-allocated metric arrays, so the labels can
+    # run_sweep returns freshly-allocated metric arrays, so the labels can
     # be stored without defensive copies.
     for name, batch in simulator.run_sweep(configs, names, executor=executor).items():
         labels = {

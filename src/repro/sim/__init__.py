@@ -2,7 +2,9 @@
 
 Every model exposes a scalar ``evaluate`` (one configuration per call) and a
 vectorized ``evaluate_batch`` (``(n_configs,)`` parameter vectors per call);
-the :class:`Simulator` facade front-ends both through ``run`` / ``run_batch``.
+the :class:`Simulator` facade front-ends them through ``run_scalar`` (the
+reference) and ``run_sweep`` (the one batch path, which ``run`` and
+``run_batch`` call).
 """
 
 from repro.sim.backend import BackendModel, BackendModelBatchResult, BackendModelResult

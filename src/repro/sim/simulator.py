@@ -14,17 +14,19 @@ a workload and returns IPC and power:
 
 Two evaluation paths share those semantics:
 
-* the **batch path** (:meth:`Simulator.run_batch`) encodes a whole list of
+* the **batch path** (:meth:`Simulator.run_sweep`) encodes a whole list of
   configurations into ``(n_configs,)`` parameter vectors once, evaluates the
   analytical models over NumPy arrays per SimPoint phase, and aggregates the
-  per-phase matrix with the SimPoint weights in a single matmul.  This is
-  the path every dataset/DSE consumer uses and the one that scales;
+  per-phase matrix with the SimPoint weights as an elementwise multiply and
+  an axis-0 sum.  This is the path every dataset/DSE consumer uses and the
+  one that scales;
 * the **scalar reference path** (:meth:`Simulator.run_scalar`) evaluates one
   configuration per call through the scalar model methods.  It is kept as
   the executable specification the batch path is tested against.
 
-:meth:`Simulator.run` is a thin wrapper over the batch path, so single-pair
-lookups and batched sweeps produce identical labels.
+:meth:`Simulator.run_batch` is a one-workload sweep and :meth:`Simulator.run`
+a batch of one, so single-pair lookups and batched sweeps produce identical
+labels.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 from repro.designspace.space import DesignSpace
 from repro.designspace.spec import build_table1_space
 from repro import obs
-from repro.runtime.executors import resolve_broadcast
-from repro.runtime.sharding import plan_sweep_shards, split_evenly
+from repro.runtime.executors import SerialExecutor, resolve_broadcast
+from repro.runtime.sharding import plan_sweep_shards
 from repro.store import METRIC_COLUMNS, MeasurementStore, measurement_fingerprint
 from repro.sim.performance import PerformanceModel, PerformanceResult
 from repro.sim.power import PowerModel, PowerResult
@@ -57,29 +59,29 @@ IS_TOURNAMENT_KEY = "is_tournament"
 
 def _evaluate_missing_task(
     simulator: "Simulator",
-    profile_name: str,
+    profile: WorkloadProfile,
     params: dict[str, np.ndarray],
     trace: bool,
 ) -> tuple[np.ndarray, "obs.WorkerTelemetry | None"]:
     """Executor task for one evaluation shard (module-level so
     :class:`~repro.runtime.executors.ProcessExecutor` can pickle it).
 
-    *simulator* may arrive as a broadcast handle: the scatter sites
-    broadcast the simulator once per batch, so a process pool pickles it
+    *simulator* may arrive as a broadcast handle: :meth:`Simulator.run_sweep`
+    broadcasts the simulator once per sweep, so a process pool pickles it
     once per worker instead of once per shard task.
 
-    The parent has already resolved the cache/store tiers (see
-    ``_run_batch_parallel``), so *params* holds only configurations that
-    must be freshly simulated: the task is a pure ``_evaluate_encoded``
-    call, which is what makes parent-side counter accounting exact under
-    every executor kind.  When *trace* is set the evaluation runs under an
-    :mod:`repro.obs` capture buffer that rides back on the return value;
-    when clear the second element is ``None`` and nothing is recorded.
+    The parent has already resolved the cache/store tiers, so *params*
+    holds only configurations that must be freshly simulated: the task is
+    a pure ``_evaluate_encoded`` call, which is what makes parent-side
+    counter accounting exact under every executor kind.  When *trace* is
+    set the evaluation runs under an :mod:`repro.obs` capture buffer that
+    rides back on the return value; when clear the second element is
+    ``None`` and nothing is recorded.
     """
     resolved = resolve_broadcast(simulator)
     if not trace:
-        return resolved._evaluate_missing(profile_name, params), None
-    return obs.run_captured(resolved._evaluate_missing, profile_name, params)
+        return resolved._evaluate_missing(profile, params), None
+    return obs.run_captured(resolved._evaluate_missing, profile, params)
 
 
 @dataclass(frozen=True)
@@ -201,13 +203,16 @@ class Simulator:
 
         **Concurrency invariant**: the cache dict is only ever *written*
         by the parent between evaluation calls — never from inside a
-        parallel section.  Parallel paths (``executor=`` on
-        :meth:`run_batch` / :meth:`run_sweep`) walk the cache/store tiers
-        parent-side (:meth:`_lookup_tiers`), scatter only the missing
-        configurations, and merge the worker rows into the parent cache
-        deterministically, in shard order, after all workers join.
-        ``evaluation_count`` / ``store_hit_count`` are therefore exact —
-        equal to the serial run — under every executor kind, and the
+        parallel section.  Every :meth:`run_sweep` (and so every
+        :meth:`run_batch`) walks the cache/store tiers parent-side
+        (:meth:`_lookup_tiers`) for all of its workloads, scatters only the
+        missing configurations to its executor (the
+        :class:`~repro.runtime.executors.SerialExecutor` by default), and
+        merges the worker rows into the parent cache deterministically, in
+        shard order, after all tasks join.  Because that one sequence runs
+        under every executor kind, ``evaluation_count`` /
+        ``store_hit_count`` and the FIFO eviction order do not depend on
+        the executor, even with ``evaluation_cache_size`` set, and the
         returned metric arrays are bitwise identical either way.
     evaluation_cache_size:
         Optional entry cap for the evaluation cache (requires
@@ -221,12 +226,12 @@ class Simulator:
         :class:`repro.store.MeasurementStore` or a path to one) — the
         durable tier *below* the in-memory cache.  Lookups read through
         ``in-memory dict -> store -> simulate``; freshly simulated rows are
-        batch-flushed to the store after each :meth:`run_batch` /
-        :meth:`run_sweep` join (one atomic segment per flush).  Store hits
-        produce bitwise-identical metric rows and are counted in
-        ``store_hit_count``, not ``evaluation_count`` — so a warm campaign
-        over a populated store reports ``evaluation_count == 0`` while
-        returning exactly the cold campaign's results.  Requires noise-free
+        batch-flushed to the store after each :meth:`run_sweep` join (one
+        atomic segment per flush).  Store hits produce bitwise-identical
+        metric rows and are counted in ``store_hit_count``, not
+        ``evaluation_count`` — so a warm campaign over a populated store
+        reports ``evaluation_count == 0`` while returning exactly the cold
+        campaign's results.  Requires noise-free
         mode, like the cache.  Pickled simulators (ProcessExecutor workers)
         reopen the store read-only from its path, so shard tasks see every
         measurement flushed before the parallel section.
@@ -292,7 +297,7 @@ class Simulator:
         self.store_hit_count = 0
         self._store: Optional[MeasurementStore] = None
         #: Rows simulated since the last flush but not yet in the store;
-        #: written as one atomic segment per run_batch/run_sweep join.
+        #: written as one atomic segment per run_sweep join.
         self._store_pending: list[tuple[str, tuple, np.ndarray]] = []
         self._store_pending_keys: set[tuple[str, tuple]] = set()
         if store is not None:
@@ -474,47 +479,18 @@ class Simulator:
     ) -> BatchSimulationResult:
         """Simulate a list of configurations on one workload, vectorized.
 
-        The configurations are encoded once into ``(n_configs,)`` parameter
-        vectors; every SimPoint phase is then a handful of NumPy array
-        operations instead of ``n_configs`` Python-level model calls, and the
-        per-phase metric matrix is aggregated with the SimPoint weights in
-        one matmul.  With ``evaluation_cache`` enabled, configurations seen
-        before (per workload) are served from the cache and only the novel
-        ones are evaluated.
-
-        With an *executor* (:mod:`repro.runtime.executors`) of width > 1,
-        the batch is split into ``executor.jobs`` contiguous shards
-        evaluated in parallel and merged in shard order — bitwise identical
-        to the serial result (noise-free mode only; see
-        ``docs/runtime.md`` for the determinism contract).
+        A one-workload :meth:`run_sweep`: the configurations are encoded
+        once into ``(n_configs,)`` parameter vectors, every SimPoint phase
+        is a handful of NumPy array operations, and configurations the
+        cache/store tiers hold are not re-simulated.  With an *executor*
+        of width > 1 the missing configurations are split into
+        ``executor.jobs`` contiguous shards evaluated in parallel and merged
+        in shard order — bitwise identical to the serial result
+        (noise-free mode only; see ``docs/runtime.md`` for the determinism
+        contract).
         """
-        profile = self._resolve_workload(workload)
-        params, keys = self.encode_batch(configs)
-        with obs.span("sim.run_batch", workload=profile.name, configs=len(keys)):
-            if executor is None or executor.jobs <= 1 or len(keys) <= 1:
-                result = self._run_batch_encoded(profile, params, keys)
-            else:
-                result = self._run_batch_parallel(profile, params, keys, executor)
-            self._flush_store()
+        (result,) = self.run_sweep(configs, [workload], executor=executor).values()
         return result
-
-    def _run_batch_encoded(
-        self,
-        profile: WorkloadProfile,
-        params: dict[str, np.ndarray],
-        keys: list[tuple],
-    ) -> BatchSimulationResult:
-        """Batch evaluation core over already-encoded configurations.
-
-        Shared by :meth:`run_batch` (which encodes first) and
-        :meth:`run_sweep` (which encodes once for many workloads): one
-        full-range "shard" evaluated in place, followed by the same
-        parent-side merge (cache insertion, counter) the parallel paths
-        apply after their join — so serial and sharded execution share a
-        single implementation of the keyed-cache protocol.
-        """
-        metric_rows, count, store_hits = self._evaluate_shard(profile.name, params, keys)
-        return self._absorb_rows(profile, keys, metric_rows, count, store_hits)
 
     # -- parallel evaluation -----------------------------------------------------
     def __getstate__(self) -> dict:
@@ -540,41 +516,6 @@ class Simulator:
         state["_store_pending_keys"] = set()
         return state
 
-    def _require_parallel_safe(self) -> None:
-        if self.noise_std > 0:
-            raise ValueError(
-                "parallel evaluation requires noise-free mode (noise_std == 0): "
-                "sharding would consume the measurement-noise stream in shard "
-                "order instead of configuration order"
-            )
-
-    def _evaluate_shard(
-        self, profile_name: str, params: dict[str, np.ndarray], keys: list[tuple]
-    ) -> tuple[np.ndarray, int, int]:
-        """Serial tier walk: ``(rows, evaluation count, store hits)``.
-
-        Reads the evaluation cache but **never writes it** and never touches
-        ``evaluation_count`` — all shared-state mutation happens afterwards
-        in :meth:`_absorb_rows`.  Lookups read through the tiers in order:
-        in-memory cache, then the persistent store, then simulation of the
-        remainder.  The parallel paths run the same two stages
-        (:meth:`_lookup_tiers` parent-side, :meth:`_evaluate_missing` in
-        workers) with a scatter in between.
-        """
-        profile = self._resolve_workload(profile_name)
-        _, phases = self._phase_table(profile)
-        n = len(keys)
-        metric_rows = np.empty((n, 5), dtype=np.float64)
-        missing, store_hits = self._lookup_tiers(profile.name, keys, metric_rows)
-        if missing:
-            if len(missing) == n:
-                fresh_params = params
-            else:
-                index = np.asarray(missing, dtype=np.int64)
-                fresh_params = {name: values[index] for name, values in params.items()}
-            metric_rows[missing] = self._evaluate_missing(profile.name, fresh_params)
-        return metric_rows, len(phases) * len(missing), store_hits
-
     def _lookup_tiers(
         self, profile_name: str, keys: list[tuple], metric_rows: np.ndarray
     ) -> tuple[list[int], int]:
@@ -582,7 +523,7 @@ class Simulator:
 
         Read-only over shared state.  Returns the indices that missed both
         tiers (and must be simulated) plus the persistent-store hit count.
-        The parallel paths call this parent-side *before* scattering, so
+        :meth:`run_sweep` calls this parent-side *before* scattering, so
         only genuinely missing configurations travel to workers and the
         tier accounting is exact under every executor kind.
         """
@@ -611,16 +552,14 @@ class Simulator:
         return missing, store_hits
 
     def _evaluate_missing(
-        self, profile_name: str, params: dict[str, np.ndarray]
+        self, profile: WorkloadProfile, params: dict[str, np.ndarray]
     ) -> np.ndarray:
         """Freshly simulate already-encoded configurations (no tier reads).
 
-        The evaluation core both the serial tier walk and the scattered
-        shard tasks end in; the ``sim.evaluate`` span therefore appears
-        identically in untraced-serial, captured-serial and worker-side
-        traces.
+        The evaluation core every scattered shard task runs.  *profile* is
+        the resolved workload, so a profile outside the suite evaluates
+        like a suite member.
         """
-        profile = self._resolve_workload(profile_name)
         weights, phases = self._phase_table(profile)
         n = params["core_frequency_ghz"].shape[0]
         with obs.span("sim.evaluate", workload=profile.name, configs=n):
@@ -636,11 +575,11 @@ class Simulator:
     ) -> BatchSimulationResult:
         """Parent-side merge: install rows in the cache, count, assemble.
 
-        The single place shared state is mutated — the serial path and the
-        post-join parallel paths both end here, with *metric_rows* already
-        in configuration order.  Rows whose key the store does not hold yet
-        are queued for the next :meth:`_flush_store`; the cache is trimmed
-        FIFO when ``evaluation_cache_size`` is set.
+        The single place shared state is mutated — :meth:`run_sweep` ends
+        here after its join, with *metric_rows* already in configuration
+        order.  Rows whose key the store does not hold yet are queued for
+        the next :meth:`_flush_store`; the cache is trimmed FIFO when
+        ``evaluation_cache_size`` is set.
         """
         self.evaluation_count += count
         self.store_hit_count += store_hits
@@ -682,74 +621,6 @@ class Simulator:
             energy_per_instruction_nj=metric_rows[:, 4].copy(),
             num_phases=len(self._phase_table(profile)[1]),
         )
-
-    def _run_batch_parallel(
-        self,
-        profile: WorkloadProfile,
-        params: dict[str, np.ndarray],
-        keys: list[tuple],
-        executor,
-    ) -> BatchSimulationResult:
-        """Sharded :meth:`run_batch` core: prefilter, scatter, join in order.
-
-        The parent walks the cache/store tiers first (it is the only actor
-        with full tier visibility — process workers start with an empty
-        pickled cache) and scatters *only the missing configurations* in
-        ``executor.jobs`` contiguous shards.  Workers run the pure
-        evaluation core, so the parent's ``evaluation_count`` /
-        ``store_hit_count`` accounting is exact — equal to the serial run —
-        under every executor kind, and no worker re-simulates a
-        configuration the parent already has.  Bitwise equality with the
-        serial result is guaranteed by the partition-invariance contract
-        (docs/runtime.md): a configuration's labels do not depend on the
-        batch it was evaluated in.
-        """
-        self._require_parallel_safe()
-        _, phases = self._phase_table(profile)  # warm before pickling / fan-out
-        n = len(keys)
-        metric_rows = np.empty((n, 5), dtype=np.float64)
-        missing, store_hits = self._lookup_tiers(profile.name, keys, metric_rows)
-        if missing:
-            self._scatter_missing(profile, params, missing, metric_rows, executor)
-        return self._absorb_rows(
-            profile, keys, metric_rows, len(phases) * len(missing), store_hits
-        )
-
-    def _scatter_missing(
-        self,
-        profile: WorkloadProfile,
-        params: dict[str, np.ndarray],
-        missing: list[int],
-        metric_rows: np.ndarray,
-        executor,
-    ) -> None:
-        """Evaluate *missing* rows through *executor*, in shard order.
-
-        Fills ``metric_rows[missing]`` in place; worker telemetry buffers
-        (when tracing) are spliced into the session in shard order after
-        each join, under the caller's active span.
-        """
-        index = np.asarray(missing, dtype=np.int64)
-        shards = split_evenly(len(missing), executor.jobs)
-        simulator_ref = executor.broadcast(self)
-        trace = obs.trace_active()
-        futures = [
-            executor.submit(
-                _evaluate_missing_task,
-                simulator_ref,
-                profile.name,
-                {
-                    name: values[index[shard.start : shard.stop]]
-                    for name, values in params.items()
-                },
-                trace,
-            )
-            for shard in shards
-        ]
-        for shard, future in zip(shards, futures):
-            rows, telemetry = future.result()
-            metric_rows[index[shard.start : shard.stop]] = rows
-            obs.splice(telemetry)
 
     def _evaluate_encoded(
         self,
@@ -815,92 +686,73 @@ class Simulator:
         set).  Defaults to every workload the simulator knows.  The
         configurations are validated and encoded once, not per workload.
 
-        With an *executor* of width > 1 the ``configs x workloads`` grid is
-        split into deterministic ``(workload, configuration shard)`` tasks
-        (:func:`repro.runtime.sharding.plan_sweep_shards`) evaluated in
-        parallel; per-workload results are merged in shard order after all
-        tasks join, so the sweep is bitwise identical to the serial one
-        (noise-free mode only).
+        The one evaluation body, always run on an executor (the
+        :class:`~repro.runtime.executors.SerialExecutor` when *executor* is
+        ``None``).  The parent walks the cache/store tiers for every
+        workload first, then the missing configurations are split into
+        deterministic ``(workload, configuration shard)`` tasks
+        (:func:`repro.runtime.sharding.plan_sweep_shards`); per-workload
+        results are merged in shard order after all tasks join, so the
+        sweep is bitwise identical under every executor.  A noisy simulator
+        evaluates only on width-1 executors, in the parent, so its noise
+        stream is consumed in configuration order.
         """
         targets = list(workloads) if workloads is not None else self.workload_names()
         params, keys = self.encode_batch(configs)
         profiles = [self._resolve_workload(workload) for workload in targets]
+        if executor is None or executor.jobs == 1:
+            # Width one runs in the parent: a pickled worker copy would draw
+            # noise from its own RNG and leave this simulator's stream behind.
+            executor = SerialExecutor()
+        elif self.noise_std > 0:
+            raise ValueError(
+                "parallel evaluation requires noise-free mode (noise_std == 0): "
+                "sharding would consume the measurement-noise stream in shard "
+                "order instead of configuration order"
+            )
         with obs.span("sim.run_sweep", workloads=len(profiles), configs=len(keys)):
-            # Unlike run_batch, a single configuration still parallelises
-            # here: the workload axis alone yields independent tasks.
-            if executor is None or executor.jobs <= 1 or not profiles or not keys:
-                results = {
-                    profile.name: self._run_batch_encoded(profile, params, keys)
-                    for profile in profiles
-                }
-                self._flush_store()
-                return results
-
-            self._require_parallel_safe()
+            # Tier walk for every workload before any absorb: counts and FIFO
+            # eviction then never depend on the executor.
+            lookups = []
             for profile in profiles:
                 self._phase_table(profile)  # warm before pickling / fan-out
-            # Parent-side tier prefilter, as in _run_batch_parallel: only
-            # tier-missing configurations are scattered, so counters stay
-            # exact under every executor kind and warm rows never travel.
-            rows_by_name: dict[str, np.ndarray] = {}
-            missing_by_name: dict[str, list[int]] = {}
-            hits_by_name: dict[str, int] = {}
-            for profile in profiles:
                 metric_rows = np.empty((len(keys), 5), dtype=np.float64)
                 missing, store_hits = self._lookup_tiers(
                     profile.name, keys, metric_rows
                 )
-                rows_by_name[profile.name] = metric_rows
-                missing_by_name[profile.name] = missing
-                hits_by_name[profile.name] = store_hits
+                lookups.append((profile, metric_rows, missing, store_hits))
             simulator_ref = executor.broadcast(self)
             trace = obs.trace_active()
             tasks = []
-            for profile in profiles:
-                missing = missing_by_name[profile.name]
-                if not missing:
-                    continue
+            for profile, metric_rows, missing, _ in lookups:
                 index = np.asarray(missing, dtype=np.int64)
                 for shard in plan_sweep_shards(
                     len(missing), len(profiles), executor.jobs
                 ):
                     sub = index[shard.start : shard.stop]
-                    tasks.append(
-                        (
-                            profile.name,
-                            sub,
-                            executor.submit(
-                                _evaluate_missing_task,
-                                simulator_ref,
-                                profile.name,
-                                {
-                                    name: values[sub]
-                                    for name, values in params.items()
-                                },
-                                trace,
-                            ),
-                        )
+                    fresh = {name: values[sub] for name, values in params.items()}
+                    future = executor.submit(
+                        _evaluate_missing_task, simulator_ref, profile, fresh, trace
                     )
-            # Join everything before mutating shared state (cache,
-            # counters): thread workers may only ever *read* the
-            # evaluation cache.
-            joined = [(name, sub, future.result()) for name, sub, future in tasks]
-            for name, sub, (rows, telemetry) in joined:
-                rows_by_name[name][sub] = rows
+                    tasks.append((metric_rows, sub, future))
+            # Join in shard order; shared state (cache, counters) changes
+            # only in _absorb_rows, after every task has joined.
+            for metric_rows, sub, future in tasks:
+                rows, telemetry = future.result()
+                metric_rows[sub] = rows
                 obs.splice(telemetry)
             results = {
                 profile.name: self._absorb_rows(
                     profile,
                     keys,
-                    rows_by_name[profile.name],
-                    len(self._phase_table(profile)[1])
-                    * len(missing_by_name[profile.name]),
-                    hits_by_name[profile.name],
+                    metric_rows,
+                    len(self._phase_table(profile)[1]) * len(missing),
+                    store_hits,
                 )
-                for profile in profiles
+                for profile, metric_rows, missing, store_hits in lookups
             }
             self._flush_store()
-            return results
+        return results
 
     def run_scalar(
         self, config: Mapping, workload: "str | WorkloadProfile"

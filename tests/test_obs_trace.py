@@ -52,13 +52,9 @@ EXECUTORS = {
 }
 
 
-def make_engine(store=None, cache_size=None) -> CampaignEngine:
+def make_engine(store=None) -> CampaignEngine:
     simulator = Simulator(
-        simpoint_phases=2,
-        seed=11,
-        evaluation_cache=True,
-        evaluation_cache_size=cache_size,
-        store=store,
+        simpoint_phases=2, seed=11, evaluation_cache=True, store=store
     )
     return CampaignEngine(
         simulator.space,

@@ -12,6 +12,7 @@ single-round campaign against an independent spec,
 """
 
 import json
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -42,8 +43,14 @@ def _executor_factories():
     ]
 
 
-def make_simulator(cache: bool = False) -> Simulator:
-    return Simulator(simpoint_phases=3, seed=17, evaluation_cache=cache)
+def make_simulator(cache: "bool | int" = False) -> Simulator:
+    # An int *cache* is the entry cap of a bounded evaluation cache.
+    return Simulator(
+        simpoint_phases=3,
+        seed=17,
+        evaluation_cache=bool(cache),
+        evaluation_cache_size=None if isinstance(cache, bool) else cache,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +73,21 @@ class TestSimulatorEquivalence:
             )
 
     @pytest.mark.parametrize("make_executor", _executor_factories())
-    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("cache", [False, True, 12])
     def test_run_sweep_bitwise(self, configs, make_executor, cache):
-        reference = make_simulator(cache).run_sweep(configs, WORKLOADS)
+        def sweep(executor=None):
+            simulator = make_simulator(cache)
+            if not isinstance(cache, bool):
+                # Pre-warmed, so the sweep reads a FIFO-trimmed cache whose
+                # hits must not depend on the order tiers are walked in.
+                simulator.run_sweep(configs, WORKLOADS)
+            result = simulator.run_sweep(configs, WORKLOADS, executor=executor)
+            return result, (simulator.evaluation_count, simulator.store_hit_count)
+
+        reference, serial_counts = sweep()
         with make_executor() as executor:
-            parallel = make_simulator(cache).run_sweep(
-                configs, WORKLOADS, executor=executor
-            )
+            parallel, counts = sweep(executor)
+        assert counts == serial_counts
         for workload in WORKLOADS:
             for metric in METRICS:
                 np.testing.assert_array_equal(
@@ -127,6 +142,31 @@ class TestSimulatorEquivalence:
                 noisy.run_batch(configs, WORKLOADS[0], executor=executor)
             with pytest.raises(ValueError, match="noise-free"):
                 noisy.run_sweep(configs, WORKLOADS, executor=executor)
+
+    @pytest.mark.parametrize(
+        "make_executor",
+        [
+            pytest.param(nullcontext, id="none"),
+            pytest.param(lambda: ThreadExecutor(1), id="thread1"),
+            pytest.param(lambda: ProcessExecutor(1), id="process1"),
+        ],
+    )
+    def test_width_one_executors_keep_the_noise_stream(self, configs, make_executor):
+        # Width one evaluates in the parent, so the noise is drawn from the
+        # simulator's own stream, never from a worker's pickled copy: the
+        # sweep and the batch after it reproduce the serial draws.
+        def draws(executor):
+            noisy = Simulator(simpoint_phases=2, noise_std=0.05, seed=1)
+            sweep = noisy.run_sweep(configs, WORKLOADS[:2], executor=executor)
+            batch = noisy.run_batch(configs, WORKLOADS[2], executor=executor)
+            return [sweep[WORKLOADS[0]], sweep[WORKLOADS[1]], batch]
+
+        reference = draws(SerialExecutor())
+        with make_executor() as executor:
+            got = draws(executor)
+        for expected, actual in zip(reference, got):
+            np.testing.assert_array_equal(expected.ipc, actual.ipc)
+            np.testing.assert_array_equal(expected.power_w, actual.power_w)
 
     def test_pickled_simulator_ships_an_empty_cache(self, configs):
         import pickle

@@ -8,10 +8,13 @@ setting — that is the contract that lets every consumer switch to the batch
 path without re-validating downstream results.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.designspace.sampling import RandomSampler
+from repro.runtime.executors import ProcessExecutor, SerialExecutor
 from repro.sim.simulator import BatchSimulationResult, SimulationResult, Simulator
 
 METRIC_FIELDS = ("ipc", "power_w", "area_mm2", "bips", "energy_per_instruction_nj")
@@ -38,6 +41,24 @@ class TestBatchScalarEquivalence:
         configs = RandomSampler(table1_space, seed=29).sample(16)
         batch = fast_simulator.run_batch(configs, "625.x264_s")
         scalars = [fast_simulator.run_scalar(config, "625.x264_s") for config in configs]
+        for field in METRIC_FIELDS:
+            assert _max_abs_diff(batch, scalars, field) <= 1e-12, field
+
+    @pytest.mark.parametrize(
+        "make_executor",
+        [SerialExecutor, lambda: ProcessExecutor(2)],
+        ids=["serial", "process"],
+    )
+    def test_profile_outside_the_suite(self, table1_space, suite, make_executor):
+        # run_batch accepts a WorkloadProfile; one the suite does not hold
+        # must evaluate like a member, in the parent and in workers alike.
+        profile = dataclasses.replace(suite["605.mcf_s"], name="custom.w")
+        simulator = Simulator(table1_space, suite, simpoint_phases=3, seed=41)
+        configs = RandomSampler(table1_space, seed=13).sample(6)
+        with make_executor() as executor:
+            batch = simulator.run_batch(configs, profile, executor=executor)
+        scalars = [simulator.run_scalar(config, profile) for config in configs]
+        assert batch.workload == "custom.w"
         for field in METRIC_FIELDS:
             assert _max_abs_diff(batch, scalars, field) <= 1e-12, field
 

@@ -4,7 +4,8 @@ The hygiene classifier is a pure function over path lists, so the rules are
 verified against planted offenders without touching the real git index;
 one integration test also runs the checker against the actual repository,
 which must be clean (that is the guard ``make test`` relies on).  The docs
-checker's dotted-reference resolver is checked against planted names.
+checker's dotted-reference and ``Class.member`` resolvers are checked
+against planted names.
 """
 
 import importlib.util
@@ -166,3 +167,25 @@ class TestDottedReferences:
     )
     def test_planted_stale_names_are_caught(self, check_docs, name):
         assert not check_docs._dotted_resolves(name)
+
+
+class TestMemberReferences:
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "Simulator.run_batch",
+            # An instance attribute, assigned as ``self.evaluation_count``.
+            "Simulator.evaluation_count",
+            # A dataclass field.
+            "RoundRecord.arms",
+            # Inherited through a base class defined in the package.
+            "ThreadExecutor.broadcast",
+            # A class outside the package is not checked.
+            "Path.vanished",
+        ],
+    )
+    def test_live_references_resolve(self, check_docs, reference):
+        assert check_docs._member_resolves(reference)
+
+    def test_planted_stale_member_is_caught(self, check_docs):
+        assert not check_docs._member_resolves("Simulator.vanished")

@@ -13,7 +13,10 @@ Three failure classes, all of which have bitten stale docs before:
    resolve: dotted ``repro.…`` names are resolved against ``src/`` (the
    longest prefix that is a module or package is imported and any
    attribute tail, like ``repro.nn.tensor.stack``, must resolve on it),
-   and path-like references are resolved against the repo root.
+   and path-like references are resolved against the repo root.  A
+   backticked ``Class.member`` reference (`` `Simulator.run_batch` ``)
+   must name a member of the class of that name under ``src/repro`` — see
+   :func:`_class_members` for what counts as one.
 3. **Uncataloged benchmark results** — ``benchmarks/results/*.json`` files
    are committed artefacts whose meaning lives in the ``docs/benchmarks.md``
    catalog.  Every result JSON must be named there, so a benchmark cannot
@@ -28,8 +31,10 @@ Exits non-zero listing every offence, so it can gate ``make test``.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +47,7 @@ MODULE_REF_FILES = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "REA
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+_MEMBER = re.compile(r"`([A-Z][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*)")
 _PATHLIKE = re.compile(
     r"\b((?:src/repro|benchmarks|examples|tests|tools|docs)/[A-Za-z0-9_\-./]+)"
 )
@@ -94,6 +100,71 @@ def _has_attributes(module: str, tail: list[str]) -> bool:
     return True
 
 
+def _own_members(node: ast.ClassDef) -> set[str]:
+    """Names a class body defines, plus its ``self.<name>`` targets."""
+    names = set()
+    for statement in node.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(statement.name)
+        elif isinstance(statement, ast.Assign):
+            names.update(
+                target.id
+                for target in statement.targets
+                if isinstance(target, ast.Name)
+            )
+        elif isinstance(statement, ast.AnnAssign):
+            if isinstance(statement.target, ast.Name):
+                names.add(statement.target.id)
+    for inner in ast.walk(node):
+        if (
+            isinstance(inner, ast.Attribute)
+            and isinstance(inner.ctx, ast.Store)
+            and isinstance(inner.value, ast.Name)
+            and inner.value.id == "self"
+        ):
+            names.add(inner.attr)
+    return names
+
+
+@lru_cache(maxsize=None)
+def _class_members() -> dict[str, frozenset[str]]:
+    """``{class name: member names}`` for the classes under ``src/repro``.
+
+    A class's members are its ``def``s and nested classes, its class-level
+    and annotated assignments (dataclass fields included), its
+    ``self.<name> =`` targets, and everything it inherits through bases
+    defined in the package.  A class name defined twice is left out: a
+    reference to it cannot say which class it means.
+    """
+    definitions: dict[str, list[ast.ClassDef]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                definitions.setdefault(node.name, []).append(node)
+    unique = {name: nodes[0] for name, nodes in definitions.items() if len(nodes) == 1}
+
+    def members(name: str, seen: frozenset[str]) -> set[str]:
+        node = unique[name]
+        names = _own_members(node)
+        for base in node.bases:
+            base_name = getattr(base, "id", getattr(base, "attr", None))
+            if base_name in unique and base_name not in seen:
+                names |= members(base_name, seen | {base_name})
+        return names
+
+    return {name: frozenset(members(name, frozenset({name}))) for name in unique}
+
+
+def _member_resolves(reference: str) -> bool:
+    """True unless ``Class.member`` names a package class lacking *member*.
+
+    Classes outside ``src/repro`` (and names defined twice) are not checked.
+    """
+    class_name, member = reference.split(".")
+    members = _class_members().get(class_name)
+    return members is None or member in members
+
+
 def check_module_references(path: Path) -> list[str]:
     """Return one message per stale module reference in *path*."""
     text = path.read_text()
@@ -103,6 +174,12 @@ def check_module_references(path: Path) -> list[str]:
             errors.append(
                 f"{path.relative_to(REPO_ROOT)}: stale module reference -> "
                 f"{match.group(0)}"
+            )
+    for match in _MEMBER.finditer(text):
+        if not _member_resolves(match.group(1)):
+            errors.append(
+                f"{path.relative_to(REPO_ROOT)}: stale member reference -> "
+                f"{match.group(1)}"
             )
     for match in _PATHLIKE.finditer(text):
         reference = match.group(1).rstrip(".")
