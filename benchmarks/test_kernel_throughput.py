@@ -1,28 +1,25 @@
-"""Kernel-level throughput: thread-parallel tiled nn kernels vs one thread.
+"""Inference-pass throughput: the block fan-out of ``threads(n)`` vs one thread.
 
-This PR added a worker-pool policy for the fused nn kernels
-(:mod:`repro.nn.parallel`): ``threads(n)`` switches ``affine``,
-``layer_norm``, ``gelu`` and ``scaled_dot_product_attention`` to tiled
-implementations whose tiles fan out across a shared thread pool.  NumPy
-releases the GIL inside its kernels, so the tiles genuinely overlap on
-multi-core machines.
+:mod:`repro.nn.parallel` keeps one worker count, read only by
+``run_tiles`` for the block fan-out of the graph-free stacked inference
+pass.  NumPy releases the GIL inside its kernels, so the blocks genuinely
+overlap on multi-core machines.
 
-The pinned workload is the engine's throughput-dominant nn step: one
-**wide-predictor screening round** — a :class:`StackedPredictorSurrogate`
-answering two objectives for a large candidate pool with its graph-free
-inference pass, streamed over kernel-tile row blocks (exactly what
-``CampaignEngine`` runs per round when screening with adapted predictors).
-The two arms run the *same blocks over the same boundaries* —
-``threads(1)`` vs ``threads(N)`` — so the policy's determinism contract
-makes their predictions **bitwise identical** (asserted below; the thread
-count only decides where each block runs, never what it computes).  The
+The pinned workload is one **wide-predictor screening round** — a
+:class:`StackedPredictorSurrogate` answering two objectives for a large
+candidate pool with its graph-free inference pass, streamed over fixed
+64-row blocks (exactly what ``CampaignEngine`` runs per round when
+screening with adapted predictors).  The two arms run the *same blocks
+over the same boundaries* — ``threads(1)`` vs ``threads(N)`` — so their
+predictions are **bitwise identical** (asserted below; the worker count
+only decides where each block runs, never what it computes).  The
 measured ratio is recorded in ``benchmarks/results/kernel_speedup.json``
 (``make bench-kernels``) through the pass-gated ``record`` fixture.
 
 The claim is a *parallel* speed-up, so the benchmark requires at least 4
 CPU cores and skips otherwise (a 1-core machine cannot observe it; the
-bitwise-equivalence guarantees are pinned core-count-independently in
-``tests/test_nn_parallel_equivalence.py``).
+bitwise equality of the inference pass and the autodiff forward is pinned
+core-count-independently in ``tests/test_dse_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -41,8 +38,8 @@ from repro.nn.transformer import TransformerPredictor
 NUM_PARAMETERS = 22
 
 #: Wide-predictor capacity — the memory/compute-bound screening regime
-#: (the default predictor is sized for few-shot CPU training; the kernel
-#: claim is about the wide end where the tiles carry real numpy work).
+#: (the default predictor is sized for few-shot CPU training; the claim is
+#: about the wide end where the blocks carry real numpy work).
 EMBED_DIM = 192
 NUM_HEADS = 4
 NUM_LAYERS = 2
@@ -51,7 +48,7 @@ HEAD_HIDDEN = 128
 #: Candidate-pool size of the screened round.
 CANDIDATE_POOL = 2048
 
-#: Minimum speed-up of the multi-threaded kernels over one thread.
+#: Minimum speed-up of the multi-threaded inference pass over one thread.
 MIN_SPEEDUP = 1.5
 
 #: Cores needed before a parallel speed-up claim is observable at all.
@@ -84,7 +81,7 @@ def _candidate_pool() -> np.ndarray:
 @pytest.mark.multicore
 @pytest.mark.skipif(
     CORES < MIN_CORES,
-    reason=f"kernel thread speed-up needs >= {MIN_CORES} cores, have {CORES}",
+    reason=f"inference-pass thread speed-up needs >= {MIN_CORES} cores, have {CORES}",
 )
 def test_threaded_screening_round_vs_single_thread_speedup(record):
     """The thread-parallel screening round must beat one thread >= 1.5x."""
@@ -113,9 +110,9 @@ def test_threaded_screening_round_vs_single_thread_speedup(record):
         nn_parallel.shutdown_pool()
     speedup = single_seconds / threaded_seconds
 
-    # Determinism contract: both arms run the same blocks over the same
-    # boundaries; the thread count only decides where each block runs, so
-    # the screened predictions are bitwise identical.
+    # Both arms run the same blocks over the same boundaries; the thread
+    # count only decides where each block runs, so the screened
+    # predictions are bitwise identical.
     np.testing.assert_array_equal(single_result, threaded_result)
 
     record(
@@ -129,9 +126,9 @@ def test_threaded_screening_round_vs_single_thread_speedup(record):
             "num_layers": NUM_LAYERS,
             "head_hidden": HEAD_HIDDEN,
             "candidate_pool": CANDIDATE_POOL,
-            "kernel_tile_length": nn_parallel.tile_length(),
+            "block_rows": nn_parallel.DEFAULT_TILE,
             "round": "stacked 2-objective wide-predictor screening round "
-                     "(graph-free inference pass over kernel-tile blocks), "
+                     "(graph-free inference pass over 64-row blocks), "
                      "threads(N) vs threads(1)",
             "single_thread_seconds": single_seconds,
             "threaded_seconds": threaded_seconds,
@@ -140,7 +137,7 @@ def test_threaded_screening_round_vs_single_thread_speedup(record):
         },
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"threaded kernels are only {speedup:.2f}x faster than one thread "
+        f"the threaded inference pass is only {speedup:.2f}x faster than one thread "
         f"on {CORES} cores ({threaded_seconds * 1e3:.0f} ms vs "
         f"{single_seconds * 1e3:.0f} ms)"
     )

@@ -1,7 +1,7 @@
 """Attention-guided pruning throughput: focused pools vs the full pool.
 
 Every previous throughput lever made the *per-candidate* cost cheaper
-(batched simulation, stacked forwards, tiled threaded kernels); this
+(batched simulation, stacked forwards, the threaded inference pass); this
 benchmark pins the remaining multiplier — evaluating *fewer, better*
 candidates (AttentionDSE, arXiv:2410.18368).  One **campaign round** is
 the paper's downstream workflow after adaptation: screen a candidate pool

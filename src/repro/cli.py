@@ -61,7 +61,6 @@ from repro.datasets.splits import paper_split
 from repro.datasets.tasks import holdout_task
 from repro.designspace.spec import build_table1_space
 from repro.metrics.regression import evaluate_predictions
-from repro.nn import parallel as nn_parallel
 from repro.sim.simulator import Simulator
 from repro.workloads.spec2017 import SPEC2017_WORKLOAD_NAMES
 
@@ -413,11 +412,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
             objectives,
             seed=args.seed,
         )
-        scope = (
-            nn_parallel.threads(args.threads) if args.threads else nullcontext()
-        )
         trace_scope = obs.tracing(args.trace) if args.trace else nullcontext()
-        with _campaign_executor(args) as executor, trace_scope, scope:
+        with _campaign_executor(args) as executor, trace_scope:
             campaign = engine.run_campaign(
                 workloads,
                 surrogates,
@@ -673,8 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument(
         "--threads", type=int, default=None,
-        help="kernel worker threads for the nn surrogate forward/backward "
-             "passes (bitwise identical for every thread count)",
+        help="worker threads for the block fan-out of the stacked nn "
+             "surrogates' inference pass (the --model-ipc/--model-power "
+             "path; bitwise identical for every thread count)",
     )
     dse.add_argument(
         "--focus", type=float, default=None,

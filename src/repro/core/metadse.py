@@ -76,11 +76,11 @@ class MetaDSE(CrossWorkloadModel):
         see ``docs/numerics.md`` for the accuracy contract).  Label
         statistics and returned predictions stay float64 either way.
     threads:
-        Kernel worker threads for this facade's forward/backward passes:
-        :meth:`explore` and :meth:`predict` run inside
-        ``repro.nn.threads(threads)`` when set (``None`` keeps the ambient
-        policy).  Results are bitwise identical for every thread count
-        (``docs/kernels.md``).
+        Worker threads for the block fan-out of the graph-free stacked
+        inference pass that screens candidates: :meth:`explore`'s campaign
+        runs inside ``repro.nn.threads(threads)`` when set (``None`` keeps
+        the ambient worker count).  Results are bitwise identical for every
+        thread count (``docs/kernels.md``).
     name:
         Display name used by the benchmark tables.
     """
@@ -102,7 +102,7 @@ class MetaDSE(CrossWorkloadModel):
         self.precision = None if precision is None else resolve_dtype(precision)
         if threads is not None and int(threads) < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        #: Kernel worker-thread count; ``None`` defers to the ambient policy.
+        #: Inference-pass worker count; ``None`` defers to the ambient one.
         self.threads = None if threads is None else int(threads)
         self.config = config if config is not None else default_config()
         if use_wam is not None:
@@ -118,12 +118,6 @@ class MetaDSE(CrossWorkloadModel):
         self._metric = "ipc"
         self._label_mean = 0.0
         self._label_std = 1.0
-
-    def _thread_scope(self):
-        """Kernel-thread policy scope for this facade's compute entry points."""
-        if self.threads is None:
-            return nullcontext()
-        return nn_parallel.threads(self.threads)
 
     # -- label scaling -------------------------------------------------------------
     def _fit_label_scaler(self, dataset: DSEDataset, workloads: Sequence[str], metric: str) -> None:
@@ -298,7 +292,7 @@ class MetaDSE(CrossWorkloadModel):
         workload screens a shared candidate pool with a
         :class:`~repro.dse.surrogates.StackedPredictorSurrogate` (all
         objectives answered by one graph-free inference pass, streamed over
-        kernel-tile row blocks so memory stays bounded for any pool size)
+        64-row blocks so memory stays bounded for any pool size)
         and the union of all selections is measured with a single
         ``run_sweep``.
 
@@ -443,10 +437,9 @@ class MetaDSE(CrossWorkloadModel):
             if missing:
                 raise ValueError(f"supports for {metric!r} are missing workloads {missing}")
             with obs.span("explore.adapt", metric=metric):
-                with self._thread_scope():
-                    adapted[metric] = model.adapt_many(
-                        [model_supports[workload] for workload in workloads]
-                    )
+                adapted[metric] = model.adapt_many(
+                    [model_supports[workload] for workload in workloads]
+                )
 
         if store is not None and getattr(simulator, "store", None) is None:
             simulator.attach_store(store)
@@ -481,13 +474,12 @@ class MetaDSE(CrossWorkloadModel):
 
             probe = RandomSampler(simulator.space, seed=seed).sample(focus_probe)
             probe_features = engine.encoder.encode_batch(probe)
-            with self._thread_scope():
-                return merge_profiles(
-                    [
-                        surrogates[workload].attention_profile(probe_features)
-                        for workload in workloads
-                    ]
-                )
+            return merge_profiles(
+                [
+                    surrogates[workload].attention_profile(probe_features)
+                    for workload in workloads
+                ]
+            )
 
         generator = None
         if strategy == "random":
@@ -537,18 +529,20 @@ class MetaDSE(CrossWorkloadModel):
 
         from repro.runtime.executors import resolve_executor
 
-        with resolve_executor(jobs, executor) as campaign_executor:
-            with self._thread_scope():
-                return engine.run_campaign(
-                    workloads,
-                    surrogates,
-                    generator=generator,
-                    candidate_pool=candidate_pool,
-                    simulation_budget=simulation_budget,
-                    rounds=rounds,
-                    executor=campaign_executor,
-                    checkpoint=checkpoint,
-                )
+        thread_scope = (
+            nullcontext() if self.threads is None else nn_parallel.threads(self.threads)
+        )
+        with resolve_executor(jobs, executor) as campaign_executor, thread_scope:
+            return engine.run_campaign(
+                workloads,
+                surrogates,
+                generator=generator,
+                candidate_pool=candidate_pool,
+                simulation_budget=simulation_budget,
+                rounds=rounds,
+                executor=campaign_executor,
+                checkpoint=checkpoint,
+            )
 
     # -- inference -----------------------------------------------------------------------
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -556,8 +550,7 @@ class MetaDSE(CrossWorkloadModel):
         model = self.adapted if self.adapted is not None else self.meta_model
         if model is None:
             raise RuntimeError("predict() called before pretrain()")
-        with self._thread_scope():
-            return self._unscale(model.predict(as_2d(features)))
+        return self._unscale(model.predict(as_2d(features)))
 
     def importance_profile(self, features: np.ndarray, *, workload=None):
         """Distil a parameter-importance profile from the current predictor.
@@ -565,16 +558,14 @@ class MetaDSE(CrossWorkloadModel):
         One eval-mode forward over *features* through the adapted (or, before
         adaptation, the meta-trained) predictor, returning the normalized
         :class:`~repro.meta.wam.ImportanceProfile` the pruning layer consumes
-        (``docs/pruning.md``).  Deterministic for fixed weights and features,
-        bitwise invariant to the kernel thread count.
+        (``docs/pruning.md``).  Deterministic for fixed weights and features.
         """
         from repro.meta.wam import importance_profile as _importance_profile
 
         model = self.adapted if self.adapted is not None else self.meta_model
         if model is None:
             raise RuntimeError("importance_profile() called before pretrain()")
-        with self._thread_scope():
-            return _importance_profile(model, as_2d(features), workload=workload)
+        return _importance_profile(model, as_2d(features), workload=workload)
 
     # -- persistence helpers -----------------------------------------------------------
     def save_pretrained(self, path) -> None:

@@ -14,12 +14,6 @@ from repro.dse.acquisition import (
     GreedyTopK,
     ParetoRankAcquisition,
 )
-from repro.dse.constraints import (
-    Constraint,
-    best_feasible,
-    feasible_mask,
-    penalized_objectives,
-)
 from repro.dse.engine import (
     CampaignEngine,
     CampaignResult,
@@ -93,8 +87,4 @@ __all__ = [
     "hypervolume_slope",
     "monte_carlo_hypervolume",
     "normalize_objectives",
-    "Constraint",
-    "feasible_mask",
-    "penalized_objectives",
-    "best_feasible",
 ]

@@ -105,9 +105,9 @@ def fast_pareto_front(objectives: np.ndarray) -> np.ndarray:
     campaign engine) avoid the generic quadratic-ish scan.  Inputs with
     more than two objectives, no rows, or any non-finite value fall back
     to the generic implementation: NaN comparison semantics are whatever
-    :func:`pareto_mask` does with them, and ±inf (the sentinel
-    ``repro.dse.constraints`` uses for infeasible points) would collide
-    with the sweep's own ``inf`` seed in ``previous_best``.
+    :func:`pareto_mask` does with them, and ±inf (a natural sentinel for
+    an infeasible or failed point) would collide with the sweep's own
+    ``inf`` seed in ``previous_best``.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.ndim != 2:

@@ -212,14 +212,15 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
     (e.g. *non-learnable* masks, which are absent from ``state_dict`` but
     shape the forward) fall back to a per-predictor loop transparently.
 
-    The pass streams the candidates in blocks of the kernel tile length
+    The pass streams the candidates in fixed 64-row blocks
     (:func:`repro.nn.parallel.tile_spans`), so memory stays bounded by one
-    block whatever the pool size, and the blocks fan out across threads
-    under a ``repro.nn.parallel.threads(n)`` policy.  Every block runs the
-    slice-stable forward functions of :mod:`repro.nn.tensor`, so the rows
-    are bit for bit the autodiff stacked forward under ``threads(1)``, for
-    every pool size and thread count.  ``predict`` only reads the
-    predictors, so concurrent calls on one surrogate are safe.
+    block whatever the pool size, and the blocks fan out across
+    ``repro.nn.parallel.threads(n)`` workers.  Every block runs the
+    slice-stable forward functions of :mod:`repro.nn.tensor`, which are the
+    autodiff kernels' own forwards, so the rows are bit for bit the
+    autodiff stacked forward, for every pool size and worker count.
+    ``predict`` only reads the predictors, so concurrent calls on one
+    surrogate are safe.
 
     ``label_means`` / ``label_stds`` undo per-objective label
     standardisation, so a surrogate built from facade-adapted predictors
@@ -317,7 +318,8 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
         :class:`~repro.meta.wam.ImportanceProfile`.  This is the hook
         :class:`~repro.dse.engine.FocusedPool` probes for when refocusing a
         pruned candidate pool between rounds; it is deterministic for fixed
-        *features* and bitwise invariant to the ``threads(n)`` policy.
+        *features* (the autodiff forward does not read the ``threads(n)``
+        worker count).
         """
         # Function-level import: repro.meta.wam already imports the nn layer
         # this module builds on, so a top-level import would be cyclic.

@@ -314,8 +314,8 @@ def importance_profile(
     through the predictor in eval mode — a single forward, no RNG — and
     distils the last attention layer's probabilities with
     :func:`attention_importance`.  Deterministic for a fixed model and
-    feature matrix, and **bitwise invariant to the kernel thread count**
-    (the ``repro.nn.parallel`` determinism contract); the layer's stored
+    feature matrix (the autodiff forward does not read the
+    ``repro.nn.parallel`` worker count); the layer's stored
     ``last_attention`` is restored afterwards so profile harvesting never
     perturbs WAM collection state.
     """

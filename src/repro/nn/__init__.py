@@ -31,9 +31,7 @@ from repro.nn.optim import (
 from repro.nn.parallel import (
     num_threads,
     set_num_threads,
-    set_tile_length,
     threads,
-    tile_length,
 )
 from repro.nn.precision import (
     SUPPORTED_DTYPES,
@@ -55,8 +53,6 @@ __all__ = [
     "threads",
     "num_threads",
     "set_num_threads",
-    "tile_length",
-    "set_tile_length",
     "Tensor",
     "tensor",
     "zeros",

@@ -25,6 +25,12 @@ numpy promotion (float32 ⊕ float64 → float64).  The fused kernels below
 allocate their outputs and intermediates in the dtype of their inputs.
 The contract is spelled out in ``docs/numerics.md``.
 
+**Fused kernels.**  Each fused kernel is one graph node with one forward
+and one backward closure.  Its forward is a shared array-level function
+(``affine_forward``, ``layer_norm_forward``, ``gelu_forward``,
+``attention_forward``), the same one the graph-free inference pass runs, so
+the two agree bit for bit (``docs/kernels.md``).
+
 **Stacked-parameter convention.**  The task-batched execution layer (see
 :mod:`repro.nn.module`) binds parameters with one extra leading task axis;
 the fused primitives here dispatch on that rank.  A minimal example of the
@@ -44,7 +50,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.nn import parallel as _parallel
 from repro.nn.precision import default_dtype, resolve_dtype
 
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
@@ -427,13 +432,8 @@ class Tensor:
 
         The hottest elementwise op in transformer training on this engine,
         so it is written tightly: ``x*x`` instead of ``np.power``, and the
-        intermediate buffers are updated in place.  Under the
-        :mod:`repro.nn.parallel` policy the same formula runs tiled over
-        the leading axis (elementwise, so the bits are unchanged).
+        intermediate buffers are updated in place.
         """
-        spans = _parallel.kernel_spans(self.data.shape[0]) if self.data.ndim else None
-        if spans is not None:
-            return _gelu_tiled(self, spans)
         x = self.data
         x_sq, out_data = np.empty_like(x), np.empty_like(x)
         tanh_inner = gelu_forward(x, out_data, x_sq)
@@ -559,13 +559,6 @@ class Tensor:
         """
         gamma = gamma if isinstance(gamma, Tensor) else Tensor(gamma)
         beta = beta if isinstance(beta, Tensor) else Tensor(beta)
-        spans = (
-            _parallel.kernel_spans(self.data.shape[0])
-            if self.data.ndim >= 2
-            else None
-        )
-        if spans is not None:
-            return _layer_norm_tiled(self, gamma, beta, eps, spans)
         out_data, normalised, inv_std = layer_norm_forward(
             self.data, gamma.data, beta.data, eps
         )
@@ -622,40 +615,28 @@ def affine(
 ) -> Tensor:
     """Fused affine transform ``x @ weight + bias`` over the last axis.
 
-    One graph node covering the flatten-GEMM-bias pipeline of a ``Linear``
-    layer (the unfused spelling costs four nodes and two full-size
-    temporaries per call).  *weight* is ``(in, out)`` — or ``(n_tasks, in,
+    One graph node covering the GEMM-bias pipeline of a ``Linear`` layer
+    (the unfused spelling costs four nodes and two full-size temporaries
+    per call).  *weight* is ``(in, out)`` — or ``(n_tasks, in,
     out)`` for the batched-parameter path, where ``x`` is ``(n_tasks, ...,
     in)`` and task ``t``'s rows meet weight slice ``t``; *bias* is ``(out,)``
-    or ``(n_tasks, out)`` accordingly.
+    or ``(n_tasks, out)`` accordingly.  The forward is
+    :func:`affine_forward`; the backward flattens the batch axes into one
+    GEMM per gradient.
     """
-    in_features, out_features = weight.data.shape[-2:]
-    lead = x.data.shape[:-1]
-    stacked = weight.data.ndim == 3
-    if _parallel.active():
-        tiled = _affine_tiled(x, weight, bias, stacked)
-        if tiled is not None:
-            return tiled
-    if stacked:
-        n_tasks = weight.data.shape[0]
-        x_flat = x.data.reshape(n_tasks, -1, in_features)
-        out = np.matmul(x_flat, weight.data)
-        if bias is not None:
-            out += bias.data[:, None, :]
-    else:
-        x_flat = x.data.reshape(-1, in_features)
-        out = np.matmul(x_flat, weight.data)
-        if bias is not None:
-            out += bias.data
-    out_data = out.reshape(*lead, out_features)
+    out_data = affine_forward(x.data, weight.data, None if bias is None else bias.data)
 
     def backward(grad: np.ndarray) -> tuple:
-        if stacked:
+        in_features, out_features = weight.data.shape[-2:]
+        if weight.data.ndim == 3:
+            n_tasks = weight.data.shape[0]
+            x_flat = x.data.reshape(n_tasks, -1, in_features)
             g_flat = grad.reshape(n_tasks, -1, out_features)
             grad_w = np.matmul(x_flat.swapaxes(-1, -2), g_flat)
             grad_b = g_flat.sum(axis=1) if bias is not None else None
             grad_x = np.matmul(g_flat, weight.data.swapaxes(-1, -2))
         else:
+            x_flat = x.data.reshape(-1, in_features)
             g_flat = grad.reshape(-1, out_features)
             grad_w = np.matmul(x_flat.T, g_flat)
             grad_b = g_flat.sum(axis=0) if bias is not None else None
@@ -691,14 +672,9 @@ def scaled_dot_product_attention(
     temporaries — the hottest allocation site of transformer training on
     this engine, and the op the task-batched meta-training path leans on.
     """
-    lead = q.data.shape[:-2]
     embed = q.data.shape[-1]
     if embed % num_heads:
         raise ValueError(f"embed ({embed}) must be divisible by num_heads ({num_heads})")
-
-    spans = _parallel.kernel_spans(lead[0]) if lead else None
-    if spans is not None:
-        return _attention_tiled(q, k, v, num_heads, scale, mask, spans)
     out_data, attention = attention_forward(
         q.data, k.data, v.data, num_heads, scale, None if mask is None else mask.data
     )
@@ -767,12 +743,13 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 # -- slice-stable forward math ------------------------------------------------
 #
-# One array-level forward per fused kernel.  The kernels run them (on the
-# whole array, or once per tile under the thread policy), and so does the
-# graph-free inference pass ``TransformerPredictor.stacked_inference``, once
-# per row block.  Each computes item by item over its leading axes
-# (per-item GEMMs, elementwise ufuncs, last-axis reductions), so a block of
-# rows gets exactly the bits the whole batch would.
+# One array-level forward per fused kernel.  Each kernel runs its function
+# on the whole array as its forward, and the graph-free inference pass
+# ``TransformerPredictor.stacked_inference`` runs the same functions once per
+# row block.  Each computes item by item over its leading axes (per-item
+# GEMMs, elementwise ufuncs, last-axis reductions), so a block of rows gets
+# exactly the bits the whole batch would, and the inference pass equals the
+# autodiff forward bit for bit.
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
@@ -817,15 +794,6 @@ def layer_norm_forward(
     return out, centered, inv_std
 
 
-def _task_weight(weight: np.ndarray, x_ndim: int) -> np.ndarray:
-    """Align a ``(T, in, out)`` weight with ``(T, ..., in)`` inputs.
-
-    The ``(T, 1, ..., in, out)`` view broadcasts against every batch axis,
-    keeping each item's GEMM independent of the batch extent.
-    """
-    return weight.reshape(weight.shape[0], *([1] * max(x_ndim - 3, 1)), *weight.shape[1:])
-
-
 def affine_forward(
     x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -834,18 +802,29 @@ def affine_forward(
     *weight* is ``(in, out)`` against ``(..., in)`` inputs, or task-stacked
     ``(T, in, out)`` against ``(T, ..., in)``; *bias* is ``(out,)`` or
     ``(T, out)`` accordingly.  Inputs without a token axis run every row as
-    its own ``(1, in)`` product, so no GEMM ever spans rows.
+    its own ``(1, in)`` product, so no GEMM ever spans rows.  A stacked
+    weight against an input whose leading axis is not its task axis raises
+    ``ValueError``.
     """
     stacked = weight.ndim == 3
+    if stacked and (x.ndim < 2 or x.shape[0] != weight.shape[0]):
+        raise ValueError(
+            f"a task-stacked weight of shape {weight.shape} needs inputs of "
+            f"shape ({weight.shape[0]}, ..., in), got {x.shape}"
+        )
+    per_row = x.ndim <= (3 if stacked else 2)
+    if per_row:
+        x = x[..., None, :]
     if stacked:
-        if bias is not None:
-            bias = bias.reshape(bias.shape[0], *([1] * (x.ndim - 2)), bias.shape[-1])
-        weight = _task_weight(weight, x.ndim)
-    if x.ndim == (3 if stacked else 2):
-        out = np.matmul(x[..., None, :], weight)[..., 0, :]
-    else:
-        out = np.matmul(x, weight)
+        # The (T, 1, ..., in, out) view broadcasts against every batch axis,
+        # keeping each item's GEMM independent of the batch extent.
+        weight = weight.reshape(weight.shape[0], *([1] * (x.ndim - 3)), *weight.shape[1:])
+    out = np.matmul(x, weight)
+    if per_row:
+        out = out[..., 0, :]
     if bias is not None:
+        if stacked:
+            bias = bias.reshape(bias.shape[0], *([1] * (out.ndim - 2)), bias.shape[-1])
         out += bias
     return out
 
@@ -883,297 +862,3 @@ def attention_forward(
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return _merge_heads(np.matmul(logits, v4)), logits
-
-
-# -- thread-parallel tiled kernel implementations ----------------------------
-#
-# Engaged by the repro.nn.parallel policy (``threads(n)``).  Shared rules,
-# pinned by tests/test_nn_parallel_equivalence.py and docs/kernels.md:
-#
-# * tile boundaries come from ``kernel_spans`` — a pure function of the
-#   leading-axis length, never of the thread count;
-# * every tile writes a disjoint slice of preallocated outputs;
-# * cross-tile reductions (affine weight/bias gradients, unsliced mask
-#   gradients) collect per-tile partials and merge them in tile order;
-# * only slice-stable numpy forms are used (per-item batched matmuls,
-#   elementwise ufuncs, row-wise reductions), so evaluating a batch in
-#   blocks reproduces the bits of evaluating it whole.
-#
-# The spans computed at forward time are captured by the backward closures,
-# so a graph built under one thread count backpropagates identically under
-# another.
-
-
-def _gelu_tiled(x_t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
-    x = x_t.data
-    x_sq = np.empty_like(x)
-    tanh_inner = np.empty_like(x)
-    out_data = np.empty_like(x)
-
-    def forward_tile(a: int, b: int) -> None:
-        gelu_forward(x[a:b], out_data[a:b], x_sq[a:b], tanh_inner[a:b])
-
-    _parallel.run_tiles(forward_tile, spans)
-
-    def backward(grad: np.ndarray) -> tuple:
-        out_grad = np.empty_like(x)
-
-        def backward_tile(a: int, b: int) -> None:
-            ti = tanh_inner[a:b]
-            sech2 = 1.0 - ti * ti
-            d_inner = (3 * 0.044715) * x_sq[a:b]
-            d_inner += 1.0
-            d_inner *= _GELU_C
-            d_inner *= sech2
-            d_inner *= x[a:b]
-            d_inner += 1.0 + ti
-            d_inner *= 0.5
-            d_inner *= grad[a:b]
-            out_grad[a:b] = d_inner
-
-        _parallel.run_tiles(backward_tile, spans)
-        return (out_grad,)
-
-    return Tensor._make(out_data, (x_t,), backward)
-
-
-def _layer_norm_tiled(
-    x_t: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    eps: float,
-    spans: list[tuple[int, int]],
-) -> Tensor:
-    x = x_t.data
-    g_full, b_full = gamma.data, beta.data
-    # Slice gamma/beta along the tile axis only when they actually carry it
-    # (stacked (T, 1, ..., d) parameters against (T, ..., d) inputs);
-    # broadcast shapes pass through whole.
-    slice_gamma = g_full.ndim == x.ndim and g_full.shape[0] == x.shape[0]
-    slice_beta = b_full.ndim == x.ndim and b_full.shape[0] == x.shape[0]
-    normalised = np.empty_like(x)
-    inv_std = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
-    out_data = np.empty(x.shape, dtype=np.result_type(x.dtype, g_full.dtype))
-
-    def forward_tile(a: int, b: int) -> None:
-        out_data[a:b], normalised[a:b], inv_std[a:b] = layer_norm_forward(
-            x[a:b],
-            g_full[a:b] if slice_gamma else g_full,
-            b_full[a:b] if slice_beta else b_full,
-            eps,
-        )
-
-    _parallel.run_tiles(forward_tile, spans)
-
-    def backward(grad: np.ndarray) -> tuple:
-        index_of = {start: i for i, (start, _) in enumerate(spans)}
-        d_x = np.empty(x.shape, dtype=np.result_type(grad.dtype, g_full.dtype))
-        gg_dtype = np.result_type(grad.dtype, x.dtype)
-        if slice_gamma:
-            grad_gamma_out = np.empty(g_full.shape, dtype=gg_dtype)
-            gamma_parts = None
-        else:
-            grad_gamma_out = None
-            gamma_parts = [None] * len(spans)
-        if slice_beta:
-            grad_beta_out = np.empty(b_full.shape, dtype=grad.dtype)
-            beta_parts = None
-        else:
-            grad_beta_out = None
-            beta_parts = [None] * len(spans)
-
-        def backward_tile(a: int, b: int) -> None:
-            i = index_of[a]
-            gs = grad[a:b]
-            norm = normalised[a:b]
-            g_tile = g_full[a:b] if slice_gamma else g_full
-            d_normalised = gs * g_tile
-            d_mean = d_normalised.mean(axis=-1, keepdims=True)
-            d_proj = (d_normalised * norm).mean(axis=-1, keepdims=True)
-            if slice_gamma:
-                grad_gamma_out[a:b] = _unbroadcast(gs * norm, g_tile.shape)
-            else:
-                gamma_parts[i] = _unbroadcast(gs * norm, g_full.shape)
-            if slice_beta:
-                grad_beta_out[a:b] = _unbroadcast(gs, b_full[a:b].shape)
-            else:
-                beta_parts[i] = _unbroadcast(gs, b_full.shape)
-            d_normalised -= d_mean
-            d_normalised -= norm * d_proj
-            d_normalised *= inv_std[a:b]
-            d_x[a:b] = d_normalised
-
-        _parallel.run_tiles(backward_tile, spans)
-        grad_gamma = (
-            grad_gamma_out if slice_gamma else _parallel.ordered_sum(gamma_parts)
-        )
-        grad_beta = grad_beta_out if slice_beta else _parallel.ordered_sum(beta_parts)
-        return (d_x, grad_gamma, grad_beta)
-
-    return Tensor._make(out_data, (x_t, gamma, beta), backward)
-
-
-def _affine_tiled(
-    x_t: Tensor, weight: Tensor, bias: Optional[Tensor], stacked: bool
-) -> Optional[Tensor]:
-    """Tiled ``affine``, or ``None`` for shapes the tiler does not cover.
-
-    The uncovered shapes (single-row batches, rank-deficient inputs) fall
-    back to the legacy flatten-GEMM, which computes the identical per-item
-    GEMM the batched form would — so the fallback keeps both the
-    thread-count invariance and the block/whole slice stability.
-    """
-    x, w = x_t.data, weight.data
-    in_features, out_features = w.shape[-2:]
-    if stacked:
-        if x.ndim < 3 or x.shape[0] != w.shape[0]:
-            return None
-        batch_axis = 1
-    else:
-        if x.ndim < 2:
-            return None
-        batch_axis = 0
-    spans = _parallel.kernel_spans(x.shape[batch_axis])
-    if spans is None:
-        return None
-
-    b_arr = None if bias is None else bias.data
-    out_data = np.empty(
-        x.shape[:-1] + (out_features,), dtype=np.result_type(x.dtype, w.dtype)
-    )
-
-    def forward_tile(a: int, b: int) -> None:
-        if stacked:
-            out_data[:, a:b] = affine_forward(x[:, a:b], w, b_arr)
-        else:
-            out_data[a:b] = affine_forward(x[a:b], w, b_arr)
-
-    _parallel.run_tiles(forward_tile, spans)
-
-    def backward(grad: np.ndarray) -> tuple:
-        index_of = {start: i for i, (start, _) in enumerate(spans)}
-        grad_x = np.empty(x.shape, dtype=np.result_type(grad.dtype, w.dtype))
-        w_parts = [None] * len(spans)
-        b_parts = [None] * len(spans) if b_arr is not None else None
-
-        if stacked:
-            n_tasks = w.shape[0]
-            w_bwd = np.swapaxes(_task_weight(w, x.ndim), -1, -2)
-
-            def backward_tile(a: int, b: int) -> None:
-                i = index_of[a]
-                gs = grad[:, a:b]
-                xs = x[:, a:b]
-                if x.ndim == 3:
-                    grad_x[:, a:b] = np.matmul(gs[:, :, None, :], w_bwd)[:, :, 0, :]
-                else:
-                    grad_x[:, a:b] = np.matmul(gs, w_bwd)
-                g_flat = gs.reshape(n_tasks, -1, out_features)
-                x_flat = xs.reshape(n_tasks, -1, in_features)
-                w_parts[i] = np.matmul(x_flat.swapaxes(-1, -2), g_flat)
-                if b_parts is not None:
-                    b_parts[i] = g_flat.sum(axis=1)
-
-        else:
-            w_t = w.T
-
-            def backward_tile(a: int, b: int) -> None:
-                i = index_of[a]
-                gs = grad[a:b]
-                xs = x[a:b]
-                if x.ndim == 2:
-                    grad_x[a:b] = np.matmul(gs[:, None, :], w_t)[:, 0, :]
-                else:
-                    grad_x[a:b] = np.matmul(gs, w_t)
-                g_flat = gs.reshape(-1, out_features)
-                x_flat = xs.reshape(-1, in_features)
-                w_parts[i] = np.matmul(x_flat.T, g_flat)
-                if b_parts is not None:
-                    b_parts[i] = g_flat.sum(axis=0)
-
-        _parallel.run_tiles(backward_tile, spans)
-        grads = (grad_x, _parallel.ordered_sum(w_parts))
-        if b_parts is not None:
-            grads = grads + (_parallel.ordered_sum(b_parts),)
-        return grads
-
-    parents = (x_t, weight) if bias is None else (x_t, weight, bias)
-    return Tensor._make(out_data, parents, backward)
-
-
-def _attention_tiled(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    num_heads: int,
-    scale: float,
-    mask: Optional[Tensor],
-    spans: list[tuple[int, int]],
-) -> tuple[Tensor, np.ndarray]:
-    lead = q.data.shape[:-2]
-    tokens, embed = q.data.shape[-2:]
-    att_dtype = np.result_type(q.data.dtype, k.data.dtype)
-    attention = np.empty((*lead, num_heads, tokens, tokens), dtype=att_dtype)
-    out_data = np.empty(
-        (*lead, tokens, embed), dtype=np.result_type(att_dtype, v.data.dtype)
-    )
-    m_arr = None if mask is None else mask.data
-    slice_mask = (
-        m_arr is not None
-        and m_arr.ndim == len(lead) + 3
-        and m_arr.shape[0] == lead[0]
-    )
-
-    def forward_tile(a: int, b: int) -> None:
-        out_data[a:b], attention[a:b] = attention_forward(
-            q.data[a:b], k.data[a:b], v.data[a:b], num_heads, scale,
-            m_arr[a:b] if slice_mask else m_arr,
-        )
-
-    _parallel.run_tiles(forward_tile, spans)
-
-    def backward(grad: np.ndarray) -> tuple:
-        index_of = {start: i for i, (start, _) in enumerate(spans)}
-        dl_dtype = np.result_type(grad.dtype, v.data.dtype)
-        d_q_out = np.empty(q.data.shape, dtype=np.result_type(dl_dtype, k.data.dtype))
-        d_k_out = np.empty(k.data.shape, dtype=np.result_type(dl_dtype, q.data.dtype))
-        d_v_out = np.empty(v.data.shape, dtype=np.result_type(att_dtype, grad.dtype))
-        if m_arr is not None and slice_mask:
-            d_mask_out = np.empty(m_arr.shape, dtype=dl_dtype)
-            mask_parts = None
-        else:
-            d_mask_out = None
-            mask_parts = [None] * len(spans) if m_arr is not None else None
-
-        def backward_tile(a: int, b: int) -> None:
-            q4, k4, v4 = (_split_heads(x[a:b], num_heads) for x in (q.data, k.data, v.data))
-            att = attention[a:b]
-            d_context = _split_heads(grad[a:b], num_heads)
-            d_attention = np.matmul(d_context, v4.swapaxes(-1, -2))
-            d_v_out[a:b] = _merge_heads(np.matmul(att.swapaxes(-1, -2), d_context))
-            dot = (d_attention * att).sum(axis=-1, keepdims=True)
-            d_attention -= dot
-            d_attention *= att
-            d_logits = d_attention
-            if m_arr is not None:
-                if slice_mask:
-                    d_mask_out[a:b] = _unbroadcast(d_logits, m_arr[a:b].shape)
-                else:
-                    mask_parts[index_of[a]] = _unbroadcast(d_logits, m_arr.shape)
-            d_q = np.matmul(d_logits, k4)
-            d_q *= scale
-            d_k = np.matmul(d_logits.swapaxes(-1, -2), q4)
-            d_k *= scale
-            d_q_out[a:b] = _merge_heads(d_q)
-            d_k_out[a:b] = _merge_heads(d_k)
-
-        _parallel.run_tiles(backward_tile, spans)
-        grads = (d_q_out, d_k_out, d_v_out)
-        if m_arr is not None:
-            grads = grads + (
-                (d_mask_out if slice_mask else _parallel.ordered_sum(mask_parts)),
-            )
-        return grads
-
-    parents = (q, k, v) if mask is None else (q, k, v, mask)
-    return Tensor._make(out_data, parents, backward), attention

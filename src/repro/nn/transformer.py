@@ -154,8 +154,8 @@ class TransformerPredictor(Module):
         models' values; *inputs* ``(batch, P)`` are shared by all T.
         Returns ``(T, batch[, output_dim])``, bit for bit what
         ``functional_call(params, Tensor(broadcast inputs))`` returns in
-        eval mode under the tiled kernels: both run the slice-stable
-        forward functions of :mod:`repro.nn.tensor`, here on plain arrays.
+        eval mode: both run the slice-stable forward functions of
+        :mod:`repro.nn.tensor`, here on plain arrays.
         Nothing is bound, recorded or toggled on the module (non-learnable
         masks are only read), so concurrent calls are safe.
         """

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.io import load_dataset
+from repro.nn.parallel import shutdown_pool
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +335,36 @@ class TestDseCampaign:
         assert exit_code == 0
         payload = json.loads(output.read_text())
         assert payload["workloads"]["605.mcf_s"]["front_size"] >= 1
+
+    def test_metadse_campaign_is_identical_across_threads(
+        self, dataset_path, model_path, tmp_path
+    ):
+        # --threads fans the stacked inference pass out over a 150-row pool
+        # (three blocks); the campaign JSON must not change a byte.
+        outputs = []
+        try:
+            for threads in ("1", "2"):
+                output = tmp_path / f"campaign_threads{threads}.json"
+                exit_code = main(
+                    [
+                        "dse",
+                        "--dataset", str(dataset_path),
+                        "--workloads", "605.mcf_s",
+                        "--model-ipc", str(model_path),
+                        "--model-power", str(model_path),
+                        "--support-size", "6",
+                        "--budget", "4",
+                        "--candidate-pool", "150",
+                        "--phases", "1",
+                        "--threads", threads,
+                        "--output", str(output),
+                    ]
+                )
+                assert exit_code == 0
+                outputs.append(output.read_bytes())
+        finally:
+            shutdown_pool()
+        assert outputs[0] == outputs[1]
 
 
 class TestStoreCli:

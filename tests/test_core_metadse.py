@@ -15,6 +15,7 @@ from repro.core.metadse import MetaDSE
 from repro.datasets.tasks import holdout_task
 from repro.meta.maml import MAMLConfig
 from repro.metrics.regression import rmse
+from repro.nn import parallel as nn_parallel
 
 
 def fast_config(seed=0, **maml_overrides):
@@ -79,6 +80,11 @@ class TestMetaDSEFacade:
     def test_invalid_num_parameters(self):
         with pytest.raises(ValueError):
             MetaDSE(0)
+
+    @pytest.mark.parametrize("threads", (0, -1))
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            MetaDSE(22, config=fast_config(), threads=threads)
 
     def test_pretrain_populates_report_and_mask(self, pretrained, small_split):
         report = pretrained.pretrain_report
@@ -340,6 +346,58 @@ class TestMetaDSEExplore:
                 fast_simulator,
                 self._supports(small_dataset, workloads, "ipc"),
                 strategy="simulated-annealing",
+            )
+
+    def test_explore_with_threads_matches_default_bitwise(
+        self, pretrained, pretrained_power, small_dataset, fast_simulator, monkeypatch
+    ):
+        # MetaDSE(threads=N) fans the stacked inference pass out over N
+        # workers; a 150-candidate pool is three 64-row blocks, so the pool
+        # runs them, and the campaign must not change a single bit.
+        widths = []
+        run_tiles = nn_parallel.run_tiles
+
+        def recording_run_tiles(work, spans):
+            widths.append((nn_parallel.num_threads(), len(spans)))
+            run_tiles(work, spans)
+
+        monkeypatch.setattr(nn_parallel, "run_tiles", recording_run_tiles)
+        workloads = ("605.mcf_s", "620.omnetpp_s")
+        kwargs = dict(
+            objectives={"power": pretrained_power},
+            objective_supports={
+                "power": self._supports(small_dataset, workloads, "power")
+            },
+            candidate_pool=150,
+            simulation_budget=5,
+            seed=0,
+        )
+        supports = self._supports(small_dataset, workloads, "ipc")
+        serial = pretrained.explore(fast_simulator, supports, **kwargs)
+        assert widths and {width for width, _ in widths} == {1}
+        widths.clear()
+        pretrained.threads = 2
+        try:
+            threaded = pretrained.explore(fast_simulator, supports, **kwargs)
+        finally:
+            pretrained.threads = None
+            nn_parallel.shutdown_pool()
+        assert widths and all(width == 2 and blocks == 3 for width, blocks in widths)
+        for workload in workloads:
+            np.testing.assert_array_equal(
+                serial[workload].measured_objectives,
+                threaded[workload].measured_objectives,
+            )
+            np.testing.assert_array_equal(
+                serial[workload].predicted, threaded[workload].predicted
+            )
+            assert (
+                serial[workload].selected_indices
+                == threaded[workload].selected_indices
+            )
+            assert (
+                serial[workload].hypervolume_history()
+                == threaded[workload].hypervolume_history()
             )
 
     def test_explore_with_jobs_matches_serial_bitwise(

@@ -84,9 +84,10 @@ class TestFastParetoFront:
         )
 
     def test_inf_rows_fall_back_to_generic(self):
-        # +inf is the constraints layer's infeasibility sentinel; it used to
-        # collide with the sweep's own inf seed and silently drop rows whose
-        # second objective is +inf in the lowest first-objective group.
+        # +inf is a natural sentinel for an infeasible or failed point; it
+        # used to collide with the sweep's own inf seed and silently drop
+        # rows whose second objective is +inf in the lowest first-objective
+        # group.
         for objectives in (
             np.array([[1.0, np.inf]]),
             np.array([[1.0, np.inf], [2.0, 3.0]]),

@@ -183,8 +183,8 @@ class TestActiveLearningEquivalence:
 POOL = 40
 SCREEN_TILES = (1, POOL - 1, POOL, POOL + 7)
 
-#: Row counts around the kernel tile length (64): empty, single-row, one
-#: short of / exactly / one past a tile, and a ragged multi-tile pool.
+#: Row counts around the inference pass's 64-row block: empty, single-row,
+#: one short of / exactly / one past a block, and a ragged multi-block pool.
 ROW_COUNTS = (0, 1, 63, 64, 65, 257)
 
 #: Tokens per candidate of the small predictors below.
@@ -324,8 +324,7 @@ class TestStackedInferencePass:
         }
         cast = features.astype(dtype)
         block = np.broadcast_to(cast, (num_objectives,) + cast.shape).copy()
-        with nn_parallel.threads(1):
-            out = template.functional_call(stacked, Tensor(block))
+        out = template.functional_call(stacked, Tensor(block))
         means, stds = _label_scale(num_objectives)
         expected = np.asarray(out.data, dtype=np.float64).T * stds + means
         assert predicted.dtype == np.float64
@@ -351,7 +350,23 @@ class TestStackedInferencePass:
             surrogate.predict(features[start:stop]),
         )
 
-    @pytest.mark.parametrize("kernel_threads", (None, 2))
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_predict_is_bitwise_across_worker_counts(self, rows):
+        """The worker count only decides where each 64-row block runs."""
+        surrogate = _stacked_surrogate(_predictors(3, "learnable"))
+        features = np.random.default_rng(rows).uniform(size=(rows, TOKENS))
+        reference = surrogate.predict(features)
+        assert reference.shape == (rows, 3)
+        try:
+            for count in (2, 3):
+                with nn_parallel.threads(count):
+                    np.testing.assert_array_equal(
+                        surrogate.predict(features), reference, err_msg=f"threads={count}"
+                    )
+        finally:
+            nn_parallel.shutdown_pool()
+
+    @pytest.mark.parametrize("kernel_threads", (1, 2))
     def test_concurrent_predict_is_read_only_and_exact(self, kernel_threads):
         """Four threads predicting on one surrogate get the serial rows and
         leave every predictor exactly as they found it."""

@@ -114,9 +114,9 @@ class TestImportanceProfileHarvest:
         assert profile.scores.sum() == pytest.approx(1.0)
 
     def test_bitwise_stable_across_thread_counts(self, predictor, features):
-        # The PR 6 determinism contract extends to profile harvesting: the
-        # forward runs under the slice-stable kernels, so the distilled
-        # scores carry identical bits for every thread policy.
+        # Profile harvesting runs the autodiff forward, which does not read
+        # the worker count, so the distilled scores carry identical bits
+        # for every thread setting.
         with nn_parallel.threads(1):
             serial = importance_profile(predictor, features)
         with nn_parallel.threads(4):

@@ -1,26 +1,29 @@
-"""Kernel-equivalence property suite for the thread-parallel nn kernels.
+"""One forward per nn kernel, and the worker-count API of the inference pass.
 
-The contract of :mod:`repro.nn.parallel` (``docs/kernels.md``): every fused
-kernel — ``affine``, ``layer_norm``, ``gelu``, ``scaled_dot_product_attention``
-— produces **bitwise identical** forward outputs and gradients for every
-worker-thread count, in both supported dtypes, including ragged batch sizes
-that do not divide the tile length.  Tile boundaries are a pure function of
-the problem size, never of the thread count, and cross-tile reductions merge
-partial sums in fixed tile order, so ``threads(1)`` (the tiled serial
-reference) and ``threads(n)`` walk the exact same float operations.
+Each fused kernel of :mod:`repro.nn.tensor` — ``affine``, ``layer_norm``,
+``gelu``, ``scaled_dot_product_attention`` — has one whole-array
+implementation whose forward is its shared array function
+(``affine_forward``, ``layer_norm_forward``, ``gelu_forward``,
+``attention_forward``).  The graph-free stacked inference pass runs the
+same functions block by block, so it equals the autodiff forward bit for
+bit (``docs/kernels.md``).  The suite pins that at every batch layout the
+kernels take — serially and fanned out over the shared pool for several
+worker counts — and checks each kernel's one backward closure for every
+input, numerically in float64 and against float64 in float32.
 
-The suite pins that property end to end: raw kernels forward+backward,
-gradcheck under an active policy, full training steps through the optimizer,
-and checkpoint round-trips.
+:mod:`repro.nn.parallel` keeps one worker count, read only by ``run_tiles``
+for the block fan-out of ``StackedPredictorSurrogate.predict``; the API
+tests below pin its scoping, validation, the fan-out width and the
+nested-inline guard.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.nn import parallel as par
 from repro.nn.gradcheck import check_tensor_gradient
-from repro.nn.optim import Adam
-from repro.nn.serialization import load_model, save_model
 from repro.nn.tensor import (
     Tensor,
     affine,
@@ -30,22 +33,20 @@ from repro.nn.tensor import (
     layer_norm_forward,
     scaled_dot_product_attention,
 )
-from repro.nn.transformer import TransformerPredictor
 
-THREAD_COUNTS = (1, 2, 7)
 DTYPES = (np.float32, np.float64)
-#: Small tile so the 13-row batches below are ragged (13 = 3 * 4 + 1).
-TILE = 4
+#: Worker counts the fanned-out block forwards run under.
+THREAD_COUNTS = (1, 2, 7)
 
 
 @pytest.fixture(autouse=True)
-def _clean_policy():
-    """Every test leaves the process-global policy exactly as it found it."""
-    previous_threads = par.num_threads() if par.active() else None
-    previous_tile = par.tile_length()
+def _clean_pool():
+    """Tear the shared pool down after every test.
+
+    Tests that change the worker count restore it themselves (``threads``
+    scopes, or the round-trip test's ``finally``).
+    """
     yield
-    par.set_num_threads(previous_threads)
-    par.set_tile_length(previous_tile)
     par.shutdown_pool()
 
 
@@ -53,195 +54,32 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-# -- kernel runners --------------------------------------------------------------
-# Each runner builds fresh leaf tensors from the given arrays, runs one
-# forward + backward with a fixed non-uniform output gradient, and returns
-# (forward data, input gradients) for bit-exact comparison.
-
-def _run_gelu(arrays):
-    (x,) = arrays
-    leaf = Tensor(x.copy(), requires_grad=True)
-    out = leaf.gelu()
-    out.backward(np.arange(out.data.size, dtype=out.data.dtype).reshape(out.data.shape) * 0.01 + 1.0)
-    return out.data, (leaf.grad,)
-
-
-def _run_layer_norm(arrays):
-    x, gamma, beta = arrays
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
-    out = leaves[0].layer_norm(leaves[1], leaves[2])
-    out.backward(np.arange(out.data.size, dtype=out.data.dtype).reshape(out.data.shape) * 0.01 + 1.0)
-    return out.data, tuple(leaf.grad for leaf in leaves)
-
-
-def _run_affine(arrays):
-    x, weight, bias = arrays
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, weight, bias)]
-    out = affine(leaves[0], leaves[1], leaves[2])
-    out.backward(np.arange(out.data.size, dtype=out.data.dtype).reshape(out.data.shape) * 0.01 + 1.0)
-    return out.data, tuple(leaf.grad for leaf in leaves)
-
-
-def _run_attention(arrays):
-    q, k, v = arrays[:3]
-    mask = arrays[3] if len(arrays) > 3 else None
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
-    mask_leaf = Tensor(mask.copy(), requires_grad=True) if mask is not None else None
-    out, attention = scaled_dot_product_attention(
-        leaves[0], leaves[1], leaves[2], 2, scale=0.5, mask=mask_leaf
-    )
-    out.backward(np.arange(out.data.size, dtype=out.data.dtype).reshape(out.data.shape) * 0.01 + 1.0)
-    grads = [leaf.grad for leaf in leaves]
-    if mask_leaf is not None:
-        grads.append(mask_leaf.grad)
-    return np.concatenate([out.data.ravel(), attention.ravel()]), tuple(grads)
-
-
 def _case_arrays(name, dtype):
-    """Deterministic ragged-shaped inputs for each kernel case."""
+    """Deterministic 13-row inputs for each kernel case."""
     rng = _rng(7)
     make = lambda *shape: rng.normal(size=shape).astype(dtype)
     cases = {
-        "gelu": (_run_gelu, (make(13, 5),)),
-        "gelu-3d": (_run_gelu, (make(13, 3, 5),)),
-        "layer_norm": (_run_layer_norm, (make(13, 7, 6), make(6), make(6))),
-        # gamma/beta carrying a leading batch axis exercise the sliced
-        # cross-tile gradient path instead of the ordered partial sums.
-        "layer_norm-batched-params": (
-            _run_layer_norm,
-            (make(13, 1, 6), make(13, 1, 6), make(13, 1, 6)),
-        ),
-        "affine-2d": (_run_affine, (make(13, 5), make(5, 4), make(4))),
-        "affine-3d": (_run_affine, (make(13, 9, 5), make(5, 4), make(4))),
-        "affine-stacked": (
-            _run_affine,
-            (make(3, 13, 5), make(3, 5, 4), make(3, 4)),
-        ),
-        "affine-stacked-4d": (
-            _run_affine,
-            (make(3, 13, 2, 5), make(3, 5, 4), make(3, 4)),
-        ),
-        "attention": (_run_attention, (make(13, 6, 8), make(13, 6, 8), make(13, 6, 8))),
-        "attention-masked": (
-            _run_attention,
-            (make(13, 6, 8), make(13, 6, 8), make(13, 6, 8), make(6, 6)),
-        ),
+        "gelu": (make(13, 5),),
+        "gelu-3d": (make(13, 3, 5),),
+        "layer_norm": (make(13, 7, 6), make(6), make(6)),
+        # gamma/beta carrying the batch axis: their gradients are the
+        # kernel's per-row products, not sums over the batch.
+        "layer_norm-batched-params": (make(13, 1, 6), make(13, 1, 6), make(13, 1, 6)),
+        "affine-2d": (make(13, 5), make(5, 4), make(4)),
+        "affine-3d": (make(13, 9, 5), make(5, 4), make(4)),
+        "affine-stacked": (make(3, 13, 5), make(3, 5, 4), make(3, 4)),
+        "affine-stacked-4d": (make(3, 13, 2, 5), make(3, 5, 4), make(3, 4)),
+        "attention": (make(13, 6, 8), make(13, 6, 8), make(13, 6, 8)),
+        "attention-masked": (make(13, 6, 8), make(13, 6, 8), make(13, 6, 8), make(6, 6)),
         "attention-batched-mask": (
-            _run_attention,
-            (make(13, 6, 8), make(13, 6, 8), make(13, 6, 8), make(13, 1, 6, 6)),
+            make(13, 6, 8), make(13, 6, 8), make(13, 6, 8), make(13, 1, 6, 6)
         ),
     }
     return cases[name]
 
 
-KERNEL_CASES = (
-    "gelu",
-    "gelu-3d",
-    "layer_norm",
-    "layer_norm-batched-params",
-    "affine-2d",
-    "affine-3d",
-    "affine-stacked",
-    "affine-stacked-4d",
-    "attention",
-    "attention-masked",
-    "attention-batched-mask",
-)
-
-
-def _assert_bitwise(reference, candidate, label):
-    ref_out, ref_grads = reference
-    cand_out, cand_grads = candidate
-    assert ref_out.dtype == cand_out.dtype, label
-    np.testing.assert_array_equal(ref_out, cand_out, err_msg=f"{label}: forward")
-    assert len(ref_grads) == len(cand_grads)
-    for index, (ref, cand) in enumerate(zip(ref_grads, cand_grads)):
-        assert ref.dtype == cand.dtype, (label, index)
-        np.testing.assert_array_equal(ref, cand, err_msg=f"{label}: grad[{index}]")
-
-
-# -- thread-count invariance ------------------------------------------------------
-class TestThreadCountInvariance:
-    @pytest.mark.parametrize("dtype", DTYPES, ids=("f32", "f64"))
-    @pytest.mark.parametrize("case", KERNEL_CASES)
-    def test_kernels_bitwise_across_thread_counts(self, case, dtype):
-        runner, arrays = _case_arrays(case, dtype)
-        par.set_tile_length(TILE)
-        with par.threads(1):
-            reference = runner(arrays)
-        for count in THREAD_COUNTS[1:]:
-            with par.threads(count):
-                _assert_bitwise(reference, runner(arrays), f"{case}@threads={count}")
-
-    @pytest.mark.parametrize("case", KERNEL_CASES)
-    def test_tile_length_does_not_depend_on_thread_count(self, case):
-        """Spans are a pure function of size — rerunning at another width
-        reuses identical boundaries, so results stay stable mid-session."""
-        runner, arrays = _case_arrays(case, np.float64)
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            first = runner(arrays)
-        with par.threads(7):
-            second = runner(arrays)
-        with par.threads(2):
-            third = runner(arrays)
-        _assert_bitwise(first, second, f"{case}: 2 vs 7")
-        _assert_bitwise(first, third, f"{case}: 2 vs 2-again")
-
-
-# -- tiled kernels against the untiled legacy path -------------------------------
-class TestTiledAgainstLegacy:
-    """The tiled kernels against the policy-off untiled reference (float64).
-
-    gelu, layer_norm and attention walk the same float operations per row
-    as the legacy kernels, so they match bitwise; affine's legacy path runs
-    one flattened GEMM whose BLAS blocking differs from the batch-sliced
-    form, so it (and the cross-tile weight/bias reductions) carry a tight
-    analytic band instead.
-    """
-
-    BITWISE = ("gelu", "gelu-3d", "attention", "attention-batched-mask")
-
-    @pytest.mark.parametrize("case", BITWISE)
-    def test_row_stable_kernels_match_legacy_bitwise(self, case):
-        runner, arrays = _case_arrays(case, np.float64)
-        legacy = runner(arrays)  # policy off: untiled kernels
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            _assert_bitwise(legacy, runner(arrays), case)
-
-    # attention-masked sits here for its *mask* gradient only: an unbatched
-    # mask sums the tile gradients cross-tile (ordered partials), while the
-    # forward and q/k/v gradients stay row-stable.
-    @pytest.mark.parametrize(
-        "case",
-        (
-            "layer_norm",
-            "layer_norm-batched-params",
-            "affine-2d",
-            "affine-3d",
-            "affine-stacked",
-            "attention-masked",
-        ),
-    )
-    def test_reduction_kernels_match_legacy_within_band(self, case):
-        runner, arrays = _case_arrays(case, np.float64)
-        legacy_out, legacy_grads = runner(arrays)
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            tiled_out, tiled_grads = runner(arrays)
-        np.testing.assert_allclose(tiled_out, legacy_out, rtol=1e-12, atol=1e-12)
-        for ref, cand in zip(legacy_grads, tiled_grads):
-            np.testing.assert_allclose(cand, ref, rtol=1e-10, atol=1e-12)
-
-    def test_policy_off_is_the_untouched_legacy_path(self):
-        """With the policy off (the default), kernel_spans never engages."""
-        assert not par.active()
-        assert par.kernel_spans(1000) is None
-
-
 # -- the shared array-level forwards ---------------------------------------------
-#: Row blocks that straddle the 4-row kernel tiles.
+#: Row blocks that do not divide the 13-row batches.
 BLOCK = 5
 
 
@@ -251,101 +89,221 @@ def _gelu_block(x):
     return out
 
 
-#: case -> (kernel forward on tensors, shared forward on arrays, row axis,
+def _layer_norm_block(x, gamma, beta):
+    return layer_norm_forward(x, gamma, beta, 1e-5)[0]
+
+
+def _attention(q, k, v, mask=None):
+    return scaled_dot_product_attention(q, k, v, 2, scale=0.5, mask=mask)[0]
+
+
+def _attention_block(q, k, v, mask=None):
+    return attention_forward(q, k, v, 2, 0.5, mask)[0]
+
+
+#: case -> (autodiff kernel on tensors, shared forward on arrays, row axis,
 #: number of leading arguments that carry the row axis).
 SHARED_FORWARDS = {
-    "gelu": (lambda x: x.gelu().data, _gelu_block, 0, 1),
-    "layer_norm": (
-        lambda x, g, b: x.layer_norm(g, b).data,
-        lambda x, g, b: layer_norm_forward(x, g, b, 1e-5)[0],
-        0,
-        1,
-    ),
-    "affine-3d": (lambda x, w, b: affine(x, w, b).data, affine_forward, 0, 1),
-    "affine-stacked": (lambda x, w, b: affine(x, w, b).data, affine_forward, 1, 1),
-    "attention-masked": (
-        lambda q, k, v, m: scaled_dot_product_attention(q, k, v, 2, scale=0.5, mask=m)[0].data,
-        lambda q, k, v, m: attention_forward(q, k, v, 2, 0.5, m)[0],
-        0,
-        3,
-    ),
+    "gelu": (Tensor.gelu, _gelu_block, 0, 1),
+    "gelu-3d": (Tensor.gelu, _gelu_block, 0, 1),
+    "layer_norm": (Tensor.layer_norm, _layer_norm_block, 0, 1),
+    "layer_norm-batched-params": (Tensor.layer_norm, _layer_norm_block, 0, 3),
+    "affine-2d": (affine, affine_forward, 0, 1),
+    "affine-3d": (affine, affine_forward, 0, 1),
+    "affine-stacked": (affine, affine_forward, 1, 1),
+    "affine-stacked-4d": (affine, affine_forward, 1, 1),
+    "attention": (_attention, _attention_block, 0, 3),
+    "attention-masked": (_attention, _attention_block, 0, 3),
+    "attention-batched-mask": (_attention, _attention_block, 0, 4),
 }
+
+
+def _kernel_forward(case, arrays):
+    return SHARED_FORWARDS[case][0](*(Tensor(a) for a in arrays)).data
+
+
+def _block_forward(case, arrays, start, stop):
+    """The shared forward of *case* on rows ``[start, stop)``."""
+    _, forward, axis, sliced = SHARED_FORWARDS[case]
+    rows = (slice(None),) * axis + (slice(start, stop),)
+    return forward(*(a[rows] if i < sliced else a for i, a in enumerate(arrays)))
 
 
 class TestSharedForwardFunctions:
     """The array-level forwards of ``repro.nn.tensor`` are the kernels' own.
 
     Run block by block over a ragged batch, each forward function gives the
-    tiled kernel's forward output bit for bit; the graph-free stacked
+    autodiff kernel's forward output bit for bit; the graph-free stacked
     inference pass relies on exactly this.
     """
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=("f32", "f64"))
     @pytest.mark.parametrize("case", tuple(SHARED_FORWARDS))
-    def test_blockwise_forward_matches_tiled_kernel_bitwise(self, case, dtype):
-        kernel_forward, forward, axis, sliced = SHARED_FORWARDS[case]
-        _, arrays = _case_arrays(case, dtype)
-        par.set_tile_length(TILE)
-        with par.threads(1):
-            expected = kernel_forward(*(Tensor(a) for a in arrays))
-        blocks = []
-        for start, stop in par.tile_spans(arrays[0].shape[axis], BLOCK):
-            rows = (slice(None),) * axis + (slice(start, stop),)
-            blocks.append(
-                forward(*(a[rows] if i < sliced else a for i, a in enumerate(arrays)))
-            )
-        got = np.concatenate(blocks, axis=axis)
+    def test_blockwise_forward_matches_kernel_bitwise(self, case, dtype):
+        axis = SHARED_FORWARDS[case][2]
+        arrays = _case_arrays(case, dtype)
+        expected = _kernel_forward(case, arrays)
+        got = np.concatenate(
+            [
+                _block_forward(case, arrays, start, stop)
+                for start, stop in par.tile_spans(arrays[0].shape[axis], BLOCK)
+            ],
+            axis=axis,
+        )
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("f32", "f64"))
+    @pytest.mark.parametrize("case", tuple(SHARED_FORWARDS))
+    def test_fanned_out_blocks_match_kernel_for_every_worker_count(self, case, dtype):
+        """The blocks written concurrently by ``run_tiles`` into one output,
+        as the stacked inference pass does, give the kernel's bits for
+        every worker count."""
+        axis = SHARED_FORWARDS[case][2]
+        arrays = _case_arrays(case, dtype)
+        expected = _kernel_forward(case, arrays)
+        for count in THREAD_COUNTS:
+            out = np.full_like(expected, np.nan)
 
-# -- gradcheck under an active policy ---------------------------------------------
-class TestGradcheckUnderThreads:
-    """Numerical gradient checks with threaded tiled kernels (float64-only)."""
+            def block(start, stop):
+                rows = (slice(None),) * axis + (slice(start, stop),)
+                out[rows] = _block_forward(case, arrays, start, stop)
+
+            with par.threads(count):
+                par.run_tiles(block, par.tile_spans(arrays[0].shape[axis], BLOCK))
+            np.testing.assert_array_equal(out, expected, err_msg=f"threads={count}")
+
+
+# -- affine input shapes -----------------------------------------------------------
+class TestAffineShapes:
+    """Inputs outside the ``(..., in)`` / ``(T, ..., in)`` batch layouts.
+
+    A 1-D input against a plain weight and a ``(T, in)`` input against a
+    task-stacked weight are one row each and work forward and backward; a
+    stacked weight against an input whose leading axis is not its task axis
+    raises ``ValueError`` instead of regrouping rows across tasks.
+    """
+
+    def test_vector_input_with_plain_weight(self):
+        weight = Tensor(_rng(1).normal(size=(5, 4)))
+        bias = Tensor(_rng(2).normal(size=4))
+        x = _rng(3).normal(size=5)
+        out = affine(Tensor(x), weight, bias)
+        assert out.shape == (4,)
+        np.testing.assert_allclose(out.data, x @ weight.data + bias.data, rtol=1e-12)
+        check_tensor_gradient(lambda t: affine(t, weight, bias), x)
+
+    def test_one_row_per_task_with_stacked_weight(self):
+        weight = Tensor(_rng(4).normal(size=(3, 5, 4)))
+        bias = Tensor(_rng(5).normal(size=(3, 4)))
+        x = _rng(6).normal(size=(3, 5))
+        out = affine(Tensor(x), weight, bias)
+        assert out.shape == (3, 4)
+        expected = np.einsum("ti,tio->to", x, weight.data) + bias.data
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        check_tensor_gradient(lambda t: affine(t, weight, bias), x)
+
+    @pytest.mark.parametrize(
+        "shape",
+        ((5,), (2, 5), (6, 5), (6, 7, 5), (1, 7, 5)),
+        ids=("vector", "rows-not-tasks", "task-multiple", "lead-not-tasks", "lead-one"),
+    )
+    def test_stacked_weight_rejects_a_foreign_leading_axis(self, shape):
+        weight = Tensor(_rng(7).normal(size=(3, 5, 4)))
+        bias = Tensor(_rng(8).normal(size=(3, 4)))
+        with pytest.raises(ValueError, match="task-stacked weight"):
+            affine(Tensor(_rng(9).normal(size=shape)), weight, bias)
+        with pytest.raises(ValueError, match="task-stacked weight"):
+            affine_forward(_rng(9).normal(size=shape), weight.data, bias.data)
+
+
+# -- gradcheck of the kernels on ragged 13-row batches -----------------------------
+class TestKernelGradcheck:
+    """Numerical gradient checks of the fused kernels (float64-only)."""
 
     def test_gelu(self):
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            check_tensor_gradient(lambda t: t.gelu(), _rng(1).normal(size=(13, 5)))
+        check_tensor_gradient(lambda t: t.gelu(), _rng(1).normal(size=(13, 5)))
 
     def test_layer_norm(self):
         gamma = Tensor(_rng(2).normal(size=6))
         beta = Tensor(_rng(3).normal(size=6))
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            check_tensor_gradient(
-                lambda t: t.layer_norm(gamma, beta), _rng(4).normal(size=(13, 6))
-            )
+        check_tensor_gradient(
+            lambda t: t.layer_norm(gamma, beta), _rng(4).normal(size=(13, 6))
+        )
 
     def test_affine(self):
         weight = Tensor(_rng(5).normal(size=(5, 4)))
         bias = Tensor(_rng(6).normal(size=4))
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            check_tensor_gradient(
-                lambda t: affine(t, weight, bias), _rng(7).normal(size=(13, 5))
-            )
+        check_tensor_gradient(
+            lambda t: affine(t, weight, bias), _rng(7).normal(size=(13, 5))
+        )
 
     def test_attention(self):
         k = Tensor(_rng(8).normal(size=(13, 4, 8)))
         v = Tensor(_rng(9).normal(size=(13, 4, 8)))
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            check_tensor_gradient(
-                lambda t: scaled_dot_product_attention(t, k, v, 2, scale=0.5)[0],
-                _rng(10).normal(size=(13, 4, 8)),
+        check_tensor_gradient(
+            lambda t: scaled_dot_product_attention(t, k, v, 2, scale=0.5)[0],
+            _rng(10).normal(size=(13, 4, 8)),
+        )
+
+    @pytest.mark.parametrize("case", tuple(SHARED_FORWARDS))
+    def test_every_input_gradient(self, case):
+        """The one backward closure of each kernel, for every input it takes
+        (weights, biases, gamma/beta and masks too), under a non-uniform
+        output gradient."""
+        kernel = SHARED_FORWARDS[case][0]
+        arrays = _case_arrays(case, np.float64)
+        upstream = Tensor(_rng(11).normal(size=_kernel_forward(case, arrays).shape))
+        for index, array in enumerate(arrays):
+
+            def operation(t, index=index):
+                inputs = [Tensor(a) for a in arrays]
+                inputs[index] = t
+                return kernel(*inputs) * upstream
+
+            check_tensor_gradient(operation, array)
+
+
+def _forward_backward(case, arrays, upstream):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = SHARED_FORWARDS[case][0](*leaves)
+    out.backward(upstream.astype(out.dtype))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+class TestFloat32Kernels:
+    """The float32 fast path through each kernel's forward and backward."""
+
+    @pytest.mark.parametrize("case", tuple(SHARED_FORWARDS))
+    def test_forward_and_gradients_stay_float32(self, case):
+        """No kernel widens a float32 batch, and its float32 results track
+        the float64 ones computed from the same (float32) inputs."""
+        arrays32 = _case_arrays(case, np.float32)
+        upstream = _rng(12).normal(size=_kernel_forward(case, arrays32).shape)
+        out32, grads32 = _forward_backward(case, arrays32, upstream)
+        out64, grads64 = _forward_backward(
+            case, [a.astype(np.float64) for a in arrays32], upstream
+        )
+        assert out32.dtype == np.float32
+        np.testing.assert_allclose(out32, out64, rtol=1e-4, atol=1e-5)
+        for index, (grad32, grad64) in enumerate(zip(grads32, grads64)):
+            assert grad32.dtype == np.float32, index
+            np.testing.assert_allclose(
+                grad32, grad64, rtol=1e-4, atol=1e-4, err_msg=f"grad[{index}]"
             )
 
 
-# -- policy API ------------------------------------------------------------------
+# -- worker-count API ------------------------------------------------------------
 class TestPolicyAPI:
     def test_set_num_threads_round_trips_and_returns_previous(self):
-        assert not par.active()
-        assert par.set_num_threads(3) is None
-        assert par.active() and par.num_threads() == 3
-        assert par.set_num_threads(None) == 3
-        assert not par.active()
-        assert par.num_threads() == 1  # effective width with the policy off
+        assert par.num_threads() == 1  # the default
+        previous = par.set_num_threads(3)
+        try:
+            assert previous == 1
+            assert par.num_threads() == 3
+        finally:
+            assert par.set_num_threads(previous) == 3
+        assert par.num_threads() == 1
 
     @pytest.mark.parametrize("bad", (0, -1))
     def test_invalid_thread_counts_rejected(self, bad):
@@ -358,18 +316,20 @@ class TestPolicyAPI:
             with par.threads(2):
                 assert par.num_threads() == 2
             assert par.num_threads() == 5
-        assert not par.active()
+        assert par.num_threads() == 1
         with pytest.raises(RuntimeError):
             with par.threads(4):
                 raise RuntimeError("boom")
-        assert not par.active()
+        assert par.num_threads() == 1
 
-    def test_tile_length_round_trip(self):
-        previous = par.set_tile_length(8)
-        assert par.tile_length() == 8
-        par.set_tile_length(previous)
+    @pytest.mark.parametrize(
+        "total,tile",
+        ((-1, None), (5, 0), (5, -2)),
+        ids=("negative-total", "zero-tile", "negative-tile"),
+    )
+    def test_tile_spans_rejects_bad_arguments(self, total, tile):
         with pytest.raises(ValueError):
-            par.set_tile_length(0)
+            par.tile_spans(total, tile)
 
     def test_tile_spans_cover_the_range_in_order(self):
         for total in (0, 1, 4, 13, 64, 100):
@@ -378,14 +338,7 @@ class TestPolicyAPI:
                 flat = [i for a, b in spans for i in range(a, b)]
                 assert flat == list(range(total)), (total, tile)
                 assert all(b - a <= tile for a, b in spans)
-
-    def test_kernel_spans_gate(self):
-        assert par.kernel_spans(100) is None  # policy off
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            assert par.kernel_spans(1) is None  # singleton batch: legacy path
-            spans = par.kernel_spans(13)
-            assert spans == [(0, 4), (4, 8), (8, 12), (12, 13)]
+        assert par.tile_spans(130) == par.tile_spans(130, par.DEFAULT_TILE)
 
     def test_run_tiles_writes_every_disjoint_slice(self):
         spans = par.tile_spans(13, 4)
@@ -393,6 +346,52 @@ class TestPolicyAPI:
         with par.threads(3):
             par.run_tiles(lambda a, b: out.__setitem__(slice(a, b), np.arange(a, b)), spans)
         np.testing.assert_array_equal(out, np.arange(13.0))
+
+    @pytest.mark.parametrize("count", (2, 3, 4))
+    def test_run_tiles_fans_out_to_the_worker_count(self, count):
+        """*count* spans that each wait for all the others only finish when
+        *count* pool workers run them at once."""
+        barrier = threading.Barrier(count, timeout=30)
+        names = []
+
+        def work(a, b):
+            barrier.wait()
+            names.append(threading.current_thread().name)
+
+        with par.threads(count):
+            par.run_tiles(work, par.tile_spans(count, 1))
+        assert len(set(names)) == count
+        assert all(name.startswith("repro-nn") for name in names)
+
+    @pytest.mark.parametrize(
+        "count,spans",
+        ((1, [(0, 4), (4, 8), (8, 13)]), (3, [(0, 13)])),
+        ids=("one-worker", "one-span"),
+    )
+    def test_run_tiles_runs_inline_on_the_caller(self, count, spans):
+        seen = []
+        with par.threads(count):
+            par.run_tiles(lambda a, b: seen.append((a, b, threading.current_thread())), spans)
+        assert [(a, b) for a, b, _ in seen] == spans
+        assert all(thread is threading.current_thread() for _, _, thread in seen)
+
+    def test_run_tiles_with_no_spans_runs_nothing(self):
+        def work(a, b):
+            raise AssertionError("no span to run")
+
+        with par.threads(3):
+            par.run_tiles(work, [])
+
+    def test_pool_is_rebuilt_after_shutdown(self):
+        out = np.zeros(8)
+        spans = par.tile_spans(8, 4)
+        par.shutdown_pool()
+        par.shutdown_pool()  # idempotent without a pool
+        with par.threads(2):
+            par.run_tiles(lambda a, b: out.__setitem__(slice(a, b), 1.0), spans)
+            par.shutdown_pool()
+            par.run_tiles(lambda a, b: out.__setitem__(slice(a, b), 2.0), spans)
+        np.testing.assert_array_equal(out, 2.0)
 
     def test_run_tiles_propagates_worker_exceptions(self):
         def explode(a, b):
@@ -404,7 +403,7 @@ class TestPolicyAPI:
                 par.run_tiles(explode, [(0, 4), (4, 8), (8, 13)])
 
     def test_run_tiles_nested_from_worker_runs_inline(self):
-        """A kernel called from inside a worker must not deadlock the pool."""
+        """A nested run_tiles from inside a worker must not deadlock the pool."""
         seen = []
         spans = [(0, 2), (2, 4)]
 
@@ -419,73 +418,3 @@ class TestPolicyAPI:
             (2, 4, 0, 2),
             (2, 4, 2, 4),
         ]
-
-    def test_ordered_sum_folds_in_tile_order(self):
-        parts = [np.float64(0.1), np.float64(0.2), np.float64(0.3)]
-        expected = (parts[0] + parts[1]) + parts[2]
-        assert par.ordered_sum(parts) == expected
-
-
-# -- training and checkpoints ------------------------------------------------------
-def _make_model(dtype="float64"):
-    model = TransformerPredictor(
-        5, embed_dim=8, num_heads=2, num_layers=1, head_hidden=8, dropout=0.0, seed=3
-    )
-    if dtype != "float64":
-        model.to_dtype(dtype)
-    return model
-
-
-def _train_steps(model, steps=3):
-    rng = _rng(11)
-    features = rng.uniform(size=(13, 5)).astype(model.dtype)
-    targets = rng.normal(size=13).astype(model.dtype)
-    optimizer = Adam(model.parameters(), 1e-2)
-    for _ in range(steps):
-        model.zero_grad()
-        out = model.forward(Tensor(features))
-        loss = ((out.reshape(-1) - Tensor(targets)) ** 2).sum()
-        loss.backward()
-        optimizer.step()
-    return model.state_dict()
-
-
-class TestTrainingInvariance:
-    """Acceptance pin: bitwise invariance through optimizer updates and
-    checkpoint round-trips, not just single forwards."""
-
-    @pytest.mark.parametrize("dtype", ("float32", "float64"))
-    def test_optimizer_updates_bitwise_across_thread_counts(self, dtype):
-        par.set_tile_length(TILE)
-        with par.threads(1):
-            reference = _train_steps(_make_model(dtype))
-        for count in THREAD_COUNTS[1:]:
-            with par.threads(count):
-                state = _train_steps(_make_model(dtype))
-            assert set(state) == set(reference)
-            for name in reference:
-                np.testing.assert_array_equal(
-                    state[name], reference[name], err_msg=f"{name}@threads={count}"
-                )
-
-    def test_checkpoint_round_trip_bitwise_across_thread_counts(self, tmp_path):
-        par.set_tile_length(TILE)
-        with par.threads(2):
-            trained = _make_model()
-            _train_steps(trained)
-            path = tmp_path / "model.npz"
-            save_model(trained, path)
-        features = _rng(12).uniform(size=(13, 5))
-        with par.threads(1):
-            restored = _make_model()
-            load_model(restored, path)
-            reference = restored.predict(features)
-        with par.threads(2):
-            # The round-trip is lossless: the saved model and its restored
-            # twin agree bitwise under the same policy.
-            np.testing.assert_array_equal(trained.predict(features), reference)
-        for count in THREAD_COUNTS[1:]:
-            with par.threads(count):
-                restored = _make_model()
-                load_model(restored, path)
-                np.testing.assert_array_equal(restored.predict(features), reference)
