@@ -27,6 +27,15 @@
 #   make bench-trace     - just the tracing-overhead benchmark
 #   make bench-repo      - the repository benchmark (perfbench/): pipeline,
 #                          explore-nsga2 and explore-wide at SEED (default 1)
+#   make bench-pairs     - PAIRS (default 10) alternating parent/change runs
+#                          of one perfbench WORKLOAD (default explore-nsga2)
+#                          at SEED, against PARENT=<checkout of the parent
+#                          commit> (tools/bench_pairs.py): each side's
+#                          median and quartiles, the change's wins, bound
+#                          breaches, digest match, and with CLAIM=<metric>
+#                          whether the gain counts (>= 9/10 wins and a
+#                          median gap above the parent's IQR); fails on a
+#                          failed repetition or a bound breach
 #   make docs-check      - fail on dead intra-repo links / stale module refs
 #                          / uncataloged benchmarks/results JSONs
 #   make repo-check      - fail on git-tracked build/bytecode artifacts
@@ -37,9 +46,11 @@
 
 PYTHON ?= python
 SEED ?= 1
+WORKLOAD ?= explore-nsga2
+PAIRS ?= 10
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test unit test-fast bench bench-quality bench-meta bench-precision bench-dse bench-runtime bench-kernels bench-pruning bench-portfolio bench-store bench-trace bench-repo docs-check repo-check examples
+.PHONY: test unit test-fast bench bench-quality bench-meta bench-precision bench-dse bench-runtime bench-kernels bench-pruning bench-portfolio bench-store bench-trace bench-repo bench-pairs docs-check repo-check examples
 
 bench: export REPRO_RECORD_RESULTS := 1
 bench-%: export REPRO_RECORD_RESULTS := 1
@@ -105,6 +116,11 @@ bench-repo:
 		echo "== $$workload"; \
 		python3 perfbench/run.py --workload $$workload --seed $(SEED) --seconds 20 --trace 0; \
 	done
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "bench-pairs needs PARENT=<checkout of the parent commit>"; exit 2; }
+	python3 tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS)$(if $(CLAIM), --claim $(CLAIM))
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

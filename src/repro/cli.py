@@ -321,6 +321,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
         focus = 0.5
     if focus is not None and not 0.0 < focus <= 1.0:
         raise SystemExit(f"--focus must be in (0, 1], got {focus}")
+    if args.threads is not None and args.threads < 1:
+        raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     # --portfolio is shorthand for --strategy portfolio.
     strategy = "portfolio" if args.portfolio else args.strategy
 
@@ -373,6 +375,13 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 "--focus/--prune distil importance from attention and need the "
                 "--model-ipc/--model-power predictor path; tree surrogates have "
                 "no attention to harvest (see docs/pruning.md)"
+            )
+        if args.threads is not None:
+            raise SystemExit(
+                "--threads sets the workers of the stacked nn surrogates' "
+                "inference pass and needs the --model-ipc/--model-power "
+                "predictor path; tree surrogates never run that pass "
+                "(see docs/kernels.md)"
             )
         # Tree-surrogate path: fit one ensemble per workload on the dataset
         # labels and drive the campaign directly.  The factory is a
@@ -669,9 +678,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads for the block fan-out of the stacked nn "
-             "surrogates' inference pass (the --model-ipc/--model-power "
-             "path; bitwise identical for every thread count)",
+        help="worker threads (>= 1) for the block fan-out of the stacked "
+             "nn surrogates' inference pass; needs the "
+             "--model-ipc/--model-power path; bitwise identical for every "
+             "thread count",
     )
     dse.add_argument(
         "--focus", type=float, default=None,

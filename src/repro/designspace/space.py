@@ -33,6 +33,13 @@ class DesignSpace:
         self._parameters: tuple[Parameter, ...] = tuple(parameters)
         self._by_name: dict[str, Parameter] = {p.name: p for p in self._parameters}
         self.name = name
+        # Every parameter's normalised features, concatenated, and where each
+        # parameter's run starts: features_from_indices gathers from here.
+        self._feature_table = np.array(
+            [p.normalized(v) for p in self._parameters for v in p.values], dtype=np.float64
+        )
+        self._cardinalities = self.cardinalities()
+        self._feature_offsets = np.cumsum(self._cardinalities) - self._cardinalities
 
     # -- basic container protocol ---------------------------------------
     def __len__(self) -> int:
@@ -142,6 +149,31 @@ class DesignSpace:
         return np.array(
             [p.normalized(validated[p.name]) for p in self._parameters], dtype=np.float64
         )
+
+    def features_from_indices(self, indices: np.ndarray) -> np.ndarray:
+        """Encode ``(..., P)`` ordinal index vectors as normalised features.
+
+        Equal to :meth:`batch_to_features` over the decoded configurations by
+        construction: each parameter's features are gathered from a table of
+        :meth:`Parameter.normalized` over its candidates, built once.
+        """
+        indices = np.asarray(indices)
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"expected integer index vectors, got dtype {indices.dtype}")
+        if indices.ndim < 1 or indices.shape[-1] != self.num_parameters:
+            raise ValueError(
+                f"expected index vectors of {self.num_parameters} entries, "
+                f"got shape {indices.shape}"
+            )
+        outside = np.argwhere((indices < 0) | (indices >= self._cardinalities))
+        if outside.size:
+            where = tuple(outside[0])
+            parameter = self._parameters[where[-1]]
+            raise ParameterError(
+                f"index {indices[where]} out of range for parameter "
+                f"{parameter.name!r} with {parameter.cardinality} candidates"
+            )
+        return self._feature_table[self._feature_offsets + indices]
 
     def from_features(self, features: Sequence[float]) -> Configuration:
         """Decode a normalised feature vector to the nearest configuration."""

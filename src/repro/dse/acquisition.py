@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.dse.pareto import fast_pareto_front
+from repro.dse.pareto import pareto_front
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dse.engine import ObjectiveSet
@@ -70,7 +70,7 @@ class ParetoRankAcquisition(AcquisitionStrategy):
     def select(
         self, predicted_min: np.ndarray, budget: int, context: AcquisitionContext
     ) -> list[int]:
-        selected = [int(i) for i in fast_pareto_front(predicted_min)]
+        selected = [int(i) for i in pareto_front(predicted_min)]
         if len(selected) < budget:
             chosen = set(selected)
             remaining = [
@@ -93,7 +93,7 @@ class ExplorationBonusAcquisition(AcquisitionStrategy):
     def select(
         self, predicted_min: np.ndarray, budget: int, context: AcquisitionContext
     ) -> list[int]:
-        front_indices = set(int(i) for i in fast_pareto_front(predicted_min))
+        front_indices = set(int(i) for i in pareto_front(predicted_min))
         bonus = context.surrogate.exploration_bonus(
             context.features, context.known_features
         )

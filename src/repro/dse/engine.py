@@ -47,11 +47,7 @@ from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.sampling import BaseSampler, FocusedSampler, RandomSampler
 from repro.designspace.space import Configuration, DesignSpace
 from repro.dse.acquisition import AcquisitionStrategy
-from repro.dse.pareto import (
-    fast_pareto_front,
-    hypervolume_2d,
-    to_minimization,
-)
+from repro.dse.pareto import hypervolume_2d, pareto_front, to_minimization
 from repro.dse.surrogates import MultiObjectiveSurrogate
 from repro.sim.simulator import Simulator
 from repro.utils.rng import SeedLike
@@ -552,7 +548,7 @@ def front_hypervolume(
     recomputing it.
     """
     if front_indices is None:
-        front_indices = fast_pareto_front(measured_min)
+        front_indices = pareto_front(measured_min)
     front = measured_min[front_indices]
     nadir = measured_min.max(axis=0)
     span = np.maximum(measured_min.max(axis=0) - measured_min.min(axis=0), 1e-12)
@@ -611,7 +607,7 @@ class QualityTracker:
             from repro.dse.quality import monte_carlo_hypervolume
 
             if front_indices is None:
-                front_indices = fast_pareto_front(measured_min)
+                front_indices = pareto_front(measured_min)
             nadir = measured_min.max(axis=0)
             span = np.maximum(nadir - measured_min.min(axis=0), 1e-12)
             estimate = monte_carlo_hypervolume(
@@ -634,7 +630,7 @@ class QualityTracker:
         return float("nan"), 0
 
     def record(self, round_index: int, measured_min: np.ndarray, simulations_total: int) -> CampaignRound:
-        front_indices = fast_pareto_front(measured_min)
+        front_indices = pareto_front(measured_min)
         self.last_front_indices = front_indices
         hypervolume, samples = self.hypervolume_entry(measured_min, front_indices)
         entry = CampaignRound(

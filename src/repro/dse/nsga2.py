@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.space import Configuration, DesignSpace
 from repro.dse.pareto import crowding_distance, pareto_mask, to_minimization
 from repro.utils.rng import SeedLike, as_rng
@@ -113,7 +112,6 @@ class NSGA2Explorer:
             raise ValueError("mutation_rate must be in [0, 1]")
         self.tournament_size = tournament_size
         self.rng = as_rng(seed)
-        self.encoder = OrdinalEncoder(space)
         self._cardinalities = space.cardinalities()
 
     # -- genetic operators ------------------------------------------------------
@@ -155,8 +153,7 @@ class NSGA2Explorer:
     def _evaluate(
         self, population: np.ndarray, predictors: dict[str, PredictorFn]
     ) -> np.ndarray:
-        configs = [self.space.from_indices(row) for row in population]
-        features = self.encoder.encode_batch(configs)
+        features = self.space.features_from_indices(population)
         columns = [
             np.asarray(predictors[name](features), dtype=np.float64).reshape(-1)
             for name in predictors

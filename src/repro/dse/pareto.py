@@ -34,11 +34,29 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of non-dominated rows (all objectives minimised).
 
     A point is dominated when another point is no worse in every objective
-    and strictly better in at least one.
+    and strictly better in at least one; duplicates are kept.  Two
+    objectives with at least one row and only finite values take the
+    O(n log n) sort-and-sweep (:func:`_pareto_mask_2d`); everything else
+    takes the generic scan (:func:`_pareto_mask_scan`), the reference the
+    sweep is tested against.  Non-finite input stays on the scan: ±inf (a
+    natural sentinel for an infeasible or failed point) would collide with
+    the sweep's own ``inf`` seed, and NaN keeps the scan's comparison
+    semantics.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.ndim != 2:
         raise ValueError(f"expected a 2-D objective matrix, got shape {objectives.shape}")
+    if (
+        objectives.shape[1] == 2
+        and objectives.shape[0] > 0
+        and np.isfinite(objectives).all()
+    ):
+        return _pareto_mask_2d(objectives)
+    return _pareto_mask_scan(objectives)
+
+
+def _pareto_mask_scan(objectives: np.ndarray) -> np.ndarray:
+    """Generic O(n·front) non-domination scan of a 2-D objective matrix."""
     n = objectives.shape[0]
     mask = np.ones(n, dtype=bool)
     for i in range(n):
@@ -62,11 +80,11 @@ def pareto_front(objectives: np.ndarray) -> np.ndarray:
 
 
 def _pareto_mask_2d(objectives: np.ndarray) -> np.ndarray:
-    """Sort-and-sweep non-domination for exactly two objectives.
+    """Sort-and-sweep non-domination for two finite objectives and n >= 1.
 
-    Identical semantics to :func:`pareto_mask` (duplicates are kept, a point
+    The same mask as :func:`_pareto_mask_scan` (duplicates are kept, a point
     is dominated only by a no-worse-everywhere, better-somewhere point) in
-    O(n log n) instead of the generic O(n·front) scan.  The rows are sorted
+    O(n log n) instead of O(n·front).  The rows are sorted
     lexicographically; within an equal-first-objective group only the
     minimum second objective survives, and a group member is additionally
     dominated when any strictly-smaller first objective already achieved a
@@ -94,34 +112,6 @@ def _pareto_mask_2d(objectives: np.ndarray) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
     mask[order[dominated_sorted]] = False
     return mask
-
-
-def fast_pareto_front(objectives: np.ndarray) -> np.ndarray:
-    """Drop-in :func:`pareto_front` with an O(n log n) two-objective path.
-
-    Exactly equivalent to :func:`pareto_front` — same mask, same
-    first-objective ordering of the returned indices — but large
-    two-objective candidate pools (the screening hot path of the DSE
-    campaign engine) avoid the generic quadratic-ish scan.  Inputs with
-    more than two objectives, no rows, or any non-finite value fall back
-    to the generic implementation: NaN comparison semantics are whatever
-    :func:`pareto_mask` does with them, and ±inf (a natural sentinel for
-    an infeasible or failed point) would collide with the sweep's own
-    ``inf`` seed in ``previous_best``.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    if objectives.ndim != 2:
-        raise ValueError(f"expected a 2-D objective matrix, got shape {objectives.shape}")
-    if (
-        objectives.shape[1] != 2
-        or objectives.shape[0] == 0
-        or not np.isfinite(objectives).all()
-    ):
-        return pareto_front(objectives)
-    mask = _pareto_mask_2d(objectives)
-    indices = np.nonzero(mask)[0]
-    order = np.argsort(objectives[indices, 0])
-    return indices[order]
 
 
 def hypervolume_2d(front: np.ndarray, reference: Sequence[float]) -> float:

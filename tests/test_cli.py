@@ -314,6 +314,32 @@ class TestDseCampaign:
                 ]
             )
 
+    def test_threads_needs_the_model_path(self, dataset_path):
+        # Tree surrogates never run the stacked inference pass, so the
+        # worker count would be a silent no-op there.
+        with pytest.raises(SystemExit, match="--threads .*--model-ipc/--model-power"):
+            main(
+                [
+                    "dse",
+                    "--dataset", str(dataset_path),
+                    "--workloads", "605.mcf_s",
+                    "--threads", "2",
+                ]
+            )
+
+    def test_threads_below_one_exits_with_a_message(self, dataset_path, model_path):
+        with pytest.raises(SystemExit, match="--threads must be >= 1, got 0"):
+            main(
+                [
+                    "dse",
+                    "--dataset", str(dataset_path),
+                    "--workloads", "605.mcf_s",
+                    "--model-ipc", str(model_path),
+                    "--model-power", str(model_path),
+                    "--threads", "0",
+                ]
+            )
+
     def test_metadse_model_campaign(self, dataset_path, model_path, tmp_path):
         # The facade path needs both metric models; reuse the tiny IPC model
         # for power (the CLI only cares that both archives load).

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.dse import pareto
 from repro.dse.engine import CampaignEngine, ObjectiveSet
 from repro.dse.pareto import (
+    _pareto_mask_scan,
     crowding_distance,
-    fast_pareto_front,
     hypervolume_2d,
     pareto_front,
     pareto_mask,
@@ -53,10 +54,23 @@ class TestParetoMask:
                 assert not dominates
 
 
-class TestFastParetoFront:
-    """The O(n log n) 2-D path must be indistinguishable from pareto_front."""
+def _scan_front(objectives):
+    """The front by the generic scan, in first-objective order."""
+    indices = np.nonzero(_pareto_mask_scan(objectives))[0]
+    return indices[np.argsort(objectives[indices, 0])]
 
-    def test_matches_generic_on_ties_and_duplicates(self):
+
+class TestOneParetoMask:
+    """pareto_mask's O(n log n) 2-D sweep must equal the generic scan."""
+
+    @staticmethod
+    def _assert_matches_scan(objectives):
+        np.testing.assert_array_equal(
+            pareto_mask(objectives), _pareto_mask_scan(objectives)
+        )
+        np.testing.assert_array_equal(pareto_front(objectives), _scan_front(objectives))
+
+    def test_matches_scan_on_ties_and_duplicates(self):
         objectives = np.array(
             [
                 [1.0, 1.0], [1.0, 1.0],   # exact duplicates: both kept
@@ -67,25 +81,17 @@ class TestFastParetoFront:
                 [3.0, 0.5],               # same y as a smaller x: dominated
             ]
         )
-        np.testing.assert_array_equal(
-            fast_pareto_front(objectives), pareto_front(objectives)
-        )
+        self._assert_matches_scan(objectives)
 
-    def test_three_objectives_fall_back_to_generic(self):
-        objectives = np.random.default_rng(0).normal(size=(40, 3))
-        np.testing.assert_array_equal(
-            fast_pareto_front(objectives), pareto_front(objectives)
-        )
+    def test_three_objectives_take_the_scan(self):
+        self._assert_matches_scan(np.random.default_rng(0).normal(size=(40, 3)))
 
-    def test_nan_rows_fall_back_to_generic(self):
-        objectives = np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(
-            fast_pareto_front(objectives), pareto_front(objectives)
-        )
+    def test_nan_rows_take_the_scan(self):
+        self._assert_matches_scan(np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 0.0]]))
 
-    def test_inf_rows_fall_back_to_generic(self):
+    def test_inf_rows_take_the_scan(self):
         # +inf is a natural sentinel for an infeasible or failed point; it
-        # used to collide with the sweep's own inf seed and silently drop
+        # would collide with the sweep's own inf seed and silently drop
         # rows whose second objective is +inf in the lowest first-objective
         # group.
         for objectives in (
@@ -94,33 +100,48 @@ class TestFastParetoFront:
             np.array([[np.inf, np.inf], [np.inf, 1.0], [0.0, 2.0]]),
             np.array([[-np.inf, 1.0], [0.0, -np.inf], [1.0, 1.0]]),
         ):
-            np.testing.assert_array_equal(
-                fast_pareto_front(objectives), pareto_front(objectives)
-            )
+            self._assert_matches_scan(objectives)
+
+    def test_no_rows_give_an_empty_mask_and_front(self):
+        objectives = np.empty((0, 2))
+        assert pareto_mask(objectives).shape == (0,)
+        assert pareto_front(objectives).shape == (0,)
+
+    def test_only_finite_two_objective_rows_take_the_sweep(self, monkeypatch):
+        def refuse(objectives):
+            raise AssertionError("wrong path")
+
+        finite = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        monkeypatch.setattr(pareto, "_pareto_mask_scan", refuse)
+        assert pareto_mask(finite).tolist() == [True, True, False]
+        monkeypatch.undo()
+        monkeypatch.setattr(pareto, "_pareto_mask_2d", refuse)
+        for objectives in (
+            np.empty((0, 2)),
+            np.array([[0.0, np.inf], [1.0, 0.0]]),
+            np.array([[0.0, 1.0, 2.0]]),
+        ):
+            pareto_mask(objectives)
 
     def test_requires_2d_matrix(self):
         with pytest.raises(ValueError):
-            fast_pareto_front(np.array([1.0, 2.0]))
+            pareto_front(np.array([1.0, 2.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(
         hnp.arrays(np.float64, st.tuples(st.integers(1, 60), st.just(2)),
                    elements=st.floats(-10, 10)),
     )
-    def test_exactly_equals_generic_front(self, objectives):
-        np.testing.assert_array_equal(
-            fast_pareto_front(objectives), pareto_front(objectives)
-        )
+    def test_exactly_equals_the_scan(self, objectives):
+        self._assert_matches_scan(objectives)
 
     @settings(max_examples=100, deadline=None)
     @given(
         hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)),
                    elements=st.integers(-3, 3).map(float)),
     )
-    def test_exactly_equals_generic_with_heavy_ties(self, objectives):
-        np.testing.assert_array_equal(
-            fast_pareto_front(objectives), pareto_front(objectives)
-        )
+    def test_exactly_equals_the_scan_with_heavy_ties(self, objectives):
+        self._assert_matches_scan(objectives)
 
 
 class TestHypervolume:

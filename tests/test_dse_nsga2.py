@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.designspace.parameters import ParameterError
+from repro.dse import nsga2
 from repro.dse.nsga2 import NSGA2Explorer, fast_non_dominated_sort
-from repro.dse.pareto import pareto_mask, to_minimization
+from repro.dse.pareto import _pareto_mask_scan, pareto_mask, to_minimization
 
 
 class TestFastNonDominatedSort:
@@ -134,3 +136,109 @@ class TestNSGA2Explorer:
         parent_b = np.ones(table1_space.num_parameters, dtype=np.int64)
         child = explorer._crossover(parent_a, parent_b)
         assert set(np.unique(child).tolist()) <= {0, 1}
+
+
+class TestFeaturesFromIndices:
+    """The index gather must equal decoding and re-encoding, bitwise."""
+
+    @staticmethod
+    def _decoded(space, rows):
+        return space.batch_to_features([space.from_indices(row) for row in rows])
+
+    def test_every_ordinal_of_every_parameter(self, table1_space):
+        cardinalities = table1_space.cardinalities()
+        # Row k holds ordinal k of every parameter that has one.
+        rows = np.minimum.outer(np.arange(cardinalities.max()), cardinalities - 1)
+        np.testing.assert_array_equal(
+            table1_space.features_from_indices(rows), self._decoded(table1_space, rows)
+        )
+
+    def test_random_matrix_and_leading_axes(self, table1_space):
+        cardinalities = table1_space.cardinalities()
+        rows = np.random.default_rng(0).integers(
+            0, cardinalities, size=(200, table1_space.num_parameters)
+        )
+        features = table1_space.features_from_indices(rows)
+        np.testing.assert_array_equal(features, self._decoded(table1_space, rows))
+        np.testing.assert_array_equal(
+            table1_space.features_from_indices(rows.reshape(4, 50, -1)),
+            features.reshape(4, 50, -1),
+        )
+        np.testing.assert_array_equal(
+            table1_space.features_from_indices(rows[0]),
+            table1_space.to_features(table1_space.from_indices(rows[0])),
+        )
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (0,)])
+    def test_wrong_shape_raises(self, table1_space, shape):
+        with pytest.raises(ValueError, match="index vectors"):
+            table1_space.features_from_indices(np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_indices_raise(self, table1_space, dtype):
+        rows = np.ones((2, table1_space.num_parameters), dtype=dtype)
+        with pytest.raises(ValueError, match="integer index vectors"):
+            table1_space.features_from_indices(rows)
+
+    @pytest.mark.parametrize("position", [0, -1])
+    @pytest.mark.parametrize("past_the_end", [False, True])
+    def test_out_of_range_index_raises(self, table1_space, position, past_the_end):
+        rows = np.zeros((3, table1_space.num_parameters), dtype=np.int64)
+        parameter = table1_space.parameters[position]
+        rows[1, position] = parameter.cardinality if past_the_end else -1
+        with pytest.raises(ParameterError, match=parameter.name):
+            table1_space.features_from_indices(rows)
+
+
+def _rounded(predictors):
+    """Tie-heavy objectives: the same surrogates on a coarse grid."""
+    return {
+        name: (lambda features, fn=fn: np.round(fn(features) * 4.0) / 4.0)
+        for name, fn in predictors.items()
+    }
+
+
+def _predictor_sets(space):
+    two = _surrogates(space)
+    three = {**two, "area": lambda features: (features[:, 2:6] ** 2).sum(axis=1)}
+    return {
+        "one": {"ipc": two["ipc"]},
+        "two": two,
+        "three": three,
+        "ties": _rounded(two),
+    }
+
+
+class TestNSGA2Bitwise:
+    """NSGA-II equals its scan + decode/encode formulation bitwise."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("objectives", ["one", "two", "three", "ties"])
+    def test_explore_matches_the_scan_and_decode_path(
+        self, table1_space, monkeypatch, objectives, seed
+    ):
+        predictors = _predictor_sets(table1_space)[objectives]
+
+        def search():
+            explorer = NSGA2Explorer(
+                table1_space, population_size=24, generations=8, seed=seed
+            )
+            return explorer.explore(predictors)
+
+        fast = search()
+        monkeypatch.setattr(
+            nsga2, "pareto_mask",
+            lambda matrix: _pareto_mask_scan(np.asarray(matrix, dtype=np.float64)),
+        )
+        monkeypatch.setattr(
+            table1_space, "features_from_indices",
+            lambda rows: table1_space.batch_to_features(
+                [table1_space.from_indices(row) for row in rows]
+            ),
+        )
+        slow = search()
+        assert fast.configs == slow.configs
+        assert fast.objectives.tobytes() == slow.objectives.tobytes()
+        assert fast.pareto_indices.tolist() == slow.pareto_indices.tolist()
+        assert fast.front_sizes == slow.front_sizes
+        assert fast.evaluations == slow.evaluations

@@ -1,11 +1,13 @@
-"""Tests for the repository checkers (tools/check_repo.py, tools/check_docs.py).
+"""Tests for the repository tools (tools/check_repo.py, tools/check_docs.py,
+tools/bench_pairs.py).
 
 The hygiene classifier is a pure function over path lists, so the rules are
 verified against planted offenders without touching the real git index;
 one integration test also runs the checker against the actual repository,
 which must be clean (that is the guard ``make test`` relies on).  The docs
 checker's dotted-reference and ``Class.member`` resolvers are checked
-against planted names.
+against planted names.  The benchmark-pairs verdict is a pure function,
+checked on fabricated runs without starting a benchmark.
 """
 
 import importlib.util
@@ -34,6 +36,11 @@ def check_repo():
 @pytest.fixture(scope="module")
 def check_docs():
     return _load_tool("check_docs")
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return _load_tool("bench_pairs")
 
 
 class TestIsArtifact:
@@ -189,3 +196,86 @@ class TestMemberReferences:
 
     def test_planted_stale_member_is_caught(self, check_docs):
         assert not check_docs._member_resolves("Simulator.vanished")
+
+
+_END_TO_END = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "hypervolume", "better": "higher", "bound": 0.2},
+]
+
+
+def _runs(values, *, failed=0, digest="d0"):
+    """One fabricated run per ``(wall_s, hypervolume)`` pair."""
+    return [
+        {
+            "metrics": {"wall_s": wall, "hypervolume": volume},
+            "failed": failed,
+            "attempted": 2,
+            "digests": [digest, digest],
+        }
+        for wall, volume in values
+    ]
+
+
+class TestBenchPairsVerdict:
+    def test_clear_gain_meets_the_claim(self, bench_pairs):
+        parent = _runs([(8.0 + 0.1 * i, 1.0) for i in range(10)])
+        change = _runs([(5.0 + 0.1 * i, 1.0) for i in range(10)])
+        report = bench_pairs.verdict(
+            {"parent": parent, "change": change}, _END_TO_END, "wall_s"
+        )
+        wall = report["metrics"]["wall_s"]
+        assert wall["wins"] == 10 and wall["status"] == "ok"
+        assert wall["parent"] == pytest.approx((8.225, 8.45, 8.675))
+        assert report["metrics"]["hypervolume"]["wins"] == 0  # ties count for neither
+        assert report["claim"]["met"] and report["ok"] and report["digests_match"]
+
+    def test_eight_wins_of_ten_do_not_meet_the_claim(self, bench_pairs):
+        parent = _runs([(8.0, 1.0)] * 10)
+        change = _runs([(5.0, 1.0)] * 8 + [(9.0, 1.0)] * 2)
+        report = bench_pairs.verdict(
+            {"parent": parent, "change": change}, _END_TO_END, "wall_s"
+        )
+        assert report["claim"]["wins"] == 8 and not report["claim"]["met"]
+
+    def test_gap_within_the_parent_iqr_does_not_meet_the_claim(self, bench_pairs):
+        parent = _runs([(value, 1.0) for value in (6.0, 10.0) * 5])
+        change = _runs([(value - 0.5, 1.0) for value in (6.0, 10.0) * 5])
+        report = bench_pairs.verdict(
+            {"parent": parent, "change": change}, _END_TO_END, "wall_s"
+        )
+        claim = report["claim"]
+        assert claim["wins"] == 10 and claim["median_gain"] < claim["parent_iqr"]
+        assert not claim["met"]
+
+    def test_worse_median_beyond_the_bound_is_a_breach(self, bench_pairs):
+        parent = _runs([(8.0, 1.0)] * 3)
+        change = _runs([(8.0, 0.7)] * 3, digest="d1")
+        report = bench_pairs.verdict({"parent": parent, "change": change}, _END_TO_END)
+        assert report["metrics"]["hypervolume"]["status"] == "breach"
+        assert report["metrics"]["wall_s"]["status"] == "ok"
+        assert not report["ok"] and not report["digests_match"]
+        assert "claim" not in report
+
+    def test_wide_spread_is_unresolved_not_ok(self, bench_pairs):
+        parent = _runs([(value, 1.0) for value in (4.0, 8.0, 12.0)])
+        change = _runs([(value, 1.0) for value in (12.0, 8.0, 4.0)])
+        report = bench_pairs.verdict({"parent": parent, "change": change}, _END_TO_END)
+        assert report["metrics"]["wall_s"]["status"] == "unresolved"
+        assert report["ok"]
+
+    def test_failed_repetition_or_missing_run_fails_the_verdict(self, bench_pairs):
+        parent = _runs([(8.0, 1.0)] * 2)
+        change = _runs([(5.0, 1.0)]) + [
+            {"metrics": {}, "failed": 1, "attempted": 1, "digests": []}
+        ]
+        report = bench_pairs.verdict({"parent": parent, "change": change}, _END_TO_END)
+        assert report["failed"] == {"parent": 0, "change": 1}
+        assert report["metrics"]["wall_s"]["compared"] == 1
+        assert not report["ok"]
+
+    def test_unequal_run_counts_are_rejected(self, bench_pairs):
+        with pytest.raises(ValueError):
+            bench_pairs.verdict(
+                {"parent": _runs([(1.0, 1.0)]), "change": []}, _END_TO_END
+            )
