@@ -575,8 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pretrain.add_argument(
         "--precision", choices=("float64", "float32"), default=None,
-        help="surrogate compute dtype (float32 is the wide-predictor fast "
-             "path; see docs/numerics.md)",
+        help="surrogate compute dtype, recorded in the checkpoint (default "
+             "float32; float64 is the bit-exact reference path; see "
+             "docs/numerics.md)",
     )
     pretrain.add_argument("--seed", type=int, default=0)
     pretrain.add_argument("--split-seed", type=int, default=0)

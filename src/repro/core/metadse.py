@@ -70,11 +70,15 @@ class MetaDSE(CrossWorkloadModel):
         Convenience override of ``config.use_wam`` — ``use_wam=False`` gives
         the *MetaDSE-w/o WAM* ablation of Fig. 5.
     precision:
-        Compute dtype of the surrogate: ``"float64"`` (the default policy,
-        bit-identical to the reference paths) or ``"float32"`` (the fast
-        path — meta-training, WAM harvesting and adaptation all run 32-bit;
-        see ``docs/numerics.md`` for the accuracy contract).  Label
-        statistics and returned predictions stay float64 either way.
+        Compute dtype of every model the facade builds.  ``None`` (the
+        default) and ``"float32"`` run meta-training, WAM harvesting,
+        adaptation and :meth:`explore`'s surrogate screening in 32-bit, as
+        the paper's PyTorch models do; ``"float64"`` is the bit-exact
+        reference path.  A checkpoint loaded with ``precision=None`` keeps
+        the dtype its header records.  The engine policy of
+        :mod:`repro.nn.precision` does not decide this dtype.  Labels, WAM
+        frequency statistics and returned predictions stay float64 either
+        way (``docs/numerics.md`` is the accuracy contract).
     threads:
         Worker threads for the block fan-out of the graph-free stacked
         inference pass that screens candidates: :meth:`explore`'s campaign
@@ -98,7 +102,8 @@ class MetaDSE(CrossWorkloadModel):
         if num_parameters < 1:
             raise ValueError("num_parameters must be >= 1")
         self.num_parameters = num_parameters
-        #: Requested surrogate dtype; ``None`` defers to the engine policy.
+        #: Requested model dtype; ``None`` means float32 for every model the
+        #: facade builds, while a loaded checkpoint keeps its recorded dtype.
         self.precision = None if precision is None else resolve_dtype(precision)
         if threads is not None and int(threads) < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
@@ -147,6 +152,28 @@ class MetaDSE(CrossWorkloadModel):
             )
         return DSEDataset(space=dataset.space, per_workload=per_workload)
 
+    def _new_meta_model(self, dtype) -> TransformerPredictor:
+        """A freshly initialised predictor of the configured architecture.
+
+        Initialisation draws are dtype-independent, so the float32 model is
+        the rounding of the float64 one.
+        """
+        predictor_cfg = self.config.predictor
+        return TransformerPredictor(
+            self.num_parameters,
+            embed_dim=predictor_cfg.embed_dim,
+            num_heads=predictor_cfg.num_heads,
+            num_layers=predictor_cfg.num_layers,
+            head_hidden=predictor_cfg.head_hidden,
+            dropout=predictor_cfg.dropout,
+            seed=self.config.seed,
+        ).to_dtype(dtype)
+
+    @property
+    def _model_dtype(self) -> np.dtype:
+        """The dtype new models are built in: float32 unless requested."""
+        return np.dtype(np.float32) if self.precision is None else self.precision
+
     # -- pre-training stage ------------------------------------------------------------
     def pretrain(
         self, dataset: DSEDataset, split: WorkloadSplit, *, metric: str = "ipc"
@@ -157,20 +184,7 @@ class MetaDSE(CrossWorkloadModel):
         self._fit_label_scaler(dataset, source_workloads, metric)
         scaled = self._scaled_dataset(dataset, source_workloads, metric)
 
-        predictor_cfg = self.config.predictor
-        self.meta_model = TransformerPredictor(
-            self.num_parameters,
-            embed_dim=predictor_cfg.embed_dim,
-            num_heads=predictor_cfg.num_heads,
-            num_layers=predictor_cfg.num_layers,
-            head_hidden=predictor_cfg.head_hidden,
-            dropout=predictor_cfg.dropout,
-            seed=self.config.seed,
-        )
-        if self.precision is not None:
-            # Initialise in float64 (dtype-independent random stream), then
-            # convert: the float32 model is the rounding of the float64 one.
-            self.meta_model.to_dtype(self.precision)
+        self.meta_model = self._new_meta_model(self._model_dtype)
         sampler = TaskSampler(
             scaled,
             metric=metric,
@@ -590,24 +604,12 @@ class MetaDSE(CrossWorkloadModel):
         from repro.nn.serialization import load_state
 
         state, header = load_state(path)
-        predictor_cfg = self.config.predictor
-        self.meta_model = TransformerPredictor(
-            self.num_parameters,
-            embed_dim=predictor_cfg.embed_dim,
-            num_heads=predictor_cfg.num_heads,
-            num_layers=predictor_cfg.num_layers,
-            head_hidden=predictor_cfg.head_hidden,
-            dropout=predictor_cfg.dropout,
-            seed=self.config.seed,
-        )
-        if self.precision is not None:
-            self.meta_model.to_dtype(self.precision)
-        elif header.get("dtype") is not None:
-            # No explicit facade precision: adopt the checkpoint's recorded
-            # dtype so a float32 save round-trips as a float32 model.
-            self.meta_model.to_dtype(header["dtype"])
-        # load_state_dict casts the checkpoint arrays to the model's dtype,
-        # so a float64 checkpoint loads into a float32 facade (and back).
+        # Without an explicit precision the checkpoint keeps its recorded
+        # dtype; load_state_dict casts the arrays to the model's dtype.
+        dtype = self._model_dtype
+        if self.precision is None and header.get("dtype") is not None:
+            dtype = header["dtype"]
+        self.meta_model = self._new_meta_model(dtype)
         self.meta_model.load_state_dict(state)
         self._metric = header.get("metric", "ipc")
         self._label_mean = float(header.get("label_mean", 0.0))

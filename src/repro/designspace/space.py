@@ -134,7 +134,9 @@ class DesignSpace:
 
     def from_indices(self, indices: Sequence[int]) -> Configuration:
         """Convert an ordinal index vector back to a configuration."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"expected an integer index vector, got dtype {indices.dtype}")
         if indices.shape != (self.num_parameters,):
             raise ValueError(
                 f"expected {self.num_parameters} indices, got shape {indices.shape}"

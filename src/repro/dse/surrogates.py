@@ -208,9 +208,11 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
     objective with the graph-free
     :meth:`~repro.nn.transformer.TransformerPredictor.stacked_inference`
     pass.  Models with mismatched parameter sets (e.g. one carries a WAM
-    mask and another does not) or with differing non-parameter tensor state
-    (e.g. *non-learnable* masks, which are absent from ``state_dict`` but
-    shape the forward) fall back to a per-predictor loop transparently.
+    mask and another does not), with differing dtypes (a float32 and a
+    float64 model: stacking would run one of them at the other's width), or
+    with differing non-parameter tensor state (e.g. *non-learnable* masks,
+    which are absent from ``state_dict`` but shape the forward) fall back to
+    a per-predictor loop transparently, each model in its own dtype.
 
     The pass streams the candidates in fixed 64-row blocks
     (:func:`repro.nn.parallel.tile_spans`), so memory stays bounded by one
@@ -219,8 +221,12 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
     slice-stable forward functions of :mod:`repro.nn.tensor`, which are the
     autodiff kernels' own forwards, so the rows are bit for bit the
     autodiff stacked forward, for every pool size and worker count.
-    ``predict`` only reads the predictors, so concurrent calls on one
-    surrogate are safe.
+    The stacked pass only reads the predictors, so concurrent calls on one
+    surrogate are safe.  The per-predictor loop walks the same blocks
+    serially through each model's own ``predict`` (bit for bit its
+    whole-pool ``predict``, by the same slice stability); ``predict``
+    toggles the module's eval mode, so that loop is not safe to call
+    concurrently on one surrogate.
 
     ``label_means`` / ``label_stds`` undo per-objective label
     standardisation, so a surrogate built from facade-adapted predictors
@@ -257,6 +263,9 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
 
     def _stack_parameters(self) -> Optional[dict[str, np.ndarray]]:
         """Stack all models' parameters, or ``None`` when not stackable."""
+        dtype = self.predictors[0].dtype
+        if any(predictor.dtype != dtype for predictor in self.predictors[1:]):
+            return None
         states = [predictor.state_dict() for predictor in self.predictors]
         names = set(states[0])
         if any(set(state) != names for state in states[1:]):
@@ -276,12 +285,11 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
                 if not np.array_equal(ours.data, theirs.data):
                     return None
         stacked: dict[str, np.ndarray] = {}
-        dtype = self.predictors[0].dtype
         for name in states[0]:
             arrays = [state[name] for state in states]
             if any(array.shape != arrays[0].shape for array in arrays[1:]):
                 return None
-            stacked[name] = np.stack(arrays).astype(dtype, copy=False)
+            stacked[name] = np.stack(arrays)
         return stacked
 
     @property
@@ -291,21 +299,23 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
+        raw = np.empty((len(features), len(self.predictors)), dtype=np.float64)
+        spans = nn_parallel.tile_spans(len(features))
         if self._params is None:
-            raw = np.stack(
-                [predictor.predict(features) for predictor in self.predictors], axis=1
-            )
+            # Serially: ``predict`` toggles the module's eval mode.
+            for start, stop in spans:
+                for column, predictor in enumerate(self.predictors):
+                    raw[start:stop, column] = predictor.predict(features[start:stop])
         else:
             template = self.predictors[0]
             cast = features.astype(template.dtype, copy=False)
-            raw = np.empty((len(cast), len(self.predictors)), dtype=np.float64)
 
             def block(start: int, stop: int) -> None:
                 raw[start:stop] = template.stacked_inference(
                     self._params, cast[start:stop]
                 ).T
 
-            nn_parallel.run_tiles(block, nn_parallel.tile_spans(len(cast)))
+            nn_parallel.run_tiles(block, spans)
         return raw * self._stds[None, :] + self._means[None, :]
 
     def attention_profile(self, features: np.ndarray):

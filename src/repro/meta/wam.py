@@ -169,7 +169,9 @@ class WAMBuilder:
                         for task in episodes
                     ]
                 )
-                model(Tensor(inputs))
+                # In the model's dtype: a float64 Tensor would promote a
+                # float32 model's whole forward to float64.
+                model(Tensor(np.asarray(inputs, dtype=model.dtype)))
                 recorded = model.last_attention_layer.last_attention
                 for episode_attention in recorded:
                     self.accumulate(episode_attention)

@@ -132,6 +132,31 @@ class TestPretrainAndEvaluate:
         assert predictions.shape == (4,)
         assert np.all(np.isfinite(predictions))
 
+    def test_pretrain_writes_float32_unless_asked_for_float64(
+        self, dataset_path, model_path, tmp_path
+    ):
+        from repro.nn.serialization import load_state
+
+        state, header = load_state(model_path)
+        assert header["dtype"] == "float32"
+        assert {array.dtype for array in state.values()} == {np.dtype(np.float32)}
+
+        path64 = tmp_path / "model64.npz"
+        exit_code = main(
+            [
+                "pretrain",
+                "--dataset", str(dataset_path),
+                "--output", str(path64),
+                "--epochs", "1",
+                "--tasks-per-workload", "2",
+                "--precision", "float64",
+            ]
+        )
+        assert exit_code == 0
+        state, header = load_state(path64)
+        assert header["dtype"] == "float64"
+        assert {array.dtype for array in state.values()} == {np.dtype(np.float64)}
+
     def test_evaluate_reports_metrics(self, dataset_path, model_path, tmp_path, capsys):
         output = tmp_path / "eval.json"
         exit_code = main(

@@ -16,6 +16,8 @@ from repro.datasets.tasks import holdout_task
 from repro.meta.maml import MAMLConfig
 from repro.metrics.regression import rmse
 from repro.nn import parallel as nn_parallel
+from repro.nn.serialization import load_state
+from repro.nn.transformer import TransformerPredictor
 
 
 def fast_config(seed=0, **maml_overrides):
@@ -38,6 +40,13 @@ def fast_config(seed=0, **maml_overrides):
 @pytest.fixture(scope="module")
 def pretrained(small_dataset, small_split):
     model = MetaDSE(22, config=fast_config())
+    model.pretrain(small_dataset, small_split, metric="ipc")
+    return model
+
+
+@pytest.fixture(scope="module")
+def pretrained64(small_dataset, small_split):
+    model = MetaDSE(22, config=fast_config(), precision="float64")
     model.pretrain(small_dataset, small_split, metric="ipc")
     return model
 
@@ -175,6 +184,50 @@ class TestMetaDSEFacade:
         predictions = clone.predict(task.query_x)
         assert predictions.dtype == np.float64  # physical units stay float64
         assert np.all(np.isfinite(predictions))
+
+    def test_default_facade_computes_in_float32(self, pretrained, small_dataset, tmp_path):
+        assert pretrained.precision is None
+        assert pretrained.meta_model.dtype == np.float32
+        task = holdout_task(
+            small_dataset["605.mcf_s"], support_size=8, query_size=20, seed=1
+        )
+        pretrained.adapt(task.support_x, task.support_y)
+        assert pretrained.adapted.dtype == np.float32
+        assert pretrained.predict(task.query_x).dtype == np.float64
+        results = pretrained.adapt_many([(task.support_x, task.support_y)])
+        assert results[0].predictor.dtype == np.float32
+        path = tmp_path / "default.npz"
+        pretrained.save_pretrained(path)
+        assert load_state(path)[1]["dtype"] == "float32"
+
+    def test_float64_precision_builds_float64_models(self, pretrained64, small_dataset):
+        assert pretrained64.meta_model.dtype == np.float64
+        task = holdout_task(
+            small_dataset["605.mcf_s"], support_size=8, query_size=20, seed=1
+        )
+        pretrained64.adapt(task.support_x, task.support_y)
+        assert pretrained64.adapted.dtype == np.float64
+        results = pretrained64.adapt_many([(task.support_x, task.support_y)])
+        assert results[0].predictor.dtype == np.float64
+
+    def test_float64_checkpoint_keeps_its_dtype(self, pretrained64, small_dataset, tmp_path):
+        path = tmp_path / "metadse64.npz"
+        pretrained64.save_pretrained(path)
+        features = small_dataset["605.mcf_s"].features[:5]
+
+        # No explicit precision: the float32 default does not narrow a
+        # float64 checkpoint.
+        clone = MetaDSE(22, config=fast_config())
+        clone.load_pretrained(path)
+        assert clone.meta_model.dtype == np.float64
+        np.testing.assert_array_equal(
+            clone.meta_model.predict(features), pretrained64.meta_model.predict(features)
+        )
+
+        # An explicit precision converts it on load.
+        narrowed = MetaDSE(22, config=fast_config(), precision="float32")
+        narrowed.load_pretrained(path)
+        assert narrowed.meta_model.dtype == np.float32
 
     def test_repeated_adaptation_is_independent(self, pretrained, small_dataset):
         task_a = holdout_task(small_dataset["605.mcf_s"], support_size=8, query_size=20, seed=1)
@@ -347,6 +400,49 @@ class TestMetaDSEExplore:
                 self._supports(small_dataset, workloads, "ipc"),
                 strategy="simulated-annealing",
             )
+
+    @pytest.fixture(scope="class")
+    def pretrained_power64(self, small_dataset, small_split):
+        model = MetaDSE(22, config=fast_config(seed=3), precision="float64")
+        model.pretrain(small_dataset, small_split, metric="power")
+        return model
+
+    @pytest.mark.parametrize(
+        "ipc, power, dtype",
+        [
+            ("pretrained", "pretrained_power", np.float32),
+            ("pretrained64", "pretrained_power64", np.float64),
+        ],
+    )
+    def test_explore_screens_in_the_model_dtype(
+        self, request, ipc, power, dtype, small_dataset, fast_simulator, monkeypatch
+    ):
+        seen = []
+        stacked_inference = TransformerPredictor.stacked_inference
+
+        def recording_stacked_inference(predictor, params, inputs):
+            seen.append((inputs.dtype, {array.dtype for array in params.values()}))
+            return stacked_inference(predictor, params, inputs)
+
+        monkeypatch.setattr(
+            TransformerPredictor, "stacked_inference", recording_stacked_inference
+        )
+        workloads = ("605.mcf_s",)
+        campaign = request.getfixturevalue(ipc).explore(
+            fast_simulator,
+            self._supports(small_dataset, workloads, "ipc"),
+            objectives={"power": request.getfixturevalue(power)},
+            objective_supports={
+                "power": self._supports(small_dataset, workloads, "power")
+            },
+            candidate_pool=40,
+            simulation_budget=5,
+            seed=0,
+        )
+        assert seen and all(
+            inputs == dtype and params == {np.dtype(dtype)} for inputs, params in seen
+        )
+        assert campaign["605.mcf_s"].predicted.dtype == np.float64
 
     def test_explore_with_threads_matches_default_bitwise(
         self, pretrained, pretrained_power, small_dataset, fast_simulator, monkeypatch

@@ -101,6 +101,18 @@ class TestConversions:
         with pytest.raises(ValueError):
             tiny_space.from_indices([0, 1])
 
+    def test_from_indices_rejects_non_integer_vectors(self, tiny_space):
+        # A float vector used to truncate silently: [2.7, 1.2, 1.9] decoded
+        # to the configuration of [2, 1, 1].
+        with pytest.raises(ValueError, match="integer"):
+            tiny_space.from_indices([2.7, 1.2, 1.9])
+        with pytest.raises(ValueError, match="integer"):
+            tiny_space.from_indices(np.array([2.0, 1.0, 1.0]))
+        expected = {"freq": 3.0, "width": 2, "bp": "TournamentBP"}
+        assert tiny_space.from_indices([2, 1, 1]) == expected
+        for dtype in (np.int64, np.int32, np.uint8):
+            assert tiny_space.from_indices(np.array([2, 1, 1], dtype=dtype)) == expected
+
     def test_numeric_view(self, tiny_space):
         numeric = tiny_space.numeric_view({"freq": 2.0, "width": 3, "bp": "TournamentBP"})
         assert numeric["freq"] == 2.0

@@ -201,6 +201,34 @@ class TestSurrogates:
         reference = np.stack([p.predict(features) for p in predictors], axis=1)
         np.testing.assert_allclose(surrogate.predict(features), reference)
 
+    @pytest.mark.parametrize("order", [("float32", "float64"), ("float64", "float32")])
+    def test_stacked_predictor_runs_mixed_dtypes_each_in_its_own(self, order):
+        # One stack has one dtype, so a float32 and a float64 model (e.g. a
+        # fresh float32 checkpoint next to an old float64 one) must take the
+        # per-predictor loop, each column in its model's width.
+        predictors = [
+            TransformerPredictor(6, embed_dim=8, num_heads=2, num_layers=1,
+                                 head_hidden=8, seed=seed).to_dtype(dtype)
+            for seed, dtype in enumerate(order)
+        ]
+        surrogate = StackedPredictorSurrogate(predictors, ("ipc", "power"))
+        assert not surrogate.is_stacked
+        features = np.random.default_rng(7).uniform(size=(150, 6))
+        whole = [predictor.predict(features) for predictor in predictors]
+        # The loop streams the 64-row blocks, so memory stays bounded.
+        rows = []
+        for predictor in predictors:
+            def recording_predict(x, predict=predictor.predict):
+                rows.append(len(x))
+                return predict(x)
+
+            predictor.predict = recording_predict
+        predicted = surrogate.predict(features)
+        assert predicted.dtype == np.float64
+        assert rows == [64, 64, 64, 64, 22, 22]
+        for column, expected in enumerate(whole):
+            np.testing.assert_array_equal(predicted[:, column], expected)
+
     def test_stacked_predictor_stacks_identical_nonlearnable_masks(self):
         mask = np.random.default_rng(5).normal(size=(4, 4))
         predictors = []

@@ -84,6 +84,16 @@ class TestGenerateWAM:
         # must itself sum to one.
         np.testing.assert_allclose(mask.frequency.sum(axis=-1), 1.0, rtol=1e-6)
 
+    def test_harvests_in_the_model_dtype(self, model, small_dataset, small_split):
+        # The episode arrays are float64; a float32 model must still be
+        # harvested in float32 (the statistics accumulate in float64).
+        model.to_dtype("float32")
+        sampler = TaskSampler(small_dataset, support_size=5, query_size=10, seed=0)
+        builder = WAMBuilder(NUM_PARAMETERS, WAMConfig(episodes_per_workload=2))
+        builder.collect_from_model(model, sampler, list(small_split.train[:1]))
+        assert model.last_attention_layer.last_attention.dtype == np.float32
+        assert builder.frequency.dtype == np.float64
+
     def test_requires_source_workloads(self, model, small_dataset):
         sampler = TaskSampler(small_dataset, seed=0)
         builder = WAMBuilder(NUM_PARAMETERS)
