@@ -38,7 +38,10 @@
 #                          failed repetition or a bound breach
 #   make docs-check      - fail on dead intra-repo links / stale module refs
 #                          / uncataloged benchmarks/results JSONs
-#   make repo-check      - fail on git-tracked build/bytecode artifacts
+#   make repo-check      - fail on git-tracked build/bytecode artifacts and on
+#                          public names under src/repro that only tests/ call
+#                          (tools/check_repo.py; its allowlist names the
+#                          reference oracles)
 #   make examples        - run every example script end to end
 #
 # Only the bench targets rewrite benchmarks/results/*.json (they export

@@ -10,8 +10,8 @@ surrogate):
 1. **random search** — simulate random configurations;
 2. **active learning** — the simulate/train/refine strategy
    (``rounds + refit`` with a tree-ensemble surrogate and the
-   exploration-bonus acquisition, what ``repro explore --method active``
-   runs);
+   exploration-bonus acquisition, what ``repro dse`` runs without
+   ``--dataset``);
 3. **NSGA-II screening** — an :class:`repro.dse.NSGA2Evolve` candidate
    generator that evolves the pool against surrogates trained on the
    active-learning measurements before any further simulation is spent.

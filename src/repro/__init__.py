@@ -16,8 +16,8 @@ The package is organised bottom-up:
   ANIL / Meta-SGD / Reptile ablation variants;
 * :mod:`repro.baselines` -- RF, GBRT, TrEnDSE, TrEnDSE-Transformer, TrDSE,
   TrEE, GMM augmentation, workload signatures, linear fitting;
-* :mod:`repro.metrics` -- RMSE / MAPE / explained variance plus ranking
-  quality (Spearman, Kendall, top-k recall, regret@k);
+* :mod:`repro.metrics` -- RMSE / MAPE / explained variance and their
+  confidence intervals;
 * :mod:`repro.dse` -- the unified DSE campaign engine (batched
   multi-objective surrogates, pluggable candidate generation and
   acquisition, cross-workload campaigns; a single-workload exploration is
@@ -32,7 +32,7 @@ The package is organised bottom-up:
 
 from repro.core import MetaDSE, MetaDSEConfig, default_config, paper_scale_config
 from repro.datasets import generate_dataset
-from repro.designspace import build_table1_space, default_design_space
+from repro.designspace import build_table1_space
 from repro.sim import BatchSimulationResult, SimulationResult, Simulator
 from repro.workloads import spec2017_suite
 
@@ -48,7 +48,6 @@ __all__ = [
     "BatchSimulationResult",
     "generate_dataset",
     "build_table1_space",
-    "default_design_space",
     "spec2017_suite",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Baseline models: trees, transfer-learning frameworks and target-only fits."""
+"""Baseline models: trees, pooled tree baselines and transfer-learning frameworks."""
 
 from repro.baselines.base import (
     CrossWorkloadModel,
@@ -12,11 +12,8 @@ from repro.baselines.linear_fit import LinearFittingTransfer
 from repro.baselines.signature import SignatureTransfer
 from repro.baselines.target_only import (
     PooledTreeModel,
-    TargetOnlyModel,
     gbrt_baseline,
     random_forest_baseline,
-    target_only_gbrt,
-    target_only_rf,
 )
 from repro.baselines.transformer_regressor import TransformerRegressor
 from repro.baselines.trdse import TrDSE, TrEE
@@ -45,9 +42,6 @@ __all__ = [
     "SignatureTransfer",
     "LinearFittingTransfer",
     "PooledTreeModel",
-    "TargetOnlyModel",
     "random_forest_baseline",
     "gbrt_baseline",
-    "target_only_rf",
-    "target_only_gbrt",
 ]

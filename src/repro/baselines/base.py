@@ -36,12 +36,6 @@ class Regressor(abc.ABC):
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for ``(n, d)`` features."""
 
-    def score_rmse(self, features: np.ndarray, targets: np.ndarray) -> float:
-        """Convenience RMSE evaluation."""
-        from repro.metrics.regression import rmse
-
-        return rmse(targets, self.predict(features))
-
 
 class CrossWorkloadModel(abc.ABC):
     """A model following the paper's two-stage cross-workload protocol."""

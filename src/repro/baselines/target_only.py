@@ -1,4 +1,4 @@
-"""RF / GBRT transfer baselines and target-only variants.
+"""RF / GBRT transfer baselines.
 
 Table II and Table III compare MetaDSE against plain RF and GBRT models
 "commonly used in transfer learning".  Their protocol, inferred from
@@ -7,10 +7,6 @@ from 5 to 40), is *pooled training*: the tree model is fit on all source
 workloads' labelled data plus the K target samples, with no mechanism other
 than the pooled data itself to emphasise the target.  That is the behaviour
 implemented by :class:`PooledTreeModel`.
-
-A pure target-only variant (train on the K target samples alone) is also
-provided; it is used by the extended ablation benchmarks to show why naive
-few-shot tree fitting is not competitive either.
 """
 
 from __future__ import annotations
@@ -82,34 +78,6 @@ class PooledTreeModel(CrossWorkloadModel):
         return self._model.predict(features)
 
 
-class TargetOnlyModel(CrossWorkloadModel):
-    """Train a fresh regressor on the target support set only (no transfer)."""
-
-    def __init__(self, name: str, factory: RegressorFactory) -> None:
-        self.name = name
-        self._factory = factory
-        self._model: Optional[Regressor] = None
-
-    def pretrain(
-        self, dataset: DSEDataset, split: WorkloadSplit, *, metric: str = "ipc"
-    ) -> "TargetOnlyModel":
-        # Target-only models ignore the source workloads by construction.
-        return self
-
-    def adapt(self, support_x: np.ndarray, support_y: np.ndarray) -> "TargetOnlyModel":
-        support_x = as_2d(support_x)
-        support_y = as_1d(support_y, support_x.shape[0])
-        model = self._factory()
-        model.fit(support_x, support_y)
-        self._model = model
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self._model is None:
-            raise RuntimeError("predict() called before adapt()")
-        return self._model.predict(features)
-
-
 def random_forest_baseline(*, seed: SeedLike = 0) -> PooledTreeModel:
     """The "RF" row of Table II / Table III (pooled source + support training)."""
     return PooledTreeModel(
@@ -130,29 +98,8 @@ def gbrt_baseline(*, seed: SeedLike = 0) -> PooledTreeModel:
     )
 
 
-def target_only_rf(*, seed: SeedLike = 0) -> TargetOnlyModel:
-    """RF trained on the target support set alone (extended ablation)."""
-    return TargetOnlyModel(
-        "RF (target-only)",
-        lambda: RandomForestRegressor(n_estimators=30, max_depth=6, seed=seed),
-    )
-
-
-def target_only_gbrt(*, seed: SeedLike = 0) -> TargetOnlyModel:
-    """GBRT trained on the target support set alone (extended ablation)."""
-    return TargetOnlyModel(
-        "GBRT (target-only)",
-        lambda: GradientBoostingRegressor(
-            n_estimators=60, max_depth=3, learning_rate=0.1, seed=seed
-        ),
-    )
-
-
 __all__ = [
     "PooledTreeModel",
-    "TargetOnlyModel",
     "random_forest_baseline",
     "gbrt_baseline",
-    "target_only_rf",
-    "target_only_gbrt",
 ]

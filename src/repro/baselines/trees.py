@@ -281,15 +281,3 @@ class GradientBoostingRegressor(Regressor):
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(features)
         return out
-
-    def staged_predict(self, features: np.ndarray) -> np.ndarray:
-        """Predictions after every boosting stage, shape ``(stages, n)``."""
-        if not self.trees_:
-            raise RuntimeError("staged_predict() called before fit()")
-        features = as_2d(features)
-        out = np.full(features.shape[0], self.initial_, dtype=np.float64)
-        stages = []
-        for tree in self.trees_:
-            out = out + self.learning_rate * tree.predict(features)
-            stages.append(out.copy())
-        return np.stack(stages, axis=0)

@@ -12,12 +12,15 @@ writing any Python:
   workloads of the paper's 7/5/5 split, saved to a model archive;
 * ``evaluate``   — adapt a pre-trained model to a target workload with K
   support samples and report RMSE / MAPE / explained variance;
-* ``explore``    — run a design-space exploration (active-learning loop or
-  surrogate screening) on one workload and print the Pareto front;
-* ``dse``        — run a batched cross-workload campaign through the unified
-  campaign engine (every workload screens each round's candidates, one
-  ``run_sweep`` measures the selection union) and print one Pareto front
-  per workload; ``--jobs N`` runs it on N workers without changing the
+* ``dse``        — run a design-space exploration campaign through the
+  unified campaign engine (every workload screens each round's candidates,
+  one ``run_sweep`` measures the selection union) and print one Pareto
+  front per workload.  With ``--dataset`` each workload screens with GBRT
+  surrogates fitted on its labels (or, with ``--model-ipc/--model-power``,
+  with pre-trained MetaDSE predictors adapted on a support set drawn from
+  them); without it the campaign is an active-learning loop that learns
+  from its own simulations.  One workload is the single-workload
+  exploration.  ``--jobs N`` runs it on N workers without changing the
   result (``--executor`` picks thread/process/serial, ``--checkpoint``
   makes the campaign resumable), and ``--prune`` / ``--focus F`` shrink
   the candidate pool to the parameters the adapted predictors' attention
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -62,21 +66,30 @@ from repro.datasets.tasks import holdout_task
 from repro.designspace.spec import build_table1_space
 from repro.metrics.regression import evaluate_predictions
 from repro.sim.simulator import Simulator
+from repro.utils.atomic import write_atomic
 from repro.workloads.spec2017 import SPEC2017_WORKLOAD_NAMES
 
 
+def _json_safe(value):
+    """*value* with every non-finite float replaced by ``None`` (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _write_json(path: Optional[str], payload: dict) -> None:
+    """Publish *payload* as strict JSON (NaN and infinities become null)."""
     if path is None:
         return
     output = Path(path)
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     output.parent.mkdir(parents=True, exist_ok=True)
-    with open(output, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_atomic(output, text.encode("utf-8"))
     print(f"wrote {output}")
-
-
-def _build_simulator(args: argparse.Namespace) -> Simulator:
-    return Simulator(simpoint_phases=args.phases, seed=args.seed)
 
 
 # -- table1 ----------------------------------------------------------------------
@@ -97,7 +110,7 @@ def _campaign_executor(args: argparse.Namespace):
 
 # -- generate -----------------------------------------------------------------------
 def cmd_generate(args: argparse.Namespace) -> int:
-    simulator = _build_simulator(args)
+    simulator = Simulator(simpoint_phases=args.phases, seed=args.seed)
     workloads = args.workloads if args.workloads else None
     with _campaign_executor(args) as executor:
         dataset = generate_dataset(
@@ -213,92 +226,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- explore ----------------------------------------------------------------------
-def cmd_explore(args: argparse.Namespace) -> int:
-    """One-workload campaign: active learning or surrogate screening."""
-    from repro.dse.acquisition import (
-        ExplorationBonusAcquisition,
-        ParetoRankAcquisition,
-    )
-    from repro.dse.engine import CampaignEngine, ObjectiveSet
-    from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
-
-    simulator = _build_simulator(args)
-    objectives = ObjectiveSet.from_names(("ipc", "power"))
-    if args.method == "active":
-        surrogate = TreeEnsembleSurrogate(
-            functools.partial(
-                RandomForestRegressor, n_estimators=30, max_depth=10, seed=0
-            ),
-            objectives.names,
-        )
-        acquisition = ExplorationBonusAcquisition()
-        schedule = dict(
-            simulation_budget=max(args.budget // 6, 2),
-            rounds=4,
-            initial_samples=max(args.budget // 3, 4),
-            refit=True,
-        )
-    else:  # screen
-        dataset = load_dataset(args.dataset) if args.dataset else None
-        if dataset is None or args.workload not in dataset:
-            raise SystemExit("--method screen needs --dataset containing the workload")
-        data = dataset[args.workload]
-        predictors = {}
-        for metric in objectives.names:
-            model = GradientBoostingRegressor(n_estimators=60, max_depth=3, seed=args.seed)
-            model.fit(data.features, data.metric(metric))
-            predictors[metric] = model.predict
-        surrogate = CallableSurrogate(predictors)
-        acquisition = ParetoRankAcquisition()
-        schedule = dict(simulation_budget=args.budget)
-
-    engine = CampaignEngine(simulator.space, simulator, objectives, seed=args.seed)
-    result = engine.run_campaign(
-        [args.workload],
-        {args.workload: surrogate},
-        acquisition=acquisition,
-        candidate_pool=args.candidate_pool,
-        **schedule,
-    )[args.workload]
-    extras = {}
-    if args.method == "active":
-        extras["rounds"] = [
-            {
-                "round": entry.round_index,
-                "simulations": entry.simulations_total,
-                "pareto_size": entry.pareto_size,
-                "hypervolume": entry.hypervolume,
-            }
-            for entry in result.rounds
-        ]
-
-    print(
-        f"{args.workload}: {result.simulations_used} simulations, "
-        f"{len(result.pareto_indices)} Pareto-optimal points"
-    )
-    front = []
-    for config, values in zip(result.pareto_configs, result.pareto_objectives):
-        row = dict(zip(result.objective_names, (float(v) for v in values)))
-        print("  " + "  ".join(f"{k}={v:.3f}" for k, v in row.items()))
-        row["configuration"] = {k: config[k] for k in sorted(config)}
-        front.append(row)
-    _write_json(
-        args.output,
-        {
-            "workload": args.workload,
-            "method": args.method,
-            "simulations": result.simulations_used,
-            "pareto_front": front,
-            **extras,
-        },
-    )
-    return 0
-
-
 # -- dse ----------------------------------------------------------------------
 def cmd_dse(args: argparse.Namespace) -> int:
     """Cross-workload campaign through the unified DSE engine."""
+    from repro.dse.acquisition import ExplorationBonusAcquisition
     from repro.dse.engine import CampaignEngine, ObjectiveSet
     from repro.dse.surrogates import TreeEnsembleSurrogate
 
@@ -308,9 +239,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
         evaluation_cache=True,
         store=args.store,
     )
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset) if args.dataset else None
     workloads = list(args.workloads)
-    missing = [w for w in workloads if w not in dataset]
+    missing = [w for w in workloads if dataset is not None and w not in dataset]
     if missing:
         raise SystemExit(f"dataset is missing workloads: {missing}")
     objective_names = tuple(args.objectives)
@@ -333,6 +264,11 @@ def cmd_dse(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "--model-ipc/--model-power must be given together and require "
                 "the default objectives 'ipc power'"
+            )
+        if dataset is None:
+            raise SystemExit(
+                "--model-ipc/--model-power need --dataset: the adaptation "
+                "support sets are drawn from its labels"
             )
         supports: dict[str, dict] = {"ipc": {}, "power": {}}
         for workload in workloads:
@@ -383,10 +319,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 "predictor path; tree surrogates never run that pass "
                 "(see docs/kernels.md)"
             )
-        # Tree-surrogate path: fit one ensemble per workload on the dataset
-        # labels and drive the campaign directly.  The factory is a
-        # functools.partial (not a lambda) so the surrogates stay picklable
-        # for --executor process.
+        # Tree-surrogate path, driving the campaign directly.  The factories
+        # are functools.partials (not lambdas) so the surrogates stay
+        # picklable for --executor process.
         from repro.dse.engine import NSGA2Evolve, RandomPool
         from repro.dse.portfolio import StrategyPortfolio
 
@@ -403,20 +338,39 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 }
             )
         objectives = ObjectiveSet.from_names(objective_names)
-        factory = functools.partial(
-            GradientBoostingRegressor, n_estimators=60, max_depth=3, seed=args.seed
-        )
-        surrogates = {}
-        for workload in workloads:
-            data = dataset[workload]
-            surrogate = TreeEnsembleSurrogate(factory, objective_names)
-            targets = np.stack(
-                [data.metric(name) for name in objective_names], axis=1
+        if dataset is None:
+            # No labels to fit on: the campaign learns from its own
+            # simulations (random forests refitted every round, an
+            # exploration bonus, 2 x --budget random initial samples).
+            factory = functools.partial(
+                RandomForestRegressor, n_estimators=30, max_depth=10, seed=0
             )
-            surrogate.fit(data.features, targets)
-            surrogates[workload] = surrogate
+            surrogates = {
+                workload: TreeEnsembleSurrogate(factory, objective_names)
+                for workload in workloads
+            }
+            schedule = dict(
+                acquisition=ExplorationBonusAcquisition(),
+                initial_samples=2 * args.budget,
+                refit=True,
+            )
+        else:
+            # Screening: one GBRT ensemble per workload, fitted on its labels.
+            factory = functools.partial(
+                GradientBoostingRegressor, n_estimators=60, max_depth=3, seed=args.seed
+            )
+            surrogates = {}
+            for workload in workloads:
+                data = dataset[workload]
+                surrogate = TreeEnsembleSurrogate(factory, objective_names)
+                targets = np.stack(
+                    [data.metric(name) for name in objective_names], axis=1
+                )
+                surrogate.fit(data.features, targets)
+                surrogates[workload] = surrogate
+            schedule = {}
         engine = CampaignEngine(
-            dataset.space,
+            simulator.space if dataset is None else dataset.space,
             simulator,
             objectives,
             seed=args.seed,
@@ -432,6 +386,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 rounds=args.rounds,
                 executor=executor,
                 checkpoint=args.checkpoint,
+                **schedule,
             )
 
     summary = campaign.summary()
@@ -448,7 +403,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
         )
         for row in entry["pareto_front"][: args.show_front]:
             print(
-                "    " + "  ".join(f"{k}={v:.3f}" for k, v in row.items())
+                "    "
+                + "  ".join(f"{name}={row[name]:.3f}" for name in summary["objectives"])
             )
     _write_json(args.output, summary)
     return 0
@@ -594,21 +550,17 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--output", help="optional JSON output path")
     evaluate.set_defaults(handler=cmd_evaluate)
 
-    explore = subparsers.add_parser("explore", help="design-space exploration")
-    explore.add_argument("--workload", required=True)
-    explore.add_argument("--method", choices=("active", "screen"), default="active")
-    explore.add_argument("--dataset", help="dataset archive (required for --method screen)")
-    explore.add_argument("--budget", type=int, default=30, help="simulation budget")
-    explore.add_argument("--candidate-pool", type=int, default=500)
-    explore.add_argument("--phases", type=int, default=1)
-    explore.add_argument("--seed", type=int, default=0)
-    explore.add_argument("--output", help="optional JSON output path")
-    explore.set_defaults(handler=cmd_explore)
-
     dse = subparsers.add_parser(
-        "dse", help="batched cross-workload campaign (unified DSE engine)"
+        "dse", help="design-space exploration campaign (unified DSE engine)"
     )
-    dse.add_argument("--dataset", required=True, help="labelled dataset archive")
+    dse.add_argument(
+        "--dataset",
+        help="labelled dataset archive: screen with GBRT surrogates fitted on "
+             "its labels (required by --model-ipc/--model-power); without it "
+             "the campaign learns from its own simulations (random forests "
+             "refitted each round, exploration bonus, 2 x --budget random "
+             "initial samples)",
+    )
     dse.add_argument(
         "--workloads",
         nargs="+",

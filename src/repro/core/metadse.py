@@ -20,14 +20,14 @@ are returned in physical units.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.baselines.base import CrossWorkloadModel, as_1d, as_2d
-from repro.core.config import MetaDSEConfig, default_config
+from repro.core.config import MetaDSEConfig, PredictorConfig, default_config
 from repro.datasets.generation import DSEDataset, WorkloadDataset
 from repro.datasets.splits import WorkloadSplit
 from repro.datasets.tasks import TaskSampler
@@ -583,13 +583,14 @@ class MetaDSE(CrossWorkloadModel):
 
     # -- persistence helpers -----------------------------------------------------------
     def save_pretrained(self, path) -> None:
-        """Persist the meta-trained predictor, mask and label scaling."""
+        """Persist the meta-trained predictor, its architecture, mask and label scaling."""
         if self.meta_model is None:
             raise RuntimeError("save_pretrained() called before pretrain()")
         from repro.nn.serialization import save_model
 
         header = {
             "num_parameters": self.num_parameters,
+            "predictor": asdict(self.config.predictor),
             "metric": self._metric,
             "label_mean": self._label_mean,
             "label_std": self._label_std,
@@ -599,11 +600,20 @@ class MetaDSE(CrossWorkloadModel):
         save_model(self.meta_model, path, header=header)
 
     def load_pretrained(self, path) -> "MetaDSE":
-        """Load a previously saved meta-trained predictor."""
+        """Load a previously saved meta-trained predictor.
+
+        The model is built with the architecture the checkpoint records
+        (which replaces ``config.predictor``); a checkpoint without one is
+        built with ``config.predictor``.
+        """
         from repro.meta.wam import ArchitecturalMask, WAMConfig
         from repro.nn.serialization import load_state
 
         state, header = load_state(path)
+        if header.get("predictor") is not None:
+            self.config = replace(
+                self.config, predictor=PredictorConfig(**header["predictor"])
+            )
         # Without an explicit precision the checkpoint keeps its recorded
         # dtype; load_state_dict casts the arrays to the model's dtype.
         dtype = self._model_dtype

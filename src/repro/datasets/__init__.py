@@ -17,8 +17,6 @@ from repro.datasets.splits import (
     PAPER_SPLIT_SIZES,
     WorkloadSplit,
     paper_split,
-    random_split,
-    rotating_splits,
 )
 from repro.datasets.tasks import (
     DEFAULT_QUERY_SIZE,
@@ -37,9 +35,7 @@ __all__ = [
     "load_dataset",
     "WorkloadSplit",
     "PAPER_SPLIT_SIZES",
-    "random_split",
     "paper_split",
-    "rotating_splits",
     "Task",
     "TaskSampler",
     "holdout_task",

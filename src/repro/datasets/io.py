@@ -10,6 +10,7 @@ design-space parameter names so a mismatched space is detected at load time.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 from typing import Optional
 
@@ -18,14 +19,22 @@ import numpy as np
 from repro.datasets.generation import DSEDataset, WorkloadDataset
 from repro.designspace.space import DesignSpace
 from repro.designspace.spec import build_table1_space
+from repro.utils.atomic import write_atomic
 
 #: Archive format marker (bumped on incompatible layout changes).
 FORMAT_VERSION = 1
 
 
 def save_dataset(dataset: DSEDataset, path: "str | Path") -> Path:
-    """Write *dataset* to a compressed ``.npz`` archive and return its path."""
+    """Write *dataset* to a compressed ``.npz`` archive and return its path.
+
+    The ``.npz`` suffix is appended when missing.  The archive is built in
+    memory and published with :func:`~repro.utils.atomic.write_atomic`, so
+    an interrupted save leaves any previous archive at *path* intact.
+    """
     path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
     if not dataset.per_workload:
         raise ValueError("cannot save an empty dataset")
     arrays: dict[str, np.ndarray] = {
@@ -41,8 +50,10 @@ def save_dataset(dataset: DSEDataset, path: "str | Path") -> Path:
             arrays[f"indices::{name}"] = np.stack(
                 [dataset.space.to_indices(config) for config in data.configs], axis=0
             )
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
+    write_atomic(path, buffer.getvalue())
     return path
 
 

@@ -1,23 +1,15 @@
 """Workload-level dataset splits.
 
 The paper "iteratively and randomly designated seven datasets for training,
-five for validation, and five for testing".  Two kinds of splits are
-provided:
-
-* :func:`random_split` — one random 7/5/5 partition;
-* :func:`rotating_splits` — a sequence of partitions in which every workload
-  appears in the test set exactly once (the "iteratively" part), which is
-  what the per-workload results of Fig. 5 require;
-* :func:`paper_split` — the split whose test set is the five workloads that
-  Table II averages over.
+five for validation, and five for testing".  :func:`paper_split` is the
+split whose test set is the five workloads that Table II averages over; the
+other twelve are partitioned 7/5 at random.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.utils.rng import SeedLike, as_rng
 from repro.workloads.spec2017 import SPEC2017_WORKLOAD_NAMES, TABLE2_TEST_WORKLOADS
@@ -59,27 +51,6 @@ class WorkloadSplit:
         )
 
 
-def random_split(
-    workloads: Sequence[str] = SPEC2017_WORKLOAD_NAMES,
-    *,
-    sizes: tuple[int, int, int] = PAPER_SPLIT_SIZES,
-    seed: SeedLike = 0,
-) -> WorkloadSplit:
-    """Draw one random train/validation/test split of the given sizes."""
-    n_train, n_val, n_test = sizes
-    if n_train + n_val + n_test > len(workloads):
-        raise ValueError(
-            f"split sizes {sizes} exceed the {len(workloads)} available workloads"
-        )
-    rng = as_rng(seed)
-    order = [workloads[int(i)] for i in rng.permutation(len(workloads))]
-    return WorkloadSplit(
-        train=tuple(order[:n_train]),
-        validation=tuple(order[n_train:n_train + n_val]),
-        test=tuple(order[n_train + n_val:n_train + n_val + n_test]),
-    )
-
-
 def paper_split(
     workloads: Sequence[str] = SPEC2017_WORKLOAD_NAMES,
     *,
@@ -99,32 +70,3 @@ def paper_split(
         validation=tuple(order[PAPER_SPLIT_SIZES[0]:]),
         test=test,
     )
-
-
-def rotating_splits(
-    workloads: Sequence[str] = SPEC2017_WORKLOAD_NAMES,
-    *,
-    test_size: int = 5,
-    validation_size: int = 5,
-    seed: SeedLike = 0,
-) -> list[WorkloadSplit]:
-    """Partitions in which every workload is tested exactly once.
-
-    The workloads are shuffled once and then consumed in chunks of
-    *test_size*; for each chunk the remaining workloads are divided into
-    validation and training sets.  The last chunk may be smaller than
-    *test_size* when the workload count is not divisible.
-    """
-    if test_size < 1:
-        raise ValueError(f"test_size must be >= 1, got {test_size}")
-    rng = as_rng(seed)
-    order = [workloads[int(i)] for i in rng.permutation(len(workloads))]
-    splits: list[WorkloadSplit] = []
-    for start in range(0, len(order), test_size):
-        test = tuple(order[start:start + test_size])
-        rest = [w for w in order if w not in test]
-        val_count = min(validation_size, max(len(rest) - 1, 0))
-        validation = tuple(rest[:val_count])
-        train = tuple(rest[val_count:])
-        splits.append(WorkloadSplit(train=train, validation=validation, test=test))
-    return splits

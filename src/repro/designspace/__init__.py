@@ -1,10 +1,9 @@
 """Design-space layer: Table I parameters, encoding and sampling."""
 
-from repro.designspace.encoding import OneHotEncoder, OrdinalEncoder, StandardScaler
+from repro.designspace.encoding import OrdinalEncoder
 from repro.designspace.parameters import (
     Parameter,
     ParameterError,
-    ParameterStatistics,
     categorical,
     ranged,
     strided_range,
@@ -21,22 +20,18 @@ from repro.designspace.spec import (
     BRANCH_PREDICTORS,
     DRAM_SIZE_MB,
     build_table1_space,
-    default_design_space,
     table1_parameters,
 )
 
 __all__ = [
     "Parameter",
     "ParameterError",
-    "ParameterStatistics",
     "categorical",
     "ranged",
     "strided_range",
     "Configuration",
     "DesignSpace",
     "OrdinalEncoder",
-    "OneHotEncoder",
-    "StandardScaler",
     "RandomSampler",
     "LatinHypercubeSampler",
     "OrthogonalArraySampler",
@@ -46,5 +41,4 @@ __all__ = [
     "DRAM_SIZE_MB",
     "table1_parameters",
     "build_table1_space",
-    "default_design_space",
 ]

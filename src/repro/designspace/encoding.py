@@ -1,16 +1,10 @@
-"""Feature encoders that turn configurations into model inputs.
+"""The feature encoder that turns configurations into model inputs.
 
-Two encoders are provided:
-
-* :class:`OrdinalEncoder` — each parameter becomes one ``[0, 1]`` scalar by
-  ordinal position.  This is the representation used by the transformer
-  predictor (one token per parameter) and the tree baselines.
-* :class:`OneHotEncoder` — each parameter becomes a one-hot block.  Used by
-  the linear-fitting baseline where an ordinal encoding would impose an
-  artificial linear ordering on categorical parameters.
-
-Both encoders also expose the inverse transform so DSE results can be mapped
-back to concrete configurations.
+:class:`OrdinalEncoder` maps each parameter to one ``[0, 1]`` scalar by
+ordinal position.  This is the representation used by the transformer
+predictor (one token per parameter) and the tree baselines.  It also exposes
+the inverse transform so DSE results can be mapped back to concrete
+configurations.
 """
 
 from __future__ import annotations
@@ -28,16 +22,6 @@ class OrdinalEncoder:
     def __init__(self, space: DesignSpace) -> None:
         self.space = space
 
-    @property
-    def feature_dim(self) -> int:
-        """Number of features produced per configuration."""
-        return self.space.num_parameters
-
-    @property
-    def feature_names(self) -> list[str]:
-        """One feature per parameter, named after it."""
-        return list(self.space.parameter_names)
-
     def encode(self, config: Mapping) -> np.ndarray:
         """Encode one configuration."""
         return self.space.to_features(config)
@@ -49,93 +33,3 @@ class OrdinalEncoder:
     def decode(self, features: Sequence[float]) -> Configuration:
         """Inverse of :meth:`encode` (snaps to the nearest candidates)."""
         return self.space.from_features(features)
-
-
-class OneHotEncoder:
-    """Encode configurations as concatenated one-hot blocks."""
-
-    def __init__(self, space: DesignSpace) -> None:
-        self.space = space
-        self._offsets = np.concatenate(
-            [[0], np.cumsum(space.cardinalities())]
-        ).astype(np.int64)
-
-    @property
-    def feature_dim(self) -> int:
-        """Total width of the one-hot encoding."""
-        return int(self._offsets[-1])
-
-    @property
-    def feature_names(self) -> list[str]:
-        """``parameter=value`` labels for every one-hot column."""
-        names = []
-        for parameter in self.space.parameters:
-            names.extend(f"{parameter.name}={value}" for value in parameter.values)
-        return names
-
-    def encode(self, config: Mapping) -> np.ndarray:
-        """Encode one configuration."""
-        indices = self.space.to_indices(config)
-        out = np.zeros(self.feature_dim, dtype=np.float64)
-        out[self._offsets[:-1] + indices] = 1.0
-        return out
-
-    def encode_batch(self, configs: Iterable[Mapping]) -> np.ndarray:
-        """Encode an iterable of configurations into an ``(n, d)`` matrix."""
-        rows = [self.encode(c) for c in configs]
-        if not rows:
-            return np.empty((0, self.feature_dim), dtype=np.float64)
-        return np.stack(rows, axis=0)
-
-    def decode(self, features: Sequence[float]) -> Configuration:
-        """Inverse of :meth:`encode`: pick the argmax within every block."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != (self.feature_dim,):
-            raise ValueError(
-                f"expected {self.feature_dim} features, got shape {features.shape}"
-            )
-        indices = []
-        for pos in range(self.space.num_parameters):
-            block = features[self._offsets[pos]:self._offsets[pos + 1]]
-            indices.append(int(np.argmax(block)))
-        return self.space.from_indices(indices)
-
-
-class StandardScaler:
-    """Feature standardisation (zero mean, unit variance) with safe inverses.
-
-    Surrogate models train much more stably when labels (IPC, power) are
-    standardised; the scaler remembers its statistics so predictions can be
-    mapped back to physical units.
-    """
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.std_: np.ndarray | None = None
-
-    def fit(self, values: np.ndarray) -> "StandardScaler":
-        """Compute the per-column mean and standard deviation."""
-        values = np.asarray(values, dtype=np.float64)
-        self.mean_ = values.mean(axis=0)
-        std = values.std(axis=0)
-        # Guard against constant columns: a zero std would blow up transform().
-        self.std_ = np.where(std < 1e-12, 1.0, std)
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        """Standardise *values* using the fitted statistics."""
-        self._check_fitted()
-        return (np.asarray(values, dtype=np.float64) - self.mean_) / self.std_
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        """Fit on *values* then transform them."""
-        return self.fit(values).transform(values)
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        """Map standardised values back to the original scale."""
-        self._check_fitted()
-        return np.asarray(values, dtype=np.float64) * self.std_ + self.mean_
-
-    def _check_fitted(self) -> None:
-        if self.mean_ is None or self.std_ is None:
-            raise RuntimeError("StandardScaler used before fit()")

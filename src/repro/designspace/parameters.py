@@ -16,7 +16,7 @@ learning models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -58,11 +58,6 @@ class Parameter:
     def cardinality(self) -> int:
         """Number of candidate values."""
         return len(self.values)
-
-    @property
-    def is_numeric(self) -> bool:
-        """True when every candidate is an int or float."""
-        return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.values)
 
     # -- value <-> index ------------------------------------------------
     def index_of(self, value: ParameterValue) -> int:
@@ -111,18 +106,6 @@ class Parameter:
         index = int(round(position * (self.cardinality - 1)))
         return self.value_at(index)
 
-    # -- numeric view ---------------------------------------------------
-    def numeric_value(self, value: ParameterValue) -> float:
-        """Return a numeric view of *value* for use in analytical models.
-
-        Categorical parameters fall back to their ordinal index, which is
-        sufficient for the synthetic simulator (it looks the value up by name
-        anyway).
-        """
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        return float(self.index_of(value))
-
 
 def strided_range(start: int, end: int, stride: int) -> tuple[int, ...]:
     """Expand a Table I ``start:end:stride`` specification (end inclusive)."""
@@ -141,28 +124,3 @@ def categorical(name: str, description: str, values: Sequence[ParameterValue]) -
 def ranged(name: str, description: str, start: int, end: int, stride: int) -> Parameter:
     """Convenience constructor for a ``start:end:stride`` parameter."""
     return Parameter(name=name, description=description, values=strided_range(start, end, stride))
-
-
-@dataclass
-class ParameterStatistics:
-    """Simple descriptive statistics of a parameter's candidates.
-
-    Used by the documentation example and by tests that validate the design
-    space size reported in DESIGN.md.
-    """
-
-    name: str
-    cardinality: int
-    minimum: ParameterValue = field(default=None)
-    maximum: ParameterValue = field(default=None)
-
-    @classmethod
-    def from_parameter(cls, parameter: Parameter) -> "ParameterStatistics":
-        if parameter.is_numeric:
-            return cls(
-                name=parameter.name,
-                cardinality=parameter.cardinality,
-                minimum=min(parameter.values),
-                maximum=max(parameter.values),
-            )
-        return cls(name=parameter.name, cardinality=parameter.cardinality)

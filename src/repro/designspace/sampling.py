@@ -138,20 +138,6 @@ class OrthogonalArraySampler(BaseSampler):
             return list(deduped.values())
         return configs
 
-    def foldover(self, configs: list[Configuration]) -> list[Configuration]:
-        """OA foldover: mirror every configuration through the grid centre.
-
-        TrEE refines TrDSE's sampling with a foldover strategy; mirroring the
-        ordinal indices (`index -> cardinality - 1 - index`) doubles the design
-        while preserving balance.
-        """
-        folded = []
-        for config in configs:
-            indices = self.space.to_indices(config)
-            mirrored = self.space.cardinalities() - 1 - indices
-            folded.append(self.space.from_indices(mirrored))
-        return folded
-
     def _sample_one(self) -> Configuration:  # pragma: no cover - not used directly
         return RandomSampler(self.space, seed=self.rng)._sample_one()
 
@@ -165,8 +151,7 @@ class FocusedSampler(BaseSampler):
     parameters by score (ties broken towards the earlier declaration) keep
     their full candidate grids; every other parameter is restricted to a
     coarse sub-grid of at most *coarse_levels* evenly spaced levels
-    (``coarse_levels=1`` clamps it to its median level, the same anchor as
-    ``DesignSpace.default_configuration``).
+    (``coarse_levels=1`` clamps it to its median level).
 
     RNG contract: each draw consumes exactly one ``rng.integers(0, L_i)``
     per parameter in declaration order, where ``L_i`` is the number of
@@ -228,10 +213,6 @@ class FocusedSampler(BaseSampler):
                     ).astype(int)
                 )
             self._levels.append(levels)
-
-    def pool_cardinality(self) -> int:
-        """Size of the pruned candidate grid (product of retained levels)."""
-        return int(np.prod([len(levels) for levels in self._levels], dtype=object))
 
     def _sample_one(self) -> Configuration:
         indices = [

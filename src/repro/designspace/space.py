@@ -6,8 +6,7 @@ objects plus the operations every other layer needs:
 * validating and completing configuration dictionaries,
 * converting configurations to/from index vectors and normalised feature
   vectors (the representation fed to surrogate models),
-* measuring the size of the space,
-* enumerating neighbours of a configuration (used by the DSE loop).
+* measuring and describing the space.
 """
 
 from __future__ import annotations
@@ -116,14 +115,6 @@ class DesignSpace:
             validated[parameter.name] = value
         return validated
 
-    def is_valid(self, config: Mapping[str, ParameterValue]) -> bool:
-        """Boolean companion of :meth:`validate`."""
-        try:
-            self.validate(config)
-        except ParameterError:
-            return False
-        return True
-
     # -- conversions -----------------------------------------------------
     def to_indices(self, config: Mapping[str, ParameterValue]) -> np.ndarray:
         """Convert a configuration to an ordinal index vector."""
@@ -194,36 +185,6 @@ class DesignSpace:
         if not rows:
             return np.empty((0, self.num_parameters), dtype=np.float64)
         return np.stack(rows, axis=0)
-
-    def numeric_view(self, config: Mapping[str, ParameterValue]) -> dict[str, float]:
-        """Return a numeric view of a configuration for analytical models."""
-        validated = self.validate(config)
-        return {
-            p.name: p.numeric_value(validated[p.name]) for p in self._parameters
-        }
-
-    # -- neighbourhood ---------------------------------------------------
-    def neighbors(self, config: Mapping[str, ParameterValue]) -> list[Configuration]:
-        """Configurations that differ from *config* in exactly one ordinal step.
-
-        Used by the hill-climbing style explorer in :mod:`repro.dse`.
-        """
-        indices = self.to_indices(config)
-        result: list[Configuration] = []
-        for pos, parameter in enumerate(self._parameters):
-            for delta in (-1, 1):
-                candidate = int(indices[pos]) + delta
-                if 0 <= candidate < parameter.cardinality:
-                    new_indices = indices.copy()
-                    new_indices[pos] = candidate
-                    result.append(self.from_indices(new_indices))
-        return result
-
-    def default_configuration(self) -> Configuration:
-        """A mid-range configuration (median candidate of every parameter)."""
-        return {
-            p.name: p.value_at(p.cardinality // 2) for p in self._parameters
-        }
 
     def describe(self) -> str:
         """Render a Table I style description of the space."""

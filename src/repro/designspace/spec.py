@@ -63,9 +63,3 @@ def build_table1_space() -> DesignSpace:
     in the analytical simulator.
     """
     return DesignSpace(table1_parameters(), name="table1-ooo-cpu")
-
-
-#: Friendly alias used throughout the examples and benchmarks.
-def default_design_space() -> DesignSpace:
-    """Alias of :func:`build_table1_space` (the space every experiment uses)."""
-    return build_table1_space()

@@ -11,7 +11,6 @@ from repro.dse.acquisition import (
     AcquisitionContext,
     AcquisitionStrategy,
     ExplorationBonusAcquisition,
-    GreedyTopK,
     ParetoRankAcquisition,
 )
 from repro.dse.engine import (
@@ -37,12 +36,10 @@ from repro.dse.pareto import (
 )
 from repro.dse.quality import (
     adrs,
-    adrs_slope,
     hypervolume_ratio,
     hypervolume_slope,
     monte_carlo_hypervolume,
     normalize_objectives,
-    pareto_coverage,
 )
 from repro.dse.surrogates import (
     CallableSurrogate,
@@ -72,7 +69,6 @@ __all__ = [
     "AcquisitionStrategy",
     "ParetoRankAcquisition",
     "ExplorationBonusAcquisition",
-    "GreedyTopK",
     "MultiObjectiveSurrogate",
     "CallableSurrogate",
     "TreeEnsembleSurrogate",
@@ -81,8 +77,6 @@ __all__ = [
     "NSGA2Result",
     "fast_non_dominated_sort",
     "adrs",
-    "adrs_slope",
-    "pareto_coverage",
     "hypervolume_ratio",
     "hypervolume_slope",
     "monte_carlo_hypervolume",

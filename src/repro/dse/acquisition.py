@@ -2,18 +2,17 @@
 
 Given the surrogate's predicted objective matrix for a candidate pool, an
 acquisition strategy decides which candidates receive the (expensive)
-simulation budget.  The three strategies cover the repository's exploration
+simulation budget.  The two strategies cover the repository's exploration
 loops:
 
 * :class:`ParetoRankAcquisition` — simulate the predicted Pareto front
   first, then fill the remaining budget with the best-ranked candidates by
-  the first objective (the screen-then-simulate policy, ``repro explore
-  --method screen``);
+  the first objective (the screen-then-simulate policy, ``repro dse`` with
+  ``--dataset``);
 * :class:`ExplorationBonusAcquisition` — rank by predicted Pareto
   membership, breaking ties with the surrogate's exploration bonus
-  (ensemble disagreement / distance-to-known; the active-learning policy);
-* :class:`GreedyTopK` — plain best-first by a scalarisation of the
-  minimised objectives (single-objective loops, sanity baselines).
+  (ensemble disagreement / distance-to-known; the active-learning policy,
+  ``repro dse`` without ``--dataset``).
 
 Every strategy works on the *minimised* objective matrix (see
 :meth:`~repro.dse.engine.ObjectiveSet.to_minimization`) and returns plain
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -102,27 +101,3 @@ class ExplorationBonusAcquisition(AcquisitionStrategy):
             key=lambda i: (0 if i in front_indices else 1, -bonus[i]),
         )
         return [int(i) for i in order[:budget]]
-
-
-class GreedyTopK(AcquisitionStrategy):
-    """Best-first by a weighted sum of the minimised objectives.
-
-    With the default weights this is "best predicted first objective";
-    custom weights give a fixed scalarisation over all objectives.
-    """
-
-    def __init__(self, weights: Optional[Sequence[float]] = None) -> None:
-        self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
-
-    def select(
-        self, predicted_min: np.ndarray, budget: int, context: AcquisitionContext
-    ) -> list[int]:
-        if self.weights is None:
-            scores = predicted_min[:, 0]
-        else:
-            if self.weights.shape != (predicted_min.shape[1],):
-                raise ValueError(
-                    f"expected {predicted_min.shape[1]} weights, got {self.weights.shape}"
-                )
-            scores = predicted_min @ self.weights
-        return [int(i) for i in np.argsort(scores)[:budget]]

@@ -28,9 +28,9 @@ measured with a single :meth:`~repro.sim.simulator.Simulator.run_sweep` —
 the batched cross-workload path ``MetaDSE.explore`` and the ``dse`` CLI
 subcommand drive, benchmarked in
 ``benchmarks/test_dse_campaign_throughput.py``.  A single-workload
-exploration (``repro explore``) is a one-workload campaign; its
-pre-engine loops survive in :mod:`repro.dse.reference`, pinned bitwise by
-``tests/test_dse_engine_equivalence.py``.  The executor only sets the
+exploration (``repro dse`` on one workload) is a one-workload campaign;
+its pre-engine loops survive in :mod:`repro.dse.reference`, pinned
+bitwise by ``tests/test_dse_engine_equivalence.py``.  The executor only sets the
 throughput: every executor gives the same campaign.
 """
 
@@ -712,15 +712,12 @@ class CampaignResult:
     def __iter__(self):
         return iter(self.per_workload.values())
 
-    def hypervolume_curves(self) -> dict[str, list[float]]:
-        """Per-workload hypervolume-per-round curves."""
-        return {
-            name: result.hypervolume_history()
-            for name, result in self.per_workload.items()
-        }
-
     def summary(self) -> dict:
-        """JSON-serialisable campaign report (used by the ``dse`` CLI)."""
+        """JSON-serialisable campaign report (used by the ``dse`` CLI).
+
+        Each front row holds the objective values and the measured
+        ``configuration``.
+        """
         report: dict = {
             "objectives": list(self.objectives.names),
             "maximize": list(self.objectives.maximize),
@@ -730,8 +727,13 @@ class CampaignResult:
         }
         for name, result in self.per_workload.items():
             front = [
-                dict(zip(result.objective_names, (float(v) for v in row)))
-                for row in result.pareto_objectives
+                {
+                    **dict(zip(result.objective_names, (float(v) for v in row))),
+                    "configuration": dict(config),
+                }
+                for config, row in zip(
+                    result.pareto_configs, result.pareto_objectives
+                )
             ]
             report["workloads"][name] = {
                 "simulations": result.simulations_used,

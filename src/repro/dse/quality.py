@@ -6,16 +6,14 @@ exhaustively simulating a candidate pool):
 
 * :func:`adrs` — Average Distance from Reference Set, the standard DSE
   metric (lower is better, 0 means the reference front was recovered);
-* :func:`pareto_coverage` — fraction of reference-front points that are
-  matched (dominated or equalled) by the found front;
 * :func:`hypervolume_ratio` — hypervolume of the found front relative to the
   reference front under a shared reference point;
 * :func:`monte_carlo_hypervolume` — seeded Monte-Carlo estimate of the
   dominated hypervolume at *any* objective count (the exact sweep in
   :func:`repro.dse.pareto.hypervolume_2d` only covers two objectives);
-* :func:`hypervolume_slope` / :func:`adrs_slope` — per-round improvement
-  rate of a quality series, the reward signal the strategy portfolio's
-  bandit consumes (see :mod:`repro.dse.portfolio`);
+* :func:`hypervolume_slope` — per-round improvement rate of a hypervolume
+  series, the reward signal the strategy portfolio's bandit consumes (see
+  :mod:`repro.dse.portfolio`);
 * :func:`normalize_objectives` — min-max scaling shared by the above so
   objectives with different units contribute equally.
 
@@ -79,20 +77,6 @@ def adrs(found: np.ndarray, reference: np.ndarray) -> float:
     return float(np.mean(distances))
 
 
-def pareto_coverage(found: np.ndarray, reference: np.ndarray, *, tolerance: float = 1e-9) -> float:
-    """Fraction of reference points weakly dominated by some found point."""
-    found = _as_front(found, "found")
-    reference = _as_front(reference, "reference")
-    if found.shape[1] != reference.shape[1]:
-        raise ValueError("found and reference must have the same number of objectives")
-    covered = 0
-    for ref_point in reference:
-        dominated = np.all(found <= ref_point + tolerance, axis=1)
-        if np.any(dominated):
-            covered += 1
-    return covered / reference.shape[0]
-
-
 def monte_carlo_hypervolume(
     front: np.ndarray,
     reference_point: np.ndarray,
@@ -148,12 +132,16 @@ def monte_carlo_hypervolume(
     return volume * float(dominated.mean())
 
 
-def _finite_slope(values: np.ndarray, *, window: int | None, sign: float) -> float:
-    """Mean of finite consecutive deltas over the trailing *window* rounds.
+def hypervolume_slope(values: Sequence[float], *, window: int | None = None) -> float:
+    """Per-round hypervolume improvement rate (higher is better).
 
-    Non-finite entries (e.g. the NaN hypervolume recorded for single-point
-    fronts) void the deltas they touch; with fewer than two finite points in
-    the window the slope is 0.0 — a neutral reward, never NaN.
+    *values* is a hypervolume history as recorded by ``QualityTracker``
+    (one entry per round, possibly NaN).  Returns the mean finite
+    round-over-round delta, restricted to the trailing *window* rounds when
+    given.  Non-finite entries (e.g. the NaN hypervolume recorded for
+    single-point fronts) void the deltas they touch; with fewer than two
+    finite points in the window the slope is 0.0 — a neutral reward, never
+    NaN.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -169,27 +157,7 @@ def _finite_slope(values: np.ndarray, *, window: int | None, sign: float) -> flo
     finite = np.isfinite(deltas)
     if not np.any(finite):
         return 0.0
-    return sign * float(np.mean(deltas[finite]))
-
-
-def hypervolume_slope(values: Sequence[float], *, window: int | None = None) -> float:
-    """Per-round hypervolume improvement rate (higher is better).
-
-    *values* is a hypervolume history as recorded by ``QualityTracker``
-    (one entry per round, possibly NaN).  Returns the mean finite
-    round-over-round delta, restricted to the trailing *window* rounds when
-    given; 0.0 when the series is too short or too NaN-ridden to measure.
-    """
-    return _finite_slope(np.asarray(values, dtype=np.float64), window=window, sign=1.0)
-
-
-def adrs_slope(values: Sequence[float], *, window: int | None = None) -> float:
-    """Per-round ADRS improvement rate, negated so higher is better.
-
-    ADRS decreases as the front improves, so the reward is the negative mean
-    delta: a strategy that cuts ADRS by 0.1 per round scores +0.1.
-    """
-    return _finite_slope(np.asarray(values, dtype=np.float64), window=window, sign=-1.0)
+    return float(np.mean(deltas[finite]))
 
 
 def hypervolume_ratio(

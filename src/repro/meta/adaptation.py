@@ -72,11 +72,6 @@ class AdaptationResult:
     support_losses: list[float]
     used_mask: bool
 
-    @property
-    def final_support_loss(self) -> float:
-        """Support-set loss after the last adaptation step."""
-        return self.support_losses[-1]
-
 
 def adapt_predictor(
     meta_trained: TransformerPredictor,

@@ -267,12 +267,6 @@ class MetaSGDTrainer(MAMLTrainer):
             )
         return total_loss / len(tasks)
 
-    def mean_alpha(self) -> float:
-        """Average learned inner-loop rate (a convergence diagnostic)."""
-        total = sum(float(value.sum()) for value in self.alphas.values())
-        count = sum(value.size for value in self.alphas.values())
-        return total / max(count, 1)
-
 
 #: Trainer registry used by the ablation benchmark and the CLI.
 META_TRAINER_VARIANTS = ("fomaml", "reptile", "anil", "metasgd")

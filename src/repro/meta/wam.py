@@ -224,9 +224,9 @@ class ImportanceProfile:
     parameter (declaration order), every entry non-negative and the whole
     vector summing to 1 — the average attention each parameter *receives*
     across queries, heads and batch rows.  The profile is the acquisition
-    signal of the pruning layer: :meth:`focused_parameters` picks the
-    positions a :class:`~repro.designspace.sampling.FocusedSampler` keeps
-    at full resolution.
+    signal of the pruning layer: a
+    :class:`~repro.designspace.sampling.FocusedSampler` keeps the
+    top-scored positions at full resolution.
     """
 
     scores: np.ndarray
@@ -249,37 +249,6 @@ class ImportanceProfile:
     @property
     def num_parameters(self) -> int:
         return int(self.scores.shape[0])
-
-    def ranking(self) -> np.ndarray:
-        """Parameter positions sorted by descending score.
-
-        Ties break on the lower position, so the ranking — and everything
-        derived from it — is deterministic for equal scores.
-        """
-        positions = np.arange(self.num_parameters)
-        return np.lexsort((positions, -self.scores))
-
-    def top_parameters(self, count: int) -> list[int]:
-        """The *count* highest-importance parameter positions, ranked."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        return [int(i) for i in self.ranking()[:count]]
-
-    def focused_parameters(self, keep_fraction: float) -> np.ndarray:
-        """Boolean mask of the positions kept at full resolution.
-
-        ``ceil(keep_fraction * num_parameters)`` parameters are focused
-        (at least one); ``keep_fraction=1.0`` focuses every parameter,
-        which is how the pruning layer degrades to unpruned sampling.
-        """
-        if not 0.0 < keep_fraction <= 1.0:
-            raise ValueError(
-                f"keep_fraction must be in (0, 1], got {keep_fraction}"
-            )
-        count = max(1, int(np.ceil(keep_fraction * self.num_parameters)))
-        focused = np.zeros(self.num_parameters, dtype=bool)
-        focused[self.ranking()[:count]] = True
-        return focused
 
 
 def attention_importance(attention: np.ndarray) -> np.ndarray:

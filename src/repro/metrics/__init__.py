@@ -1,11 +1,5 @@
 """Evaluation metrics used throughout the paper's experiments."""
 
-from repro.metrics.ranking import (
-    kendall_tau,
-    regret_at_k,
-    spearman_rho,
-    top_k_recall,
-)
 from repro.metrics.regression import (
     MetricReport,
     confidence_interval,
@@ -24,8 +18,4 @@ __all__ = [
     "confidence_interval",
     "MetricReport",
     "evaluate_predictions",
-    "spearman_rho",
-    "kendall_tau",
-    "top_k_recall",
-    "regret_at_k",
 ]

@@ -13,11 +13,9 @@ from repro.nn.layers import (
     LayerNorm,
     Linear,
     ParameterEmbedding,
-    Sequential,
-    kaiming_normal,
     xavier_uniform,
 )
-from repro.nn.losses import huber_loss, mae_loss, mse_loss
+from repro.nn.losses import mse_loss
 from repro.nn.module import Module
 from repro.nn.optim import (
     SGD,
@@ -40,7 +38,7 @@ from repro.nn.precision import (
     resolve_dtype,
     set_default_dtype,
 )
-from repro.nn.serialization import load_model, load_state, save_model
+from repro.nn.serialization import load_state, save_model
 from repro.nn.tensor import Tensor, concatenate, ones, stack, tensor, zeros
 from repro.nn.transformer import TransformerEncoderLayer, TransformerPredictor
 
@@ -63,18 +61,14 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "Dropout",
-    "Sequential",
     "MLP",
     "ParameterEmbedding",
     "ACTIVATIONS",
     "xavier_uniform",
-    "kaiming_normal",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
     "TransformerPredictor",
     "mse_loss",
-    "mae_loss",
-    "huber_loss",
     "Optimizer",
     "SGD",
     "Adam",
@@ -83,7 +77,6 @@ __all__ = [
     "CosineAnnealingLR",
     "clip_grad_norm",
     "save_model",
-    "load_model",
     "load_state",
     "numerical_gradient",
     "check_tensor_gradient",

@@ -89,11 +89,6 @@ class MultiHeadSelfAttention(Module):
         self.mask = tensor
         return tensor
 
-    def remove_mask(self) -> None:
-        """Remove an installed mask (no-op when none is installed)."""
-        self.mask = None
-        self._parameters.pop("mask", None)
-
     # -- forward ---------------------------------------------------------------
     def forward(self, tokens: Tensor) -> Tensor:
         """Mix tokens of shape ``(batch, tokens, embed)``.
@@ -129,17 +124,3 @@ class MultiHeadSelfAttention(Module):
             # is functional), so recording it needs no defensive copy.
             self.last_attention = attention
         return self.output(context)
-
-    # -- attention statistics ----------------------------------------------------
-    def mean_attention(self) -> np.ndarray:
-        """Average the stored attention over every leading axis.
-
-        Returns a ``(tokens, tokens)`` matrix of attention frequencies
-        (averaged over batch and heads, plus the task axis when the last
-        forward was task-batched); raises if no forward pass has been
-        recorded yet.
-        """
-        if self.last_attention is None:
-            raise RuntimeError("no attention recorded; run a forward pass first")
-        leading = tuple(range(self.last_attention.ndim - 2))
-        return self.last_attention.mean(axis=leading)

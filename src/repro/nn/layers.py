@@ -44,17 +44,6 @@ def xavier_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-limit, limit, size=shape).astype(default_dtype(), copy=False)
 
 
-def kaiming_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal initialisation (for ReLU-family activations).
-
-    Like :func:`xavier_uniform`, drawn in float64 and cast to the policy
-    dtype so precision never changes the random stream.
-    """
-    fan_in = shape[0]
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(default_dtype(), copy=False)
-
-
 class Linear(Module):
     """Affine transform ``y = x W + b`` over the last axis."""
 
@@ -136,30 +125,6 @@ class Dropout(Module):
             inputs.data.dtype, copy=False
         )
         return inputs * Tensor(mask)
-
-
-class Sequential(Module):
-    """Apply modules one after another."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: list[str] = []
-        for index, module in enumerate(modules):
-            name = f"layer{index}"
-            self.register_module(name, module)
-            self._order.append(name)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        out = inputs
-        for name in self._order:
-            out = self._modules[name](out)
-        return out
 
 
 class MLP(Module):

@@ -24,29 +24,3 @@ def mse_loss(predictions: Tensor, targets) -> Tensor:
     targets = _as_tensor(targets, predictions)
     diff = predictions - targets
     return (diff * diff).mean()
-
-
-def mae_loss(predictions: Tensor, targets) -> Tensor:
-    """Mean absolute error."""
-    targets = _as_tensor(targets, predictions)
-    return (predictions - targets).abs().mean()
-
-
-def huber_loss(predictions: Tensor, targets, *, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear for large residuals.
-
-    Implemented with a smooth blend so it stays differentiable everywhere;
-    offered as a robustness option for noisy simulation labels.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    targets = _as_tensor(targets, predictions)
-    diff = predictions - targets
-    abs_diff = diff.abs()
-    quadratic = (diff * diff) * 0.5
-    linear = abs_diff * delta - 0.5 * delta * delta
-    # Smooth gate: sigmoid((|d|-delta)/(0.1*delta)) ~ 0 in the quadratic
-    # region and ~1 in the linear region.
-    gate = ((abs_diff - delta) * (10.0 / delta)).sigmoid()
-    blended = quadratic * (1.0 - gate) + linear * gate
-    return blended.mean()

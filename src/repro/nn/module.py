@@ -106,10 +106,6 @@ class Module:
         for module_name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{module_name}.")
 
-    def parameter_count(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants."""
         yield self

@@ -10,8 +10,13 @@ module, which is what fixes the precision semantics::
     model = TransformerPredictor(22)
     save_model(model, "ckpt", header={"embed_dim": 32})   # writes ckpt.npz
 
+    state, header = load_state("ckpt.npz")
     clone = TransformerPredictor(22)
-    header = load_model(clone, "ckpt.npz")                # parameters copied in
+    clone.load_state_dict(state)                          # parameters copied in
+
+The archive is built in memory and published with
+:func:`~repro.utils.atomic.write_atomic`, so an interrupted save leaves any
+previous checkpoint at the path intact.
 
 **Precision.**  ``np.savez`` stores every parameter in its native dtype, so
 a float32 checkpoint is half the bytes of a float64 one and round-trips
@@ -30,6 +35,7 @@ the functional path; persist adapted models by materialising one task first
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Any, Optional
@@ -37,6 +43,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.atomic import write_atomic
 
 #: Key under which the architecture header is stored inside the archive.
 _HEADER_KEY = "__metadse_header__"
@@ -58,7 +65,9 @@ def save_model(module: Module, path: "str | Path", *, header: Optional[dict[str,
     full_header.update(header or {})
     header_json = json.dumps(full_header, sort_keys=True)
     payload[_HEADER_KEY] = np.frombuffer(header_json.encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **payload)
+    buffer = io.BytesIO()
+    np.savez(buffer, **payload)
+    write_atomic(path, buffer.getvalue())
     return path
 
 
@@ -77,16 +86,3 @@ def load_state(path: "str | Path") -> tuple[dict[str, np.ndarray], dict[str, Any
         if _HEADER_KEY in archive.files:
             header = json.loads(bytes(archive[_HEADER_KEY].tolist()).decode("utf-8"))
     return state, header
-
-
-def load_model(module: Module, path: "str | Path") -> dict[str, Any]:
-    """Load parameters from *path* into an already constructed *module*.
-
-    The module keeps its own precision: checkpoint arrays are cast to each
-    receiving parameter's dtype.  Returns the header that was stored
-    alongside the parameters (its ``"dtype"`` entry tells you what the
-    checkpoint itself holds).
-    """
-    state, header = load_state(path)
-    module.load_state_dict(state)
-    return header

@@ -502,19 +502,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def transpose(self, *axes: int) -> "Tensor":
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad.transpose(inverse),)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         out_data = np.swapaxes(self.data, axis1, axis2)
 
@@ -534,17 +521,6 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     # -- fused numerically-stable primitives ------------------------------------
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
-
-        def backward(grad: np.ndarray) -> tuple:
-            dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            return (out_data * (grad - dot),)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def layer_norm(
         self, gamma: "Tensor", beta: "Tensor", *, eps: float = 1e-5
     ) -> "Tensor":
@@ -576,17 +552,6 @@ class Tensor:
             return (d_normalised, grad_gamma, grad_beta)
 
         return Tensor._make(out_data, (self, gamma, beta), backward)
-
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - log_norm
-        softmax = np.exp(out_data)
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad - softmax * grad.sum(axis=axis, keepdims=True),)
-
-        return Tensor._make(out_data, (self,), backward)
 
 
 def tensor(data: ArrayLike, *, dtype=None, requires_grad: bool = False) -> Tensor:

@@ -230,10 +230,6 @@ class TransformerPredictor(Module):
         """All self-attention operators, in depth order."""
         return [self._modules[name].attention for name in self._layer_names]
 
-    def last_attention_weights(self) -> np.ndarray:
-        """Attention probabilities recorded by the last encoder layer."""
-        return self.last_attention_layer.mean_attention()
-
     def install_mask(self, mask: np.ndarray, *, learnable: bool = True,
                      all_layers: bool = False) -> None:
         """Install a workload-adaptive architectural mask.
@@ -245,8 +241,3 @@ class TransformerPredictor(Module):
         targets = self.attention_layers() if all_layers else [self.last_attention_layer]
         for layer in targets:
             layer.install_mask(mask, learnable=learnable)
-
-    def remove_masks(self) -> None:
-        """Remove any installed masks from every attention layer."""
-        for layer in self.attention_layers():
-            layer.remove_mask()

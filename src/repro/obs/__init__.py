@@ -20,14 +20,13 @@ the existing join paths, then spliced under their parent span in shard
 order, so the trace joins up identically across executors.
 """
 
-from repro.obs.metrics import MetricsRegistry, add_counter, set_gauge
+from repro.obs.metrics import MetricsRegistry, add_counter
 from repro.obs.report import render_summary, render_timeline, summarize_trace, timeline_rows
 from repro.obs.sink import TRACE_VERSION, TraceSink, read_trace, validate_trace
 from repro.obs.spans import (
     TraceSession,
     WorkerTelemetry,
     capture,
-    current_session,
     event,
     record_span,
     run_captured,
@@ -45,14 +44,12 @@ __all__ = [
     "WorkerTelemetry",
     "add_counter",
     "capture",
-    "current_session",
     "event",
     "read_trace",
     "record_span",
     "render_summary",
     "render_timeline",
     "run_captured",
-    "set_gauge",
     "span",
     "splice",
     "summarize_trace",

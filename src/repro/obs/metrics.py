@@ -1,4 +1,4 @@
-"""Counters and gauges for the trace session (docs/observability.md).
+"""Counters for the trace session (docs/observability.md).
 
 :class:`MetricsRegistry` is a plain name → number accumulator owned by the
 active :class:`~repro.obs.spans.TraceSession`; worker-side increments land
@@ -7,8 +7,8 @@ splice time, so counter totals are identical across serial, thread and
 process executors (the satellite contract of
 ``tests/test_runtime_equivalence.py``).
 
-Module-level helpers route to whatever collector is active on the calling
-thread and are no-ops when tracing is off, mirroring :func:`repro.obs.span`.
+:func:`add_counter` routes to whatever collector is active on the calling
+thread and is a no-op when tracing is off, mirroring :func:`repro.obs.span`.
 
 Counter taxonomy (dotted, ``layer.quantity``):
 
@@ -37,17 +37,13 @@ from repro.obs import spans as _spans
 
 
 class MetricsRegistry:
-    """Monotonic counters plus last-write-wins gauges."""
+    """Monotonic counters."""
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
 
     def add(self, name: str, value: float = 1.0) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
 
     def merge(self, counters) -> None:
         """Fold a worker buffer's counter deltas into this registry."""
@@ -57,11 +53,8 @@ class MetricsRegistry:
     def counters(self) -> dict[str, float]:
         return dict(sorted(self._counters.items()))
 
-    def gauges(self) -> dict[str, float]:
-        return dict(sorted(self._gauges.items()))
-
     def snapshot(self) -> dict:
-        return {"counters": self.counters(), "gauges": self.gauges()}
+        return {"counters": self.counters()}
 
 
 def add_counter(name: str, value: float = 1.0) -> None:
@@ -69,10 +62,3 @@ def add_counter(name: str, value: float = 1.0) -> None:
     collector = _spans._collector()
     if collector is not None:
         collector.add_counter(name, value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge on the active *session* (gauges are parent-side only)."""
-    session = _spans.current_session()
-    if session is not None and _spans._STATE.capture is None:
-        session.registry.set_gauge(name, value)

@@ -40,11 +40,9 @@ def summarize_trace(records: list[dict]) -> dict:
             rounds.append(dict(record.get("attrs") or {}))
 
     counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
     for record in records:
         if record.get("type") == "counters":
             counters.update(record.get("counters") or {})
-            gauges.update(record.get("gauges") or {})
 
     meta = records[0] if records and records[0].get("type") == "meta" else {}
     end = records[-1] if records and records[-1].get("type") == "end" else {}
@@ -56,7 +54,6 @@ def summarize_trace(records: list[dict]) -> dict:
         "workloads": dict(sorted(by_workload.items())),
         "rounds": rounds,
         "counters": counters,
-        "gauges": gauges,
         "span_count": len(spans),
         "worker_span_count": sum(1 for record in spans if record.get("worker")),
         "event_count": sum(1 for r in records if r.get("type") == "event"),
@@ -140,11 +137,6 @@ def render_summary(summary: dict) -> str:
         for name, value in summary["counters"].items():
             rendered = f"{value:g}" if isinstance(value, float) else str(value)
             lines.append(f"  {name}: {rendered}")
-    if summary["gauges"]:
-        lines.append("")
-        lines.append("gauges:")
-        for name, value in summary["gauges"].items():
-            lines.append(f"  {name}: {value}")
     return "\n".join(lines)
 
 

@@ -252,7 +252,7 @@ class TraceSession:
                 return
             self._finished = True
             snapshot = self.registry.snapshot()
-            if snapshot["counters"] or snapshot["gauges"]:
+            if snapshot["counters"]:
                 self.sink.append({"type": "counters", **snapshot})
             self.sink.append(
                 {
@@ -266,11 +266,6 @@ class TraceSession:
 
 
 # -- public policy API -----------------------------------------------------
-
-
-def current_session() -> TraceSession | None:
-    """The active session, or ``None`` when tracing is off."""
-    return _session
 
 
 def trace_active() -> bool:

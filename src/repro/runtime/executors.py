@@ -4,7 +4,7 @@ The runtime never exposes completion order to its callers: work is
 submitted, futures are collected, and results are merged in the order the
 work was *submitted* (see :mod:`repro.runtime.sharding`).  An
 :class:`Executor` therefore only needs ``submit`` — everything else
-(``starmap``, context management) is shared plumbing.
+(broadcast, context management) is shared plumbing.
 
 Three implementations cover the repository's needs:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 def default_jobs() -> int:
@@ -118,16 +118,6 @@ class Executor:
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
         raise NotImplementedError
-
-    def starmap(self, fn: Callable, argument_tuples: Iterable[tuple]) -> list:
-        """Apply *fn* to every argument tuple; results in submission order.
-
-        All work is submitted before the first result is awaited, so the
-        tasks run concurrently; the returned list order is the input order
-        regardless of completion order.
-        """
-        futures = [self.submit(fn, *arguments) for arguments in argument_tuples]
-        return [future.result() for future in futures]
 
     def broadcast(self, value):
         """Publish *value* once for reuse across this executor's tasks.

@@ -40,11 +40,6 @@ class PerformanceResult:
     cache: CacheHierarchyResult
     backend: BackendModelResult
 
-    @property
-    def base_cpi(self) -> float:
-        """CPI attributable to the core's issue limitations alone."""
-        return 1.0 / self.backend.core_ipc
-
 
 @dataclass(frozen=True)
 class PerformanceBatchResult:
@@ -61,11 +56,6 @@ class PerformanceBatchResult:
     branch: BranchModelBatchResult
     cache: CacheHierarchyBatchResult
     backend: BackendModelBatchResult
-
-    @property
-    def base_cpi(self) -> np.ndarray:
-        """Per-config CPI attributable to the core's issue limitations alone."""
-        return 1.0 / self.backend.core_ipc
 
 
 class PerformanceModel:

@@ -15,17 +15,14 @@ that is unavailable offline (no scikit-learn):
 from repro.stats.features import (
     DISTRIBUTION_FEATURE_NAMES,
     distribution_features,
-    workload_feature_matrix,
 )
 from repro.stats.gmm import GaussianMixture
-from repro.stats.kmeans import KMeans, KMeansResult, silhouette_score
+from repro.stats.kmeans import KMeans, KMeansResult
 
 __all__ = [
     "KMeans",
     "KMeansResult",
-    "silhouette_score",
     "GaussianMixture",
     "DISTRIBUTION_FEATURE_NAMES",
     "distribution_features",
-    "workload_feature_matrix",
 ]

@@ -9,11 +9,7 @@ baselines [15, 16].
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from repro.datasets.generation import DSEDataset
 
 #: Names of the entries of :func:`distribution_features`, in order.
 DISTRIBUTION_FEATURE_NAMES = (
@@ -64,27 +60,3 @@ def distribution_features(values: np.ndarray) -> np.ndarray:
         ],
         dtype=np.float64,
     )
-
-
-def workload_feature_matrix(
-    dataset: DSEDataset,
-    workloads: Sequence[str],
-    *,
-    metric: str = "ipc",
-    standardize: bool = True,
-) -> np.ndarray:
-    """Stack per-workload distributional features into an ``(n, 10)`` matrix.
-
-    With ``standardize=True`` each column is z-scored across the listed
-    workloads so clustering distances are not dominated by the raw-unit
-    columns (mean/quantiles) over the shape columns (skewness/kurtosis).
-    """
-    if not workloads:
-        raise ValueError("workload_feature_matrix needs at least one workload")
-    rows = [distribution_features(dataset[name].metric(metric)) for name in workloads]
-    matrix = np.stack(rows, axis=0)
-    if standardize:
-        mean = matrix.mean(axis=0)
-        std = np.maximum(matrix.std(axis=0), 1e-12)
-        matrix = (matrix - mean) / std
-    return matrix

@@ -34,10 +34,6 @@ class KMeansResult:
         """Number of clusters ``k``."""
         return self.centers.shape[0]
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Number of rows assigned to each cluster."""
-        return np.bincount(self.labels, minlength=self.num_clusters)
-
 
 class KMeans:
     """k-means clustering (k-means++ seeding, Lloyd iterations).
@@ -158,33 +154,3 @@ class KMeans:
             (data[:, None, :] - self.result_.centers[None, :, :]) ** 2, axis=2
         )
         return np.argmin(distances, axis=1)
-
-
-def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient of a clustering (quality in [-1, 1]).
-
-    Used by the tests and the TrDSE baseline to sanity-check that the chosen
-    number of clusters produces a non-degenerate grouping.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    unique = np.unique(labels)
-    if len(unique) < 2:
-        return 0.0
-    scores = []
-    for i in range(data.shape[0]):
-        own = labels[i]
-        same = data[(labels == own)]
-        if len(same) <= 1:
-            scores.append(0.0)
-            continue
-        distances_same = np.linalg.norm(same - data[i], axis=1)
-        a = distances_same.sum() / (len(same) - 1)
-        b = min(
-            float(np.linalg.norm(data[labels == other] - data[i], axis=1).mean())
-            for other in unique
-            if other != own and np.any(labels == other)
-        )
-        denominator = max(a, b)
-        scores.append(0.0 if denominator <= 0 else (b - a) / denominator)
-    return float(np.mean(scores))

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG handling and validation helpers."""
 
-from repro.utils.rng import RngMixin, as_rng, spawn_rngs
+from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -9,9 +9,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "RngMixin",
     "as_rng",
-    "spawn_rngs",
     "check_finite",
     "check_in_range",
     "check_positive",

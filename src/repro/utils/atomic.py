@@ -2,8 +2,12 @@
 
 The one implementation behind every file the library publishes in place —
 the measurement store's manifest and segments (:mod:`repro.store`), the
-campaign checkpoint (:mod:`repro.runtime.checkpoint`) and the trace sink
-(:mod:`repro.obs.sink`).
+campaign checkpoint (:mod:`repro.runtime.checkpoint`), the trace sink
+(:mod:`repro.obs.sink`), model checkpoints
+(:func:`repro.nn.serialization.save_model`), dataset archives
+(:func:`repro.datasets.io.save_dataset`) and the CLI's JSON reports
+(``--output`` of every ``repro`` subcommand).  The last three serialize to
+memory first, so a save that raises part-way publishes nothing.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ inject their own generators.
 from __future__ import annotations
 
 import zlib
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,22 +28,6 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Create *count* independent generators derived from *seed*.
-
-    Independent streams avoid the subtle coupling that arises when several
-    components consume from one generator in an order that depends on
-    configuration (e.g. the number of inner-loop steps).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 def seed_entropy(seed: SeedLike = None) -> int:
@@ -83,38 +67,3 @@ def keyed_rng(entropy: int, *keys: KeyLike) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(entropy), spawn_key=spawn_key)
     )
-
-
-class RngMixin:
-    """Mixin giving a class a lazily-created private generator.
-
-    Sub-classes call ``self._init_rng(seed)`` in ``__init__`` and use
-    ``self.rng`` afterwards.
-    """
-
-    _rng: Optional[np.random.Generator] = None
-
-    def _init_rng(self, seed: SeedLike = None) -> None:
-        self._rng = as_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng()
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Replace the internal generator (useful for repeated experiments)."""
-        self._rng = as_rng(seed)
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, population: Sequence, size: int
-) -> list:
-    """Sample *size* distinct items from *population* preserving their type."""
-    if size > len(population):
-        raise ValueError(
-            f"cannot sample {size} items from a population of {len(population)}"
-        )
-    idx = rng.choice(len(population), size=size, replace=False)
-    return [population[int(i)] for i in idx]

@@ -64,20 +64,6 @@ class SimPointSet:
         """Phase weights as an array (sums to one)."""
         return np.array([p.weight for p in self.points])
 
-    @property
-    def total_instructions(self) -> int:
-        """Total instructions represented by the decomposition."""
-        return sum(p.instructions for p in self.points)
-
-    def weighted_average(self, per_phase_values: np.ndarray) -> float:
-        """Aggregate per-phase metrics with the SimPoint weights."""
-        values = np.asarray(per_phase_values, dtype=np.float64)
-        if values.shape[0] != len(self.points):
-            raise ValueError(
-                f"expected {len(self.points)} per-phase values, got {values.shape[0]}"
-            )
-        return float(np.dot(self.weights, values))
-
 
 def generate_simpoints(
     profile: WorkloadProfile,

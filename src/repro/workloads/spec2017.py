@@ -283,13 +283,6 @@ class WorkloadSuite:
         """Return a sub-suite containing only *names* (order preserved)."""
         return WorkloadSuite({n: self[n] for n in names}, name=f"{self.name}-subset")
 
-    def by_category(self, category: str) -> "WorkloadSuite":
-        """Return the sub-suite of workloads tagged with *category*."""
-        selected = {n: p for n, p in self._profiles.items() if p.category == category}
-        if not selected:
-            raise KeyError(f"no workloads with category {category!r}")
-        return WorkloadSuite(selected, name=f"{self.name}-{category}")
-
 
 def spec2017_suite() -> WorkloadSuite:
     """The full 17-workload SPEC CPU 2017_speed suite used by every experiment."""

@@ -79,4 +79,4 @@ def small_split():
 @pytest.fixture()
 def default_configuration(table1_space):
     """A valid mid-range configuration of the Table I space."""
-    return table1_space.default_configuration()
+    return table1_space.from_indices(table1_space.cardinalities() // 2)

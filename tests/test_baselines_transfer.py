@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.linear_fit import LinearFittingTransfer
-from repro.baselines.target_only import (
-    gbrt_baseline,
-    random_forest_baseline,
-    target_only_gbrt,
-    target_only_rf,
-)
+from repro.baselines.target_only import gbrt_baseline, random_forest_baseline
 from repro.baselines.transformer_regressor import TransformerRegressor
 from repro.baselines.trendse import TrEnDSE, TrEnDSETransformer
 from repro.datasets.tasks import holdout_task
@@ -53,15 +48,6 @@ class TestPooledTreeBaselines:
         # mcf IPC is ~0.2; the pooled sources are much faster, so the pooled
         # model overpredicts on average.
         assert predictions.mean() > target_task.query_y.mean()
-
-
-class TestTargetOnlyBaselines:
-    @pytest.mark.parametrize("factory", [target_only_rf, target_only_gbrt])
-    def test_protocol(self, factory, small_dataset, small_split, target_task):
-        model = factory(seed=0)
-        model.pretrain(small_dataset, small_split)
-        model.adapt(target_task.support_x, target_task.support_y)
-        assert model.predict(target_task.query_x).shape == (target_task.query_size,)
 
 
 class TestTrEnDSE:

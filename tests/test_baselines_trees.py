@@ -113,10 +113,10 @@ class TestRandomForest:
 class TestGradientBoosting:
     def test_training_error_decreases_with_stages(self):
         x, y = make_regression(seed=4)
-        model = GradientBoostingRegressor(n_estimators=60, seed=0).fit(x, y)
-        staged = model.staged_predict(x)
-        first = rmse(y, staged[0])
-        last = rmse(y, staged[-1])
+        first, last = (
+            rmse(y, GradientBoostingRegressor(n_estimators=stages, seed=0).fit(x, y).predict(x))
+            for stages in (1, 60)
+        )
         assert last < first
 
     def test_outperforms_random_forest_on_smooth_target(self):
@@ -124,6 +124,24 @@ class TestGradientBoosting:
         gbrt = GradientBoostingRegressor(n_estimators=120, seed=0).fit(x, y)
         forest = RandomForestRegressor(n_estimators=20, max_depth=4, seed=0).fit(x, y)
         assert rmse(y, gbrt.predict(x)) < rmse(y, forest.predict(x))
+
+    def test_ranks_unseen_substrate_points_far_better_than_chance(self, small_dataset):
+        data = small_dataset["625.x264_s"]
+        ipc = data.metric("ipc")
+        model = GradientBoostingRegressor(n_estimators=60, max_depth=3, seed=0)
+        predictions = model.fit(data.features[:80], ipc[:80]).predict(data.features[80:])
+        truth = ipc[80:]
+        true_order = np.argsort(-truth, kind="mergesort")
+        predicted_order = np.argsort(-predictions, kind="mergesort")
+        # Spearman's rho: the correlation of the two rankings.
+        rho = np.corrcoef(np.argsort(true_order), np.argsort(predicted_order))[0, 1]
+        assert rho > 0.7
+        # At least 3 of the true top 10 are in the predicted top 10.
+        assert len(set(true_order[:10]) & set(predicted_order[:10])) >= 3
+        # Screening view: simulating the predicted top 5 loses little IPC
+        # relative to the true optimum of the held-out pool.
+        regret = truth.max() - truth[predicted_order[:5]].max()
+        assert regret <= 0.25 * (truth.max() - truth.min())
 
     def test_subsample_variant_runs(self):
         x, y = make_regression(n=100)

@@ -1,13 +1,19 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from repro.baselines.trees import GradientBoostingRegressor, RandomForestRegressor
 from repro.cli import build_parser, main
 from repro.datasets.io import load_dataset
+from repro.dse.acquisition import ExplorationBonusAcquisition, ParetoRankAcquisition
+from repro.dse.engine import CampaignEngine, ObjectiveSet
+from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
 from repro.nn.parallel import shutdown_pool
+from repro.sim.simulator import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +60,7 @@ class TestParser:
         commands = set(subactions[0].choices)
         assert commands == {
             "table1", "generate", "similarity", "pretrain", "evaluate",
-            "explore", "dse", "store", "trace",
+            "dse", "store", "trace",
         }
 
     def test_missing_command_exits(self):
@@ -189,51 +195,149 @@ class TestPretrainAndEvaluate:
             )
 
 
-class TestExplore:
-    def test_active_exploration(self, tmp_path, capsys):
-        output = tmp_path / "front.json"
-        exit_code = main(
-            [
-                "explore",
-                "--workload", "605.mcf_s",
-                "--method", "active",
-                "--budget", "12",
-                "--candidate-pool", "60",
-                "--phases", "1",
-                "--output", str(output),
-            ]
-        )
-        assert exit_code == 0
-        assert "Pareto-optimal" in capsys.readouterr().out
-        payload = json.loads(output.read_text())
-        assert payload["method"] == "active"
-        assert payload["pareto_front"]
-        first = payload["pareto_front"][0]
-        assert "ipc" in first and "power" in first and "configuration" in first
-        assert payload["rounds"]
+def _strict_json(path):
+    """Parse *path* as standard JSON: a bare NaN or Infinity token raises."""
 
-    def test_screen_exploration_requires_dataset(self):
-        with pytest.raises(SystemExit):
-            main(["explore", "--workload", "605.mcf_s", "--method", "screen"])
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
 
-    def test_screen_exploration(self, dataset_path, tmp_path):
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestSingleWorkloadDse:
+    """``repro dse`` on one workload is the single-workload exploration: with
+    ``--dataset`` it screens with GBRT surrogates fitted on the labels, and
+    without it the campaign learns from its own simulations."""
+
+    def test_screening_equals_a_one_workload_gbrt_campaign(self, dataset_path, tmp_path):
         output = tmp_path / "screen.json"
         exit_code = main(
             [
-                "explore",
-                "--workload", "605.mcf_s",
-                "--method", "screen",
+                "dse",
                 "--dataset", str(dataset_path),
+                "--workloads", "605.mcf_s",
                 "--budget", "8",
                 "--candidate-pool", "80",
-                "--phases", "1",
+                "--seed", "2",
                 "--output", str(output),
             ]
         )
         assert exit_code == 0
-        payload = json.loads(output.read_text())
-        assert payload["simulations"] == 8
-        assert payload["method"] == "screen"
+        # The campaign written out: one GBRT per objective, fitted on the
+        # workload's labels, Pareto-rank acquisition over a random pool.
+        simulator = Simulator(simpoint_phases=1, seed=2)
+        objectives = ObjectiveSet.from_names(("ipc", "power"))
+        data = load_dataset(dataset_path)["605.mcf_s"]
+        predictors = {}
+        for metric in objectives.names:
+            model = GradientBoostingRegressor(n_estimators=60, max_depth=3, seed=2)
+            model.fit(data.features, data.metric(metric))
+            predictors[metric] = model.predict
+        campaign = CampaignEngine(
+            simulator.space, simulator, objectives, seed=2
+        ).run_campaign(
+            ["605.mcf_s"],
+            {"605.mcf_s": CallableSurrogate(predictors)},
+            acquisition=ParetoRankAcquisition(),
+            candidate_pool=80,
+            simulation_budget=8,
+        )
+        payload = _strict_json(output)
+        assert payload == json.loads(json.dumps(campaign.summary()))
+        assert payload["total_simulations"] == 8
+
+    def test_without_dataset_runs_the_active_learning_schedule(self, tmp_path, capsys):
+        output = tmp_path / "active.json"
+        exit_code = main(
+            [
+                "dse",
+                "--workloads", "605.mcf_s",
+                "--budget", "2",
+                "--rounds", "4",
+                "--candidate-pool", "60",
+                "--seed", "3",
+                "--output", str(output),
+            ]
+        )
+        assert exit_code == 0
+        # The schedule written out: random forests refitted every round on
+        # the campaign's own measurements, an exploration bonus, and
+        # 2 x budget random initial samples.
+        simulator = Simulator(simpoint_phases=1, seed=3)
+        objectives = ObjectiveSet.from_names(("ipc", "power"))
+        surrogate = TreeEnsembleSurrogate(
+            functools.partial(RandomForestRegressor, n_estimators=30, max_depth=10, seed=0),
+            objectives.names,
+        )
+        campaign = CampaignEngine(
+            simulator.space, simulator, objectives, seed=3
+        ).run_campaign(
+            ["605.mcf_s"],
+            {"605.mcf_s": surrogate},
+            acquisition=ExplorationBonusAcquisition(),
+            candidate_pool=60,
+            simulation_budget=2,
+            rounds=4,
+            initial_samples=4,
+            refit=True,
+        )
+        payload = _strict_json(output)
+        assert payload == json.loads(json.dumps(campaign.summary()))
+        entry = payload["workloads"]["605.mcf_s"]
+        assert entry["simulations"] == 12
+        assert len(entry["hypervolume_curve"]) == 4
+        # The printed front keeps to the objective columns.
+        front_lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("    ipc=")
+        ]
+        assert front_lines
+        assert all(line.split() == [
+            f"ipc={row['ipc']:.3f}", f"power={row['power']:.3f}"
+        ] for line, row in zip(front_lines, entry["pareto_front"]))
+
+    def test_model_flags_need_the_dataset(self):
+        with pytest.raises(SystemExit, match="--dataset"):
+            main(
+                [
+                    "dse",
+                    "--workloads", "605.mcf_s",
+                    "--model-ipc", "ipc.npz",
+                    "--model-power", "power.npz",
+                ]
+            )
+
+    def test_single_objective_output_is_strict_json(self, dataset_path, tmp_path):
+        # One objective has no hypervolume: the campaign records NaN, which
+        # the report writes as null rather than a bare NaN token.
+        output = tmp_path / "ipc.json"
+        with pytest.warns(RuntimeWarning, match="hypervolume"):
+            exit_code = main(
+                [
+                    "dse",
+                    "--dataset", str(dataset_path),
+                    "--workloads", "605.mcf_s",
+                    "--objectives", "ipc",
+                    "--budget", "4",
+                    "--candidate-pool", "40",
+                    "--output", str(output),
+                ]
+            )
+        assert exit_code == 0
+        entry = _strict_json(output)["workloads"]["605.mcf_s"]
+        assert entry["hypervolume_curve"] == [None]
+
+    def test_interrupted_report_keeps_the_previous_file(self, tmp_path):
+        from repro.cli import _write_json
+
+        output = tmp_path / "report.json"
+        _write_json(str(output), {"rows": [1, 2, 3]})
+        before = output.read_bytes()
+        # An unserialisable value part-way through the payload raises.
+        with pytest.raises(TypeError):
+            _write_json(str(output), {"a": 1.0, "z": object()})
+        assert output.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 class TestDseCampaign:
@@ -256,10 +360,14 @@ class TestDseCampaign:
         payload = json.loads(output.read_text())
         assert payload["objectives"] == ["ipc", "power"]
         assert set(payload["workloads"]) == {"605.mcf_s", "620.omnetpp_s"}
+        space = load_dataset(dataset_path).space
         for entry in payload["workloads"].values():
             assert entry["front_size"] >= 1
             assert entry["pareto_front"]
             assert len(entry["hypervolume_curve"]) == 1
+            for row in entry["pareto_front"]:
+                assert set(row) == {"ipc", "power", "configuration"}
+                assert space.validate(row["configuration"]) == row["configuration"]
 
     def test_jobs_one_writes_the_default_campaign(self, dataset_path, tmp_path):
         # --jobs only sets the throughput: the default multi-round campaign

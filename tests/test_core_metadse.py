@@ -229,6 +229,22 @@ class TestMetaDSEFacade:
         narrowed.load_pretrained(path)
         assert narrowed.meta_model.dtype == np.float32
 
+    def test_checkpoint_records_its_architecture(self, small_dataset, small_split, tmp_path):
+        # A paper-architecture checkpoint (64 wide, 3 layers) loads into a
+        # facade configured with the default 24-wide, 2-layer predictor.
+        config = fast_config(tasks_per_workload=2)
+        config.predictor = paper_scale_config().predictor
+        model = MetaDSE(22, config=config)
+        model.pretrain(small_dataset, small_split, metric="ipc")
+        path = tmp_path / "paper.npz"
+        model.save_pretrained(path)
+
+        clone = MetaDSE(22, config=default_config())
+        clone.load_pretrained(path)
+        assert clone.config.predictor == paper_scale_config().predictor
+        features = small_dataset["605.mcf_s"].features[:8]
+        np.testing.assert_array_equal(clone.predict(features), model.predict(features))
+
     def test_repeated_adaptation_is_independent(self, pretrained, small_dataset):
         task_a = holdout_task(small_dataset["605.mcf_s"], support_size=8, query_size=20, seed=1)
         task_b = holdout_task(small_dataset["620.omnetpp_s"], support_size=8, query_size=20, seed=1)

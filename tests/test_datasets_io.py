@@ -1,5 +1,7 @@
 """Tests for dataset archive save/load round-tripping."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,32 @@ class TestRoundTrip:
     def test_save_creates_parent_directories(self, small_dataset, tmp_path):
         path = save_dataset(small_dataset, tmp_path / "nested" / "deep" / "data.npz")
         assert path.exists()
+
+    def test_suffix_is_appended_and_returned(self, small_dataset, tmp_path):
+        path = save_dataset(small_dataset, tmp_path / "dataset")
+        assert path == tmp_path / "dataset.npz"
+        assert load_dataset(path).workloads == small_dataset.workloads
+
+    def test_interrupted_save_keeps_the_previous_archive(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        path = save_dataset(small_dataset, tmp_path / "dataset.npz")
+        before = path.read_bytes()
+
+        def torn_savez_compressed(file, **arrays):
+            # Write part of an archive, then fail as a killed or full-disk
+            # save would.
+            if hasattr(file, "write"):
+                file.write(b"PK\x03\x04 partial archive")
+            else:
+                Path(file).write_bytes(b"PK\x03\x04 partial archive")
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_savez_compressed)
+        with pytest.raises(OSError, match="interrupted"):
+            save_dataset(small_dataset, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.npz"]
 
     def test_loaded_dataset_feeds_the_existing_pipeline(self, small_dataset, tmp_path):
         from repro.datasets.tasks import TaskSampler

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.datasets.splits import (
-    PAPER_SPLIT_SIZES,
-    WorkloadSplit,
-    paper_split,
-    random_split,
-    rotating_splits,
-)
-from repro.workloads.spec2017 import SPEC2017_WORKLOAD_NAMES, TABLE2_TEST_WORKLOADS
+from repro.datasets.splits import WorkloadSplit, paper_split
+from repro.workloads.spec2017 import TABLE2_TEST_WORKLOADS
 
 
 class TestWorkloadSplit:
@@ -31,24 +25,6 @@ class TestWorkloadSplit:
         assert "train(1)" in text and "test(1)" in text
 
 
-class TestRandomSplit:
-    def test_sizes_match_paper(self):
-        split = random_split(seed=0)
-        assert len(split.train) == PAPER_SPLIT_SIZES[0]
-        assert len(split.validation) == PAPER_SPLIT_SIZES[1]
-        assert len(split.test) == PAPER_SPLIT_SIZES[2]
-
-    def test_deterministic(self):
-        assert random_split(seed=4) == random_split(seed=4)
-
-    def test_different_seeds_differ(self):
-        assert random_split(seed=1) != random_split(seed=2)
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(ValueError):
-            random_split(["a", "b", "c"], sizes=(2, 1, 1))
-
-
 class TestPaperSplit:
     def test_test_set_is_table2(self):
         assert set(paper_split().test) == set(TABLE2_TEST_WORKLOADS)
@@ -57,22 +33,3 @@ class TestPaperSplit:
         split = paper_split(seed=1)
         assert not (set(split.train) & set(split.test))
         assert len(split.train) == 7
-
-
-class TestRotatingSplits:
-    def test_every_workload_tested_exactly_once(self):
-        splits = rotating_splits(seed=0, test_size=5)
-        tested = [w for split in splits for w in split.test]
-        assert sorted(tested) == sorted(SPEC2017_WORKLOAD_NAMES)
-
-    def test_no_split_leaks_its_test_set(self):
-        for split in rotating_splits(seed=3):
-            assert not (set(split.train) & set(split.test))
-            assert not (set(split.validation) & set(split.test))
-
-    def test_split_count(self):
-        assert len(rotating_splits(test_size=5)) == 4  # ceil(17 / 5)
-
-    def test_invalid_test_size(self):
-        with pytest.raises(ValueError):
-            rotating_splits(test_size=0)

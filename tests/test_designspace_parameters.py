@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.designspace.parameters import (
     Parameter,
     ParameterError,
-    ParameterStatistics,
     categorical,
     ranged,
     strided_range,
@@ -68,10 +67,6 @@ class TestParameter:
         assert parameter.contains("BiModeBP")
         assert not parameter.contains("gshare")
 
-    def test_is_numeric(self):
-        assert ranged("p", "", 1, 4, 1).is_numeric
-        assert not categorical("p", "", ("a", "b")).is_numeric
-
     def test_normalized_endpoints(self):
         parameter = ranged("p", "", 0, 10, 1)
         assert parameter.normalized(0) == 0.0
@@ -85,14 +80,6 @@ class TestParameter:
         assert parameter.denormalize(-0.3) == 0
         assert parameter.denormalize(1.7) == 4
 
-    def test_numeric_value_for_categorical(self):
-        parameter = categorical("p", "", ("x", "y"))
-        assert parameter.numeric_value("y") == 1.0
-
-    def test_numeric_value_for_numeric(self):
-        parameter = categorical("p", "", (1.5, 2.5))
-        assert parameter.numeric_value(2.5) == 2.5
-
 
 class TestNormalizationRoundtrip:
     @given(st.integers(min_value=2, max_value=40), st.data())
@@ -100,16 +87,3 @@ class TestNormalizationRoundtrip:
         parameter = Parameter("p", "", tuple(range(cardinality)))
         value = data.draw(st.sampled_from(parameter.values))
         assert parameter.denormalize(parameter.normalized(value)) == value
-
-
-class TestParameterStatistics:
-    def test_numeric_statistics(self):
-        stats = ParameterStatistics.from_parameter(ranged("p", "", 2, 10, 2))
-        assert stats.minimum == 2
-        assert stats.maximum == 10
-        assert stats.cardinality == 5
-
-    def test_categorical_statistics(self):
-        stats = ParameterStatistics.from_parameter(categorical("p", "", ("a", "b")))
-        assert stats.minimum is None
-        assert stats.cardinality == 2

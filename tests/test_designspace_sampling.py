@@ -31,7 +31,7 @@ class TestRandomSampler:
 
     def test_all_valid(self, space):
         for config in RandomSampler(space, seed=1).sample(30):
-            assert space.is_valid(config)
+            assert space.validate(config) == config
 
     def test_deterministic(self, space):
         a = RandomSampler(space, seed=5).sample(10)
@@ -48,7 +48,7 @@ class TestLatinHypercubeSampler:
     def test_count_and_validity(self, space):
         configs = LatinHypercubeSampler(space, seed=0).sample(32)
         assert len(configs) == 32
-        assert all(space.is_valid(c) for c in configs)
+        assert all(space.validate(c) == c for c in configs)
 
     def test_stratification_of_wide_parameter(self, space):
         # With n samples, an LHS should cover the ROB range far more evenly
@@ -68,20 +68,6 @@ class TestOrthogonalArraySampler:
         # The cache line parameter has 2 levels; each should appear ~24 times.
         values = [c["cacheline_bytes"] for c in configs]
         assert abs(values.count(32) - values.count(64)) <= 2
-
-    def test_foldover_mirrors_indices(self, space):
-        sampler = OrthogonalArraySampler(space, seed=0)
-        configs = sampler.sample(5)
-        folded = sampler.foldover(configs)
-        for original, mirrored in zip(configs, folded):
-            idx = space.to_indices(original)
-            mirrored_idx = space.to_indices(mirrored)
-            np.testing.assert_array_equal(
-                mirrored_idx, space.cardinalities() - 1 - idx
-            )
-
-    def test_foldover_of_empty_list(self, space):
-        assert OrthogonalArraySampler(space, seed=0).foldover([]) == []
 
 
 class TestMakeSampler:
@@ -118,7 +104,7 @@ class TestFocusedSampler:
         )
         configs = sampler.sample(30)
         assert len(configs) == 30
-        assert all(space.is_valid(c) for c in configs)
+        assert all(space.validate(c) == c for c in configs)
         again = FocusedSampler(
             space, self._scores(space), keep_fraction=0.4, seed=3
         ).sample(30)
@@ -163,6 +149,17 @@ class TestFocusedSampler:
         # Equal scores break ties towards the earlier declaration.
         assert sampler.focused_mask[:expected].all()
 
+    def test_focus_follows_descending_scores(self, space):
+        num = space.num_parameters
+        scores = np.ones(num)
+        scores[5] = 5.0
+        scores[3] = scores[7] = 2.0
+        # Highest score first; of the tied pair the earlier position wins;
+        # at least one parameter always stays focused.
+        for keep, expected in ((0.01, [5]), (1.5 / num, [3, 5]), (2.5 / num, [3, 5, 7])):
+            sampler = FocusedSampler(space, scores, keep_fraction=keep, seed=0)
+            assert np.flatnonzero(sampler.focused_mask).tolist() == expected
+
     def test_accepts_importance_profile(self, space):
         from repro.meta.wam import ImportanceProfile
 
@@ -174,17 +171,6 @@ class TestFocusedSampler:
             space, profile.scores, keep_fraction=0.4, seed=7
         ).sample(10)
         assert by_profile == by_array
-
-    def test_pool_cardinality_shrinks(self, space):
-        full = int(np.prod([p.cardinality for p in space.parameters], dtype=object))
-        sampler = FocusedSampler(
-            space, self._scores(space), keep_fraction=0.4, coarse_levels=2, seed=0
-        )
-        assert sampler.pool_cardinality() < full
-        unpruned = FocusedSampler(
-            space, self._scores(space), keep_fraction=1.0, seed=0
-        )
-        assert unpruned.pool_cardinality() == full
 
     def test_validation(self, space):
         scores = self._scores(space)

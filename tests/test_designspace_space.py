@@ -73,10 +73,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             tiny_space.validate({"freq": 2.0, "width": 99, "bp": "BiModeBP"})
 
-    def test_is_valid(self, tiny_space):
-        assert tiny_space.is_valid({"freq": 1.0, "width": 1, "bp": "TournamentBP"})
-        assert not tiny_space.is_valid({"freq": 1.0, "width": 1, "bp": "huh"})
-
 
 class TestConversions:
     def test_indices_roundtrip(self, tiny_space):
@@ -91,7 +87,7 @@ class TestConversions:
         assert tiny_space.from_features(features) == config
 
     def test_batch_to_features_shape(self, tiny_space):
-        configs = [tiny_space.default_configuration() for _ in range(5)]
+        configs = [tiny_space.from_indices([0, 1, 1]) for _ in range(5)]
         assert tiny_space.batch_to_features(configs).shape == (5, 3)
 
     def test_batch_to_features_empty(self, tiny_space):
@@ -112,18 +108,6 @@ class TestConversions:
         assert tiny_space.from_indices([2, 1, 1]) == expected
         for dtype in (np.int64, np.int32, np.uint8):
             assert tiny_space.from_indices(np.array([2, 1, 1], dtype=dtype)) == expected
-
-    def test_numeric_view(self, tiny_space):
-        numeric = tiny_space.numeric_view({"freq": 2.0, "width": 3, "bp": "TournamentBP"})
-        assert numeric["freq"] == 2.0
-        assert numeric["bp"] == 1.0  # ordinal index of the categorical value
-
-    def test_neighbors_differ_in_one_position(self, tiny_space):
-        config = tiny_space.default_configuration()
-        base = tiny_space.to_indices(config)
-        for neighbor in tiny_space.neighbors(config):
-            diff = np.sum(tiny_space.to_indices(neighbor) != base)
-            assert diff == 1
 
 
 class TestTable1Space:
@@ -148,10 +132,6 @@ class TestTable1Space:
     def test_pipeline_width_range(self):
         space = build_table1_space()
         assert space["pipeline_width"].values == tuple(range(1, 13))
-
-    def test_default_configuration_is_valid(self):
-        space = build_table1_space()
-        assert space.is_valid(space.default_configuration())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -189,7 +189,7 @@ class TestCrowdingDistance:
 
 
 class TestScreeningCampaign:
-    """Screen-then-simulate as a one-workload campaign (``repro explore --method screen``)."""
+    """Screen-then-simulate as a one-workload campaign (``repro dse`` on one workload)."""
 
     @pytest.fixture(scope="class")
     def engine(self, table1_space, fast_simulator):

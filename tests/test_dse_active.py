@@ -27,7 +27,7 @@ def active_campaign(
     batch_size=3,
     rounds=3,
 ):
-    """The simulate/refit/refine loop ``repro explore --method active`` runs."""
+    """The simulate/refit/refine loop ``repro dse`` runs without ``--dataset``."""
     objectives = ObjectiveSet.from_names(objective_names)
     engine = CampaignEngine(space, simulator, objectives, seed=seed)
     return engine.run_campaign(
@@ -61,7 +61,7 @@ class TestActiveLearningCampaign:
     def test_configs_are_valid_members_of_the_space(self, result, table1_space):
         assert len(result.simulated_configs) == result.simulations_used
         for config in result.simulated_configs:
-            assert table1_space.is_valid(config)
+            assert table1_space.validate(config) == config
 
     def test_pareto_indices_are_non_dominated(self, result):
         minimised = to_minimization(result.measured_objectives, [True, False])

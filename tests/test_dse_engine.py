@@ -8,7 +8,6 @@ from repro.designspace.sampling import RandomSampler
 from repro.dse.acquisition import (
     AcquisitionContext,
     ExplorationBonusAcquisition,
-    GreedyTopK,
     ParetoRankAcquisition,
 )
 from repro.dse.engine import (
@@ -69,14 +68,6 @@ class TestAcquisitionStrategies:
         assert selected[:2] == [0, 3]
         assert selected[2] == 1  # best remaining first objective
         assert all(type(i) is int for i in selected)
-
-    def test_greedy_topk_default_and_weighted(self):
-        predicted_min = np.array([[3.0, 0.0], [1.0, 5.0], [2.0, 1.0]])
-        assert GreedyTopK().select(predicted_min, 2, self._context(3)) == [1, 2]
-        weighted = GreedyTopK(weights=(0.0, 1.0)).select(
-            predicted_min, 2, self._context(3)
-        )
-        assert weighted == [0, 2]
 
     def test_exploration_bonus_breaks_ties_by_uncertainty(self):
         class _Surrogate:
@@ -408,9 +399,11 @@ class TestCampaignEngine:
         )
         summary = json.loads(json.dumps(campaign.summary()))
         assert set(summary["workloads"]) == set(WORKLOADS)
-        for entry in summary["workloads"].values():
+        for workload, entry in summary["workloads"].items():
             assert entry["front_size"] >= 1
-            assert len(entry["pareto_front"][0]) == 2
+            first = entry["pareto_front"][0]
+            assert set(first) == {"ipc", "power", "configuration"}
+            assert first["configuration"] == campaign[workload].pareto_configs[0]
 
 
 class TestNSGA2Strategies:
@@ -430,7 +423,7 @@ class TestNSGA2Strategies:
         assert result.simulations_used <= 6
         assert result.candidates_screened == 16  # final population
         for config in result.simulated_configs:
-            assert table1_space.is_valid(config)
+            assert table1_space.validate(config) == config
 
     def test_nsga2_evolve_rejects_a_generator_seed(self):
         # A Generator is a shared mutable stream, not a keyed stream family.

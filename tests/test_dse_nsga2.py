@@ -60,7 +60,7 @@ class TestNSGA2Explorer:
         result = explorer.explore(_surrogates(table1_space))
         assert len(result.configs) == 16
         for config in result.configs:
-            assert table1_space.is_valid(config)
+            assert table1_space.validate(config) == config
         assert result.objectives.shape == (16, 2)
         assert result.objective_names == ("ipc", "power")
         assert result.evaluations == 16 * (3 + 1)

@@ -9,12 +9,10 @@ from hypothesis.extra import numpy as npst
 from repro.dse.pareto import hypervolume_2d
 from repro.dse.quality import (
     adrs,
-    adrs_slope,
     hypervolume_ratio,
     hypervolume_slope,
     monte_carlo_hypervolume,
     normalize_objectives,
-    pareto_coverage,
 )
 
 REFERENCE = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
@@ -77,22 +75,6 @@ class TestADRS:
         value = adrs(found, REFERENCE)
         assert value >= 0.0
         assert np.isfinite(value)
-
-
-class TestParetoCoverage:
-    def test_full_coverage_when_identical(self):
-        assert pareto_coverage(REFERENCE.copy(), REFERENCE) == 1.0
-
-    def test_partial_coverage(self):
-        found = np.array([[1.0, 3.0], [10.0, 10.0]])
-        assert pareto_coverage(found, REFERENCE) == pytest.approx(1 / 3)
-
-    def test_zero_coverage_when_found_is_strictly_worse(self):
-        assert pareto_coverage(REFERENCE + 1.0, REFERENCE) == 0.0
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            pareto_coverage(np.zeros((2, 3)), REFERENCE)
 
 
 class TestMonteCarloHypervolume:
@@ -193,14 +175,8 @@ class TestQualitySlopes:
         assert hypervolume_slope([1.0, 1.5, 2.5], window=1) == pytest.approx(1.0)
         assert hypervolume_slope([1.0, 1.5, 2.5], window=2) == pytest.approx(0.75)
 
-    def test_adrs_slope_negates_so_improvement_is_positive(self):
-        # ADRS falls as the front improves: a 0.1-per-round cut earns +0.1.
-        assert adrs_slope([0.5, 0.4, 0.3]) == pytest.approx(0.1)
-        assert adrs_slope([0.3, 0.4, 0.5]) == pytest.approx(-0.1)
-
     def test_flat_history_has_zero_slope(self):
         assert hypervolume_slope([2.0, 2.0, 2.0]) == 0.0
-        assert adrs_slope([0.4, 0.4]) == 0.0
 
     def test_single_round_campaign_is_neutral(self):
         # One recorded round has no delta to measure — neutral, not NaN.
@@ -216,8 +192,8 @@ class TestQualitySlopes:
 
     def test_all_nan_history_is_neutral(self):
         assert hypervolume_slope([np.nan, np.nan, np.nan]) == 0.0
-        assert adrs_slope([np.nan, 1.0]) == 0.0
-        assert adrs_slope([1.0, np.nan]) == 0.0
+        assert hypervolume_slope([np.nan, 1.0]) == 0.0
+        assert hypervolume_slope([1.0, np.nan]) == 0.0
 
     def test_window_restricts_to_trailing_rounds(self):
         # Early collapse outside the window must not drag the slope down.

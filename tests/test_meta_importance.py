@@ -59,20 +59,6 @@ class TestImportanceProfile:
         with pytest.raises(ValueError, match="1-D"):
             ImportanceProfile(scores=np.ones((2, 2)))
 
-    def test_ranking_descending_with_index_tiebreak(self):
-        profile = ImportanceProfile(scores=np.array([2.0, 5.0, 2.0, 1.0]))
-        assert profile.ranking().tolist() == [1, 0, 2, 3]
-        assert profile.top_parameters(2) == [1, 0]
-
-    def test_focused_parameters_count_and_floor(self):
-        profile = ImportanceProfile(scores=np.arange(1.0, 11.0))
-        assert profile.focused_parameters(0.5).sum() == 5
-        # At least one parameter always stays focused.
-        assert profile.focused_parameters(0.01).sum() == 1
-        assert profile.focused_parameters(1.0).all()
-        with pytest.raises(ValueError, match="keep_fraction"):
-            profile.focused_parameters(0.0)
-
 
 class TestAttentionImportance:
     def test_reduces_to_key_axis(self):

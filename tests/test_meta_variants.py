@@ -101,7 +101,8 @@ class TestMetaSGD:
         model = _tiny_predictor()
         config = _tiny_config(inner_lr=0.05)
         trainer = MetaSGDTrainer(model, config, alpha_bounds=(1e-4, 0.1))
-        assert trainer.mean_alpha() == pytest.approx(0.05)
+        for value in trainer.alphas.values():
+            np.testing.assert_allclose(value, 0.05)
         trainer.meta_step(sampler.sample_batch(["625.x264_s", "602.gcc_s"]))
         for value in trainer.alphas.values():
             assert np.all(value >= 1e-4) and np.all(value <= 0.1)

@@ -26,11 +26,6 @@ class TestMultiHeadSelfAttention:
         assert attention.last_attention.shape == (3, 2, 5, 5)
         np.testing.assert_allclose(attention.last_attention.sum(axis=-1), 1.0)
 
-    def test_mean_attention_requires_forward(self):
-        attention = MultiHeadSelfAttention(8, 2, seed=0)
-        with pytest.raises(RuntimeError):
-            attention.mean_attention()
-
     def test_wrong_input_shape(self):
         attention = MultiHeadSelfAttention(8, 2, seed=0)
         with pytest.raises(ValueError):
@@ -56,8 +51,6 @@ class TestMultiHeadSelfAttention:
         attention = MultiHeadSelfAttention(8, 2, seed=0)
         attention.install_mask(np.zeros((4, 4)), learnable=True)
         assert any(name == "mask" for name, _ in attention.named_parameters())
-        attention.remove_mask()
-        assert all(name != "mask" for name, _ in attention.named_parameters())
 
     def test_invalid_mask_shape(self):
         attention = MultiHeadSelfAttention(8, 2, seed=0)
@@ -90,19 +83,17 @@ class TestTransformerPredictor:
     def test_last_attention_accessible(self):
         model = TransformerPredictor(6, embed_dim=8, num_heads=2, num_layers=2, seed=0)
         model.predict(np.random.default_rng(2).random((5, 6)))
-        weights = model.last_attention_weights()
+        weights = model.last_attention_layer.last_attention.mean(axis=(0, 1))
         assert weights.shape == (6, 6)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0)
 
-    def test_install_and_remove_mask(self):
+    def test_install_mask(self):
         model = TransformerPredictor(6, embed_dim=8, num_heads=2, num_layers=2, seed=0)
         model.install_mask(np.zeros((6, 6)), learnable=True)
         assert model.last_attention_layer.mask is not None
         assert model.attention_layers()[0].mask is None
         model.install_mask(np.zeros((6, 6)), all_layers=True)
         assert all(layer.mask is not None for layer in model.attention_layers())
-        model.remove_masks()
-        assert all(layer.mask is None for layer in model.attention_layers())
 
     def test_can_overfit_small_dataset(self):
         rng = np.random.default_rng(0)

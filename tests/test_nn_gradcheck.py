@@ -42,17 +42,14 @@ class TestTensorOperations:
             lambda x: x.gelu(),
             lambda x: x.relu(),
             lambda x: (x ** 3),
-            lambda x: x.softmax(axis=-1),
             lambda x: x.mean(axis=0),
             lambda x: x.var(),
             lambda x: x.reshape(6, 2),
-            lambda x: x.transpose(1, 0),
             lambda x: x[1:, :2],
         ],
         ids=[
             "affine", "square", "rational", "exp", "log", "tanh", "sigmoid",
-            "gelu", "relu", "pow3", "softmax", "mean", "var", "reshape",
-            "transpose", "slice",
+            "gelu", "relu", "pow3", "mean", "var", "reshape", "slice",
         ],
     )
     def test_elementwise_and_shape_ops(self, operation):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import MLP, Dropout, LayerNorm, Linear, ParameterEmbedding, Sequential
+from repro.nn.layers import MLP, Dropout, LayerNorm, Linear, ParameterEmbedding
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -76,12 +76,7 @@ class TestDropout:
             Dropout(1.0)
 
 
-class TestSequentialAndMLP:
-    def test_sequential_applies_in_order(self):
-        model = Sequential(Linear(4, 8, seed=0), Linear(8, 2, seed=1))
-        assert len(model) == 2
-        assert model(Tensor(np.zeros((3, 4)))).shape == (3, 2)
-
+class TestMLP:
     def test_mlp_shapes(self):
         model = MLP(6, [16, 16], 1, seed=0)
         assert model(Tensor(np.zeros((5, 6)))).shape == (5, 1)
@@ -145,17 +140,13 @@ class TestModuleInfrastructure:
         duplicate.weight.data += 10.0
         assert not np.allclose(model.weight.data, duplicate.weight.data)
 
-    def test_parameter_count(self):
-        model = Linear(4, 3, seed=0)
-        assert model.parameter_count() == 4 * 3 + 3
-
     def test_named_parameters_are_prefixed(self):
-        model = Sequential(Linear(2, 2, seed=0), Linear(2, 1, seed=0))
+        model = MLP(2, [2], 1, seed=0)
         names = [name for name, _ in model.named_parameters()]
-        assert any(name.startswith("layer0.") for name in names)
+        assert any(name.startswith("fc0.") for name in names)
 
     def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5), Linear(2, 2, seed=0))
+        model = MLP(2, [2], 2, dropout=0.5, seed=0)
         model.eval()
         assert all(not m.training for m in model.modules())
 

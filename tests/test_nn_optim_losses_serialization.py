@@ -1,12 +1,15 @@
 """Tests for optimisers, losses and model serialisation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.nn.layers import Linear
-from repro.nn.losses import huber_loss, mae_loss, mse_loss
+from repro.nn.losses import mse_loss
 from repro.nn.optim import SGD, Adam, CosineAnnealingLR, clip_grad_norm
-from repro.nn.serialization import load_model, load_state, save_model
+from repro.nn import serialization
+from repro.nn.serialization import load_state, save_model
 from repro.nn.tensor import Tensor
 
 
@@ -139,36 +142,19 @@ class TestLosses:
         expected = np.mean((predictions.data - targets) ** 2)
         assert mse_loss(predictions, targets).item() == pytest.approx(expected)
 
-    def test_mae_matches_numpy(self):
-        predictions = Tensor([1.0, -2.0])
-        targets = np.array([0.0, 0.0])
-        assert mae_loss(predictions, targets).item() == pytest.approx(1.5)
-
-    def test_huber_between_mse_and_mae_for_outliers(self):
-        predictions = Tensor([10.0])
-        targets = np.array([0.0])
-        huber = huber_loss(predictions, targets, delta=1.0).item()
-        assert huber < mse_loss(predictions, targets).item()
-        assert huber > mae_loss(predictions, targets).item() - 1.0
-
-    def test_huber_invalid_delta(self):
-        with pytest.raises(ValueError):
-            huber_loss(Tensor([1.0]), np.array([1.0]), delta=0.0)
-
-    def test_losses_are_differentiable(self):
+    def test_mse_is_differentiable(self):
         theta = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        for loss_fn in (mse_loss, mae_loss, huber_loss):
-            theta.zero_grad()
-            loss_fn(theta * 2.0, np.array([1.0, 1.0])).backward()
-            assert theta.grad is not None
+        mse_loss(theta * 2.0, np.array([1.0, 1.0])).backward()
+        assert theta.grad is not None
 
 
 class TestSerialization:
     def test_save_and_load_roundtrip(self, tmp_path):
         model = Linear(4, 2, seed=0)
         path = save_model(model, tmp_path / "model", header={"kind": "linear"})
+        state, header = load_state(path)
         other = Linear(4, 2, seed=99)
-        header = load_model(other, path)
+        other.load_state_dict(state)
         assert header["kind"] == "linear"
         np.testing.assert_allclose(model.weight.data, other.weight.data)
 
@@ -182,3 +168,22 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_state(tmp_path / "nope.npz")
+
+    def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = save_model(Linear(2, 2, seed=0), tmp_path / "m.npz")
+        before = path.read_bytes()
+
+        def torn_savez(file, **arrays):
+            # Write part of an archive, then fail as a killed or full-disk
+            # save would.
+            if hasattr(file, "write"):
+                file.write(b"PK\x03\x04 partial archive")
+            else:
+                Path(file).write_bytes(b"PK\x03\x04 partial archive")
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(serialization.np, "savez", torn_savez)
+        with pytest.raises(OSError, match="interrupted"):
+            save_model(Linear(2, 2, seed=1), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]

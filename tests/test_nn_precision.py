@@ -18,7 +18,7 @@ from repro.nn.precision import (
     resolve_dtype,
     set_default_dtype,
 )
-from repro.nn.serialization import load_model, load_state, save_model
+from repro.nn.serialization import load_state, save_model
 from repro.nn.tensor import Tensor, ones, stack, zeros
 from repro.nn.transformer import TransformerPredictor
 
@@ -240,15 +240,16 @@ class TestCheckpointDtype:
         assert header["dtype"] == "float32"
         assert all(array.dtype == np.float32 for array in state.values())
         clone = self._model("float32")
-        load_model(clone, path)
+        clone.load_state_dict(state)
         for (name, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
     def test_float64_checkpoint_loads_into_float32_model(self, tmp_path):
         source = self._model()
         path = save_model(source, tmp_path / "ckpt64")
+        state, header = load_state(path)
         target = self._model("float32")
-        header = load_model(target, path)
+        target.load_state_dict(state)
         assert header["dtype"] == "float64"
         assert target.dtype == np.float32
         for (name, a), (_, b) in zip(source.named_parameters(), target.named_parameters()):
@@ -260,7 +261,7 @@ class TestCheckpointDtype:
         source = self._model("float32")
         path = save_model(source, tmp_path / "ckpt32")
         target = self._model()
-        load_model(target, path)
+        target.load_state_dict(load_state(path)[0])
         assert target.dtype == np.float64
 
     def test_header_dtype_records_model_dtype(self, tmp_path):

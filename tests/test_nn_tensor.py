@@ -82,12 +82,9 @@ class TestGradients:
         lambda t: t.relu(),
         lambda t: t.gelu(),
         lambda t: t.abs(),
-        lambda t: t.softmax(axis=-1),
-        lambda t: t.log_softmax(axis=-1),
         lambda t: t.mean(axis=0),
         lambda t: t.var(axis=-1),
         lambda t: t.reshape(12),
-        lambda t: t.transpose(1, 0),
         lambda t: t[1:, :2],
     ], ids=lambda f: "op")
     def test_elementwise_and_shape_ops(self, op):
@@ -153,29 +150,6 @@ class TestGradients:
 
 
 class TestNumericalStability:
-    def test_softmax_handles_large_logits(self):
-        out = Tensor([1000.0, 1000.0, -1000.0]).softmax()
-        assert np.all(np.isfinite(out.data))
-        assert out.data.sum() == pytest.approx(1.0)
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        out = Tensor(rng.normal(size=(5, 7))).softmax(axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=st.tuples(st.integers(1, 5), st.integers(1, 6)),
-            elements=st.floats(-50, 50, allow_nan=False),
-        )
-    )
-    def test_softmax_property(self, values):
-        out = Tensor(values).softmax(axis=-1)
-        assert np.all(out.data >= 0)
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, rtol=1e-9)
-
     @settings(max_examples=40, deadline=None)
     @given(
         hnp.arrays(

@@ -329,7 +329,7 @@ class TestResumableCampaign:
             )
 
     def test_resume_with_different_acquisition_is_rejected(self, tmp_path):
-        from repro.dse.acquisition import GreedyTopK
+        from repro.dse.acquisition import ExplorationBonusAcquisition
 
         checkpoint = tmp_path / "campaign.json"
         make_engine().run_campaign(
@@ -345,7 +345,7 @@ class TestResumableCampaign:
             make_engine().run_campaign(
                 WORKLOADS,
                 surrogates(),
-                acquisition=GreedyTopK(),
+                acquisition=ExplorationBonusAcquisition(),
                 executor=SerialExecutor(),
                 checkpoint=checkpoint,
                 **CAMPAIGN,

@@ -61,9 +61,10 @@ class TestSerialExecutor:
 
 class TestPoolExecutors:
     @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
-    def test_starmap_preserves_submission_order(self, executor_cls):
+    def test_submitted_tasks_run_concurrently_to_their_futures(self, executor_cls):
         with executor_cls(2) as executor:
-            results = executor.starmap(_square, [(i,) for i in range(10)])
+            futures = [executor.submit(_square, i) for i in range(10)]
+            results = [future.result() for future in futures]
         assert results == [i * i for i in range(10)]
 
     def test_context_manager_shuts_down(self):
@@ -130,7 +131,8 @@ class TestBroadcast:
             # Cold pool: the initializer delivers the value, the handle
             # travels without a payload copy.
             assert handle.payload is None
-            results = executor.starmap(_resolved_value, [(handle,)] * 6)
+            futures = [executor.submit(_resolved_value, handle) for _ in range(6)]
+            results = [future.result() for future in futures]
         assert results == [11] * 6
 
     def test_process_broadcast_resolves_in_workers_warm_pool(self):
@@ -141,7 +143,8 @@ class TestBroadcast:
             # Warm pool: workers may predate the broadcast, so the handle
             # carries the pickled payload as a fallback.
             assert handle.payload is not None
-            results = executor.starmap(_resolved_value, [(handle,)] * 6)
+            futures = [executor.submit(_resolved_value, handle) for _ in range(6)]
+            results = [future.result() for future in futures]
         assert results == [13] * 6
 
     def test_rebroadcasting_the_same_object_pickles_once(self):

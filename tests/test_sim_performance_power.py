@@ -24,7 +24,7 @@ def power_model():
 
 
 def beefy(space):
-    config = space.default_configuration()
+    config = space.from_indices(space.cardinalities() // 2)
     config.update(
         pipeline_width=8, rob_size=256, inst_queue_size=80,
         int_rf_size=256, fp_rf_size=256, load_queue_size=48, store_queue_size=48,
@@ -34,7 +34,7 @@ def beefy(space):
 
 
 def wimpy(space):
-    config = space.default_configuration()
+    config = space.from_indices(space.cardinalities() // 2)
     config.update(
         pipeline_width=1, rob_size=32, inst_queue_size=16,
         int_rf_size=64, fp_rf_size=64, load_queue_size=20, store_queue_size=20,
@@ -45,7 +45,7 @@ def wimpy(space):
 
 class TestPerformanceModel:
     def test_ipc_positive_and_bounded(self, performance_model, table1_space, profiles):
-        config = table1_space.default_configuration()
+        config = table1_space.from_indices(table1_space.cardinalities() // 2)
         for workload in profiles.values():
             result = performance_model.evaluate(config, workload, table1_space)
             assert 0.0 < result.ipc <= config["pipeline_width"]
@@ -65,12 +65,12 @@ class TestPerformanceModel:
         assert imagick.ipc > 2.0 * mcf.ipc
 
     def test_bips_is_ipc_times_frequency(self, performance_model, table1_space, profiles):
-        config = table1_space.default_configuration()
+        config = table1_space.from_indices(table1_space.cardinalities() // 2)
         result = performance_model.evaluate(config, profiles["602.gcc_s"], table1_space)
         assert result.bips == pytest.approx(result.ipc * config["core_frequency_ghz"])
 
     def test_frequency_helps_compute_bound_more(self, performance_model, table1_space, profiles):
-        base = table1_space.default_configuration()
+        base = table1_space.from_indices(table1_space.cardinalities() // 2)
         slow = dict(base, core_frequency_ghz=1.0)
         fast = dict(base, core_frequency_ghz=3.0)
         compute = profiles["648.exchange2_s"]
@@ -88,7 +88,7 @@ class TestPerformanceModel:
 
 class TestPowerModel:
     def test_power_positive(self, performance_model, power_model, table1_space, profiles):
-        config = table1_space.default_configuration()
+        config = table1_space.from_indices(table1_space.cardinalities() // 2)
         for workload in profiles.values():
             perf = performance_model.evaluate(config, workload, table1_space)
             power = power_model.evaluate(config, workload, table1_space, perf)
@@ -111,7 +111,7 @@ class TestPowerModel:
 
     def test_higher_frequency_costs_power(self, performance_model, power_model, table1_space, profiles):
         workload = profiles["625.x264_s"]
-        base = table1_space.default_configuration()
+        base = table1_space.from_indices(table1_space.cardinalities() // 2)
         slow = dict(base, core_frequency_ghz=1.0)
         fast = dict(base, core_frequency_ghz=3.0)
         slow_power = power_model.evaluate(
@@ -125,7 +125,7 @@ class TestPowerModel:
         assert fast_power.total_power_w > slow_power.total_power_w
 
     def test_area_breakdown_sums(self, power_model, table1_space):
-        area = power_model.area(table1_space.default_configuration(), table1_space)
+        area = power_model.area(table1_space.from_indices(table1_space.cardinalities() // 2), table1_space)
         parts = (
             area.core_logic + area.register_files + area.queues
             + area.caches + area.branch_unit + area.functional_units
@@ -133,7 +133,7 @@ class TestPowerModel:
         assert area.total == pytest.approx(parts)
 
     def test_tournament_predictor_larger_than_bimode(self, power_model, table1_space):
-        base = table1_space.default_configuration()
+        base = table1_space.from_indices(table1_space.cardinalities() // 2)
         bimode = power_model.area(dict(base, branch_predictor="BiModeBP"), table1_space)
         tournament = power_model.area(dict(base, branch_predictor="TournamentBP"), table1_space)
         assert tournament.branch_unit > bimode.branch_unit

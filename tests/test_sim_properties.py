@@ -119,13 +119,15 @@ def test_workloads_disagree_about_the_best_configuration():
     """Cross-workload DSE is only interesting because rankings differ; verify
     the substrate preserves that motivating property over a random pool."""
     from repro.designspace.sampling import RandomSampler
-    from repro.metrics.ranking import spearman_rho
 
     configs = RandomSampler(SPACE, seed=5).sample(60)
-    ipc = {
-        workload: np.array([SIMULATOR.run(c, workload).ipc for c in configs])
+    # Spearman's rho: the correlation of the two rankings.
+    ranks = {
+        workload: np.argsort(
+            np.argsort([SIMULATOR.run(c, workload).ipc for c in configs])
+        )
         for workload in ("605.mcf_s", "648.exchange2_s")
     }
-    rho = spearman_rho(ipc["605.mcf_s"], ipc["648.exchange2_s"])
+    rho = np.corrcoef(ranks["605.mcf_s"], ranks["648.exchange2_s"])[0, 1]
     # Correlated (same machine) but far from identical (different bottlenecks).
     assert rho < 0.98

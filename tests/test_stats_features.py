@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.stats.features import (
-    DISTRIBUTION_FEATURE_NAMES,
-    distribution_features,
-    workload_feature_matrix,
-)
+from repro.stats.features import DISTRIBUTION_FEATURE_NAMES, distribution_features
 
 
 class TestDistributionFeatures:
@@ -65,32 +61,11 @@ class TestDistributionFeatures:
         assert features["iqr"] >= 0
 
 
-class TestWorkloadFeatureMatrix:
-    def test_shape_and_standardisation(self, small_dataset):
-        names = small_dataset.workloads[:4]
-        matrix = workload_feature_matrix(small_dataset, names, metric="ipc")
-        assert matrix.shape == (4, len(DISTRIBUTION_FEATURE_NAMES))
-        # Standardised columns are zero-mean (constant columns stay at zero).
-        assert np.allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
-
-    def test_unstandardised_matrix_matches_per_workload_features(self, small_dataset):
-        names = small_dataset.workloads[:3]
-        matrix = workload_feature_matrix(
-            small_dataset, names, metric="ipc", standardize=False
-        )
-        expected = distribution_features(small_dataset[names[1]].metric("ipc"))
-        assert np.allclose(matrix[1], expected)
-
+class TestWorkloadFeatures:
     def test_distinguishes_memory_bound_from_compute_bound(self, small_dataset):
-        matrix = workload_feature_matrix(
-            small_dataset,
-            ["605.mcf_s", "648.exchange2_s"],
-            metric="ipc",
-            standardize=False,
+        mcf, exchange2 = (
+            distribution_features(small_dataset[name].metric("ipc"))
+            for name in ("605.mcf_s", "648.exchange2_s")
         )
         # mcf (memory bound) has a clearly lower mean IPC than exchange2.
-        assert matrix[0, 0] < matrix[1, 0]
-
-    def test_empty_workload_list_raises(self, small_dataset):
-        with pytest.raises(ValueError):
-            workload_feature_matrix(small_dataset, [])
+        assert mcf[0] < exchange2[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.kmeans import KMeans, silhouette_score
+from repro.stats.kmeans import KMeans
 
 
 def _blobs(rng, centers, points_per_blob=20, scale=0.05):
@@ -22,7 +22,7 @@ class TestKMeans:
         data = _blobs(rng, centers)
         result = KMeans(3, seed=1).fit(data)
         # Every blob maps to exactly one cluster: 3 clusters of 20 points.
-        assert sorted(result.cluster_sizes().tolist()) == [20, 20, 20]
+        assert sorted(np.bincount(result.labels, minlength=3).tolist()) == [20, 20, 20]
         # Recovered centres are close to the true ones (in some order).
         for true_center in centers:
             distances = np.linalg.norm(result.centers - np.asarray(true_center), axis=1)
@@ -103,23 +103,3 @@ class TestKMeans:
             np.sum((data - result.centers[result.labels]) ** 2)
         )
         assert result.inertia == pytest.approx(recomputed, rel=1e-9, abs=1e-9)
-        assert result.cluster_sizes().sum() == n
-
-
-class TestSilhouette:
-    def test_well_separated_scores_high(self):
-        rng = np.random.default_rng(0)
-        data = _blobs(rng, [(0, 0), (10, 10)])
-        labels = KMeans(2, seed=0).fit(data).labels
-        assert silhouette_score(data, labels) > 0.8
-
-    def test_single_cluster_is_zero(self):
-        data = np.random.default_rng(1).normal(size=(20, 2))
-        assert silhouette_score(data, np.zeros(20, dtype=int)) == 0.0
-
-    def test_random_labels_score_lower_than_true_labels(self):
-        rng = np.random.default_rng(2)
-        data = _blobs(rng, [(0, 0), (8, 8)])
-        true_labels = KMeans(2, seed=0).fit(data).labels
-        random_labels = rng.integers(0, 2, size=len(data))
-        assert silhouette_score(data, true_labels) > silhouette_score(data, random_labels)

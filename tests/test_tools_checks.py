@@ -1,10 +1,11 @@
 """Tests for the repository tools (tools/check_repo.py, tools/check_docs.py,
 tools/bench_pairs.py).
 
-The hygiene classifier is a pure function over path lists, so the rules are
-verified against planted offenders without touching the real git index;
-one integration test also runs the checker against the actual repository,
-which must be clean (that is the guard ``make test`` relies on).  The docs
+The hygiene classifier is a pure function over path lists, and the
+test-only-code rule a pure function over source texts, so both are verified
+against planted offenders without touching the real tree; integration tests
+also run both against the actual repository, which must be clean (that is
+the guard ``make test`` relies on).  The docs
 checker's dotted-reference and ``Class.member`` resolvers are checked
 against planted names.  The benchmark-pairs verdict is a pure function,
 checked on fabricated runs without starting a benchmark.
@@ -131,6 +132,103 @@ class TestFindTrackedArtifacts:
         assert check_repo.find_tracked_artifacts(paths) == [
             "runs/campaign.trace.jsonl"
         ]
+
+
+_WIDGET = """
+class Widget:
+    def used(self):
+        return 1
+
+    def spare(self):
+        return 2
+
+    def _private(self):
+        return 3
+"""
+
+
+def _offending_names(check_repo, sources, allowlist=None):
+    """The qualified names (or stale entries) the test-only rule reports."""
+    offences = check_repo.find_test_only_definitions(
+        sources, {} if allowlist is None else allowlist
+    )
+    return [offence.split(": ")[1].split(" ")[0] for offence in offences]
+
+
+class TestTestOnlyDefinitions:
+    def test_test_only_method_is_flagged(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": _WIDGET,
+            "examples/use.py": "from repro.widgets import Widget\nWidget().used()\n",
+            "tests/test_widgets.py": "from repro.widgets import Widget\nWidget().spare()\n",
+        }
+        offences = check_repo.find_test_only_definitions(sources, {})
+        assert offences == [
+            "src/repro/widgets.py:6: Widget.spare has no caller outside tests/"
+        ]
+
+    @pytest.mark.parametrize("root", ["perfbench", "examples", "benchmarks", "tools"])
+    def test_callers_outside_src_count(self, check_repo, root):
+        sources = {
+            "src/repro/widgets.py": "def helper():\n    return 1\n",
+            f"{root}/driver.py": "import repro.widgets as w\nw.helper()\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_getattr_string_counts_as_a_reference(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": _WIDGET,
+            "src/repro/driver.py": (
+                "from repro.widgets import Widget\n"
+                "def drive(w: Widget):\n"
+                "    return w.used(), getattr(w, 'spare')()\n"
+            ),
+            "examples/run.py": "from repro.driver import drive\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_reexports_and_dunder_all_do_not_count(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": "def helper():\n    return 1\n",
+            "src/repro/__init__.py": (
+                "from repro.widgets import helper\n__all__ = ['helper']\n"
+            ),
+        }
+        assert _offending_names(check_repo, sources) == ["helper"]
+
+    def test_self_recursive_function_is_flagged(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": (
+                "def countdown(n):\n    return n if n == 0 else countdown(n - 1)\n"
+            ),
+        }
+        assert _offending_names(check_repo, sources) == ["countdown"]
+
+    def test_allowlisted_names_pass(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": _WIDGET,
+            "src/repro/oracle.py": "def reference():\n    return 0\n",
+            "examples/use.py": "from repro.widgets import Widget\nWidget().used()\n",
+        }
+        allowlist = {
+            "repro.widgets.Widget.spare": "a reference oracle",
+            "repro.oracle": "a module of reference oracles",
+        }
+        assert _offending_names(check_repo, sources, allowlist) == []
+
+    def test_stale_allowlist_entry_fails(self, check_repo):
+        sources = {"src/repro/widgets.py": "def helper():\n    return 1\n",
+                   "examples/use.py": "from repro.widgets import helper\n"}
+        offences = check_repo.find_test_only_definitions(
+            sources, {"repro.widgets.vanished": "deleted long ago"}
+        )
+        assert offences == [
+            "allowlist entry 'repro.widgets.vanished' names no definition "
+            "under src/repro"
+        ]
+
+    def test_repository_has_no_test_only_definitions(self, check_repo):
+        assert check_repo.find_test_only_definitions(check_repo.caller_sources()) == []
 
 
 class TestMain:

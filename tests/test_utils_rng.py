@@ -1,9 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import RngMixin, as_rng, choice_without_replacement, spawn_rngs
+from repro.utils.rng import as_rng
 
 
 class TestAsRng:
@@ -21,63 +20,3 @@ class TestAsRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert as_rng(gen) is gen
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_streams_are_independent(self):
-        streams = spawn_rngs(0, 2)
-        assert not np.allclose(streams[0].random(10), streams[1].random(10))
-
-    def test_deterministic(self):
-        a = [g.random() for g in spawn_rngs(7, 3)]
-        b = [g.random() for g in spawn_rngs(7, 3)]
-        np.testing.assert_allclose(a, b)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_from_generator(self):
-        gen = np.random.default_rng(3)
-        streams = spawn_rngs(gen, 4)
-        assert len(streams) == 4
-
-
-class TestRngMixin:
-    class Thing(RngMixin):
-        def __init__(self, seed=None):
-            self._init_rng(seed)
-
-    def test_seeded_mixin_is_deterministic(self):
-        a = self.Thing(5).rng.random(4)
-        b = self.Thing(5).rng.random(4)
-        np.testing.assert_allclose(a, b)
-
-    def test_lazy_rng_without_init(self):
-        class Bare(RngMixin):
-            pass
-
-        assert isinstance(Bare().rng, np.random.Generator)
-
-    def test_reseed(self):
-        thing = self.Thing(1)
-        thing.reseed(9)
-        other = self.Thing(9)
-        np.testing.assert_allclose(thing.rng.random(3), other.rng.random(3))
-
-
-class TestChoiceWithoutReplacement:
-    def test_distinct_items(self):
-        picked = choice_without_replacement(as_rng(0), list(range(20)), 10)
-        assert len(set(picked)) == 10
-
-    def test_too_many_raises(self):
-        with pytest.raises(ValueError):
-            choice_without_replacement(as_rng(0), [1, 2, 3], 4)
-
-    def test_preserves_item_type(self):
-        picked = choice_without_replacement(as_rng(0), ["a", "b", "c"], 2)
-        assert all(isinstance(item, str) for item in picked)

@@ -48,24 +48,11 @@ class TestGenerateSimpoints:
 
     def test_total_instructions(self, profile):
         simpoints = generate_simpoints(profile, max_clusters=5, seed=0)
-        assert simpoints.total_instructions == len(simpoints) * INSTRUCTIONS_PER_CLUSTER
+        total = sum(point.instructions for point in simpoints)
+        assert total == len(simpoints) * INSTRUCTIONS_PER_CLUSTER
 
 
 class TestSimPointSet:
-    def test_weighted_average(self, profile):
-        points = (
-            SimPoint(index=0, weight=0.25, profile=profile),
-            SimPoint(index=1, weight=0.75, profile=profile),
-        )
-        simpoints = SimPointSet(workload_name=profile.name, points=points)
-        assert simpoints.weighted_average(np.array([1.0, 3.0])) == pytest.approx(2.5)
-
-    def test_weighted_average_length_check(self, profile):
-        points = (SimPoint(index=0, weight=1.0, profile=profile),)
-        simpoints = SimPointSet(workload_name=profile.name, points=points)
-        with pytest.raises(ValueError):
-            simpoints.weighted_average(np.array([1.0, 2.0]))
-
     def test_weights_must_sum_to_one(self, profile):
         points = (SimPoint(index=0, weight=0.5, profile=profile),)
         with pytest.raises(ValueError):

@@ -65,16 +65,6 @@ class TestWorkloadSuite:
         subset = suite.subset(["625.x264_s", "605.mcf_s"])
         assert subset.names == ["625.x264_s", "605.mcf_s"]
 
-    def test_by_category(self):
-        suite = spec2017_suite()
-        fp = suite.by_category("fp")
-        assert all(p.category == "fp" for p in fp)
-        assert len(fp) >= 5
-
-    def test_by_unknown_category(self):
-        with pytest.raises(KeyError):
-            spec2017_suite().by_category("gpu")
-
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
             WorkloadSuite({})
