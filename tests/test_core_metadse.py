@@ -16,7 +16,7 @@ from repro.datasets.tasks import holdout_task
 from repro.meta.maml import MAMLConfig
 from repro.metrics.regression import rmse
 from repro.nn import parallel as nn_parallel
-from repro.nn.serialization import load_state
+from repro.nn.serialization import load_state, save_model
 from repro.nn.transformer import TransformerPredictor
 
 
@@ -244,6 +244,31 @@ class TestMetaDSEFacade:
         assert clone.config.predictor == paper_scale_config().predictor
         features = small_dataset["605.mcf_s"].features[:8]
         np.testing.assert_array_equal(clone.predict(features), model.predict(features))
+
+    def test_checkpoint_without_architecture_uses_the_configured_one(
+        self, pretrained, small_dataset, tmp_path
+    ):
+        # Checkpoints written before the header recorded the architecture
+        # load with the facade's own config.predictor, as they always did.
+        path = tmp_path / "meta.npz"
+        pretrained.save_pretrained(path)
+        _, header = load_state(path)
+        del header["predictor"]
+        legacy = tmp_path / "legacy.npz"
+        save_model(pretrained.meta_model, legacy, header=header)
+        assert "predictor" not in load_state(legacy)[1]
+
+        clone = MetaDSE(22, config=fast_config())
+        clone.load_pretrained(legacy)
+        reference = MetaDSE(22, config=fast_config())
+        reference.load_pretrained(path)
+        features = small_dataset["605.mcf_s"].features[:8]
+        np.testing.assert_array_equal(clone.predict(features), reference.predict(features))
+
+        mismatched = MetaDSE(22, config=default_config())
+        mismatched.config.predictor = paper_scale_config().predictor
+        with pytest.raises(ValueError, match="state dict mismatch"):
+            mismatched.load_pretrained(legacy)
 
     def test_repeated_adaptation_is_independent(self, pretrained, small_dataset):
         task_a = holdout_task(small_dataset["605.mcf_s"], support_size=8, query_size=20, seed=1)

@@ -15,12 +15,16 @@ from repro.dse.engine import (
     NSGA2Evolve,
     ObjectiveSet,
     RandomPool,
+    front_hypervolume,
 )
-from repro.dse.pareto import pareto_mask
+from repro.dse.pareto import hypervolume_2d, pareto_front, pareto_mask
 from repro.dse.surrogates import (
     CallableSurrogate,
     StackedPredictorSurrogate,
     TreeEnsembleSurrogate,
+    blended_exploration_bonus,
+    distance_to_known,
+    regressor_exploration_bonus,
 )
 from repro.nn.transformer import TransformerPredictor
 
@@ -49,6 +53,65 @@ class TestObjectiveSet:
     def test_invalid_declarations(self, names, maximize):
         with pytest.raises(ValueError):
             ObjectiveSet(names=names, maximize=maximize)
+
+
+class _OffsetTree:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def predict(self, x):
+        return x[:, 0] + self.offset
+
+
+class _Forest:
+    def __init__(self, *offsets):
+        self.trees_ = [_OffsetTree(offset) for offset in offsets]
+
+
+class TestExplorationBonus:
+    def test_distance_to_known_is_the_nearest_euclidean_distance(self):
+        known = np.array([[0.0, 0.0], [3.0, 4.0]])
+        features = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 8.0]])
+        np.testing.assert_allclose(distance_to_known(features, known), [0.0, 3.0, 5.0])
+
+    def test_forest_bonus_is_the_spread_of_its_trees(self):
+        features = np.zeros((4, 2))
+        np.testing.assert_allclose(
+            regressor_exploration_bonus(_Forest(-1.0, 1.0), features, features[:1]), np.ones(4)
+        )
+
+    def test_regressor_without_trees_falls_back_to_distance(self):
+        features = np.array([[1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_allclose(
+            regressor_exploration_bonus(_Forest(), features, np.zeros((1, 2))), [1.0, 2.0]
+        )
+
+    def test_blended_bonus_averages_every_objective(self):
+        # Distance bonus (2, 4) from the tree-less model, 0 from the forest
+        # whose trees agree: the blend is their mean.
+        features = np.array([[2.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_allclose(
+            blended_exploration_bonus([_Forest(), _Forest(0.5, 0.5)], features, np.zeros((1, 2))),
+            [1.0, 2.0],
+        )
+
+    def test_blended_bonus_needs_a_surrogate(self):
+        with pytest.raises(ValueError, match="at least one surrogate"):
+            blended_exploration_bonus([], np.zeros((2, 2)), np.zeros((1, 2)))
+
+
+class TestFrontHypervolume:
+    def test_front_hypervolume_uses_a_ten_percent_margin_reference(self):
+        measured = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        # Nadir (1, 1), span (1, 1): the reference is (1.1, 1.1).
+        expected = hypervolume_2d(measured[[0, 1]], [1.1, 1.1])
+        assert front_hypervolume(measured) == pytest.approx(expected)
+        assert expected == pytest.approx(1.1 * 1.1 - 1.0)
+
+    def test_front_hypervolume_accepts_precomputed_front_indices(self):
+        rng = np.random.default_rng(3)
+        measured = rng.normal(size=(30, 2))
+        assert front_hypervolume(measured, pareto_front(measured)) == front_hypervolume(measured)
 
 
 class TestAcquisitionStrategies:

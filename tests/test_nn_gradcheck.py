@@ -45,11 +45,13 @@ class TestTensorOperations:
             lambda x: x.mean(axis=0),
             lambda x: x.var(),
             lambda x: x.reshape(6, 2),
+            lambda x: x.swapaxes(1, 0),
             lambda x: x[1:, :2],
         ],
         ids=[
             "affine", "square", "rational", "exp", "log", "tanh", "sigmoid",
-            "gelu", "relu", "pow3", "mean", "var", "reshape", "slice",
+            "gelu", "relu", "pow3", "mean", "var", "reshape", "swapaxes",
+            "slice",
         ],
     )
     def test_elementwise_and_shape_ops(self, operation):

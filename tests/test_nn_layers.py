@@ -3,9 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import MLP, Dropout, LayerNorm, Linear, ParameterEmbedding
-from repro.nn.module import Module
+from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.layers import MLP, Dropout, LayerNorm, Linear, ParameterEmbedding, xavier_uniform
+from repro.nn.module import Module, has_task_axis
+from repro.nn.precision import precision
 from repro.nn.tensor import Tensor
+
+
+class TestXavierUniform:
+    def test_draws_within_the_glorot_bound(self):
+        weights = xavier_uniform((30, 10), np.random.default_rng(0))
+        limit = np.sqrt(6.0 / (30 + 10))
+        assert weights.shape == (30, 10)
+        assert np.abs(weights).max() <= limit
+        assert np.abs(weights).max() > 0.9 * limit
+
+    def test_float32_is_the_rounding_of_the_float64_draw(self):
+        wide = xavier_uniform((8, 4), np.random.default_rng(1))
+        with precision(np.float32):
+            narrow = xavier_uniform((8, 4), np.random.default_rng(1))
+        assert (wide.dtype, narrow.dtype) == (np.float64, np.float32)
+        np.testing.assert_array_equal(narrow, wide.astype(np.float32))
 
 
 class TestLinear:
@@ -154,3 +172,75 @@ class TestModuleInfrastructure:
         module = Module()
         with pytest.raises(TypeError):
             module.register_parameter("x", np.zeros(3))
+
+    def test_register_module_prefixes_its_parameters(self):
+        module = Module()
+        child = module.register_module("head", Linear(2, 1, seed=0))
+        assert child is module._modules["head"]
+        assert [name for name, _ in module.named_parameters()] == ["head.weight", "head.bias"]
+
+    def test_register_module_type_check(self):
+        with pytest.raises(TypeError, match="must be a Module"):
+            Module().register_module("head", object())
+
+    def test_shape_mismatch_rejected(self):
+        model = Linear(4, 3, seed=0)
+        state = model.state_dict()
+        state["weight"] = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            model.load_state_dict(state)
+
+    def test_named_buffers_list_a_fixed_mask_but_not_parameters(self):
+        layer = MultiHeadSelfAttention(8, 2, seed=0)
+        layer.install_mask(np.zeros((3, 3)), learnable=False)
+        assert [name for name, _ in layer.named_buffers()] == ["mask"]
+        assert "mask" not in layer.state_dict()
+        learnable = MultiHeadSelfAttention(8, 2, seed=0)
+        learnable.install_mask(np.zeros((3, 3)))
+        assert list(learnable.named_buffers()) == []
+        assert "mask" in learnable.state_dict()
+
+    def test_functional_call_restores_parameters_when_forward_raises(self):
+        model = Linear(3, 2, seed=0)
+        original = model.weight
+        with pytest.raises(ValueError):
+            model.functional_call({"weight": np.zeros((3, 2))}, Tensor(np.zeros((2, 5))))
+        assert model.weight is original and model._parameters["weight"] is original
+
+    def test_functional_call_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown parameters"):
+            Linear(3, 2, seed=0).functional_call({"bogus": np.zeros(2)}, Tensor(np.zeros((1, 3))))
+
+
+class TestTaskStacking:
+    def test_has_task_axis_means_exactly_one_extra_leading_axis(self):
+        parameter = Tensor(np.zeros((4, 3)))
+        assert has_task_axis(np.zeros((5, 4, 3)), parameter)
+        assert not has_task_axis(np.zeros((4, 3)), parameter)
+        assert not has_task_axis(np.zeros((2, 5, 4, 3)), parameter)
+
+    def test_stack_parameters_rejects_an_empty_task_axis(self):
+        with pytest.raises(ValueError, match="n_tasks"):
+            Linear(3, 2, seed=0).stack_parameters(0)
+
+    def test_unstack_state_recovers_one_task(self):
+        model = MLP(3, [4], 1, seed=0)
+        bank = model.stack_parameters(3)
+        for stacked in bank.values():
+            stacked.data[1] += 0.5
+        state = model.unstack_state(bank, 1)
+        assert set(state) == set(model.state_dict())
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(state[name], value + 0.5)
+        np.testing.assert_array_equal(
+            model.unstack_state(bank, 0)["fc0.weight"], model.state_dict()["fc0.weight"]
+        )
+
+    def test_unstack_state_passes_shared_entries_through(self):
+        model = MLP(3, [4], 1, seed=0)
+        bank = dict(model.named_parameters())
+        bank.update(model.stack_parameters(2, names=["fc1.weight"]))
+        bank["fc1.weight"].data[1] = 7.0
+        state = model.unstack_state(bank, 1)
+        np.testing.assert_array_equal(state["fc0.weight"], model.state_dict()["fc0.weight"])
+        np.testing.assert_array_equal(state["fc1.weight"], np.full((4, 1), 7.0))

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.tensor import Tensor, concatenate, ones, tensor, zeros
+from repro.nn.tensor import (
+    Tensor,
+    attention_forward,
+    concatenate,
+    ones,
+    scaled_dot_product_attention,
+    tensor,
+    zeros,
+)
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -62,6 +70,15 @@ class TestBasicOps:
         b = (a * 2).detach()
         assert b._parents == ()
 
+    def test_shape_ndim_size(self):
+        t = Tensor(np.zeros((2, 3, 4)))
+        assert (t.shape, t.ndim, t.size, len(t)) == ((2, 3, 4), 3, 24, 2)
+
+    def test_swapaxes_matches_numpy(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        out = Tensor(data).swapaxes(0, 2)
+        np.testing.assert_array_equal(out.data, data.swapaxes(0, 2))
+
     def test_constructors(self):
         assert zeros((2, 3)).data.shape == (2, 3)
         assert ones((4,)).data.sum() == 4.0
@@ -85,6 +102,7 @@ class TestGradients:
         lambda t: t.mean(axis=0),
         lambda t: t.var(axis=-1),
         lambda t: t.reshape(12),
+        lambda t: t.swapaxes(1, 0),
         lambda t: t[1:, :2],
     ], ids=lambda f: "op")
     def test_elementwise_and_shape_ops(self, op):
@@ -150,6 +168,58 @@ class TestGradients:
 
 
 class TestNumericalStability:
+    """The attention softmax (fused into ``attention_forward``) is stable."""
+
+    @staticmethod
+    def _probabilities(logits: np.ndarray) -> np.ndarray:
+        # With k = v = identity and scale 1, the one head's logits are the
+        # rows of *logits*, so the probabilities are their row softmax (and
+        # so is the context, which is probabilities @ identity).
+        rows = np.atleast_2d(logits)
+        identity = np.eye(rows.shape[-1])
+        context, probabilities = attention_forward(rows, identity, identity, 1, 1.0)
+        np.testing.assert_array_equal(context, probabilities[0])
+        return probabilities[0]
+
+    def test_softmax_handles_large_logits(self):
+        out = self._probabilities(np.array([1000.0, 1000.0, -1000.0]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, [[0.5, 0.5, 0.0]])
+
+    def test_softmax_rows_sum_to_one(self):
+        rng = np.random.default_rng(3)
+        out = self._probabilities(rng.normal(size=(5, 7)))
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.tuples(st.integers(1, 5), st.integers(1, 6)),
+            elements=st.floats(-50, 50, allow_nan=False),
+        )
+    )
+    def test_softmax_property(self, values):
+        out = self._probabilities(values)
+        assert np.all(out >= 0)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=1e-9)
+        expected = np.exp(values - values.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-300)
+
+    def test_masked_positions_get_no_weight(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (rng.normal(size=(4, 6)) for _ in range(3))
+        mask = np.zeros((4, 4))
+        mask[:, 2] = -1e9
+        out, probabilities = scaled_dot_product_attention(
+            Tensor(q), Tensor(k), Tensor(v), 2, scale=0.5, mask=Tensor(mask)
+        )
+        assert probabilities.shape == (2, 4, 4)
+        np.testing.assert_allclose(probabilities[..., 2], 0.0, atol=1e-300)
+        np.testing.assert_allclose(probabilities.sum(axis=-1), 1.0)
+        assert np.all(np.isfinite(out.data))
+
     @settings(max_examples=40, deadline=None)
     @given(
         hnp.arrays(

@@ -32,6 +32,7 @@ from repro.designspace.sampling import RandomSampler
 from repro.dse.engine import CampaignEngine, NSGA2Evolve, ObjectiveSet, RandomPool
 from repro.dse.portfolio import StrategyPortfolio
 from repro.dse.surrogates import TreeEnsembleSurrogate
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import decode_record, encode_record
 from repro.runtime.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.sim.simulator import Simulator
@@ -401,6 +402,23 @@ class TestTraceArtifact:
         leaky[-1]["open"] = 1
         with pytest.raises(ValueError, match="never closed"):
             obs.validate_trace(leaky)
+
+
+class TestMetricsRegistry:
+    def test_add_accumulates_and_counters_sort_by_name(self):
+        registry = MetricsRegistry()
+        registry.add("sim.fresh", 3)
+        registry.add("dag.jobs")
+        registry.add("sim.fresh", 2)
+        assert list(registry.counters().items()) == [("dag.jobs", 1.0), ("sim.fresh", 5)]
+        assert registry.snapshot() == {"counters": registry.counters()}
+
+    def test_merge_folds_worker_deltas_into_the_totals(self):
+        registry = MetricsRegistry()
+        registry.add("sim.fresh", 4)
+        registry.merge({"sim.fresh": 6, "sim.cache_hits": 2})
+        registry.merge({})
+        assert registry.counters() == {"sim.cache_hits": 2, "sim.fresh": 10}
 
 
 # -- policy API ----------------------------------------------------------------------

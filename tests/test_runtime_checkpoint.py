@@ -84,6 +84,36 @@ def fingerprint(**overrides):
     return campaign_fingerprint(**payload)
 
 
+class TestRoundRecordJson:
+    def test_every_field_round_trips_through_json(self):
+        record = RoundRecord(
+            round_index=2,
+            union_configs=[{"rob_size": np.int64(128), "core_frequency_ghz": np.float64(2.5)}],
+            selections={"605.mcf_s": [0], "625.x264_s": [0]},
+            measured={"605.mcf_s": np.array([[1.5, 0.25]]), "625.x264_s": np.array([[2.0, 0.5]])},
+            union_pool_indices=[17],
+            arms={"605.mcf_s": "nsga2", "625.x264_s": "random"},
+            pool_sizes={"605.mcf_s": 30, "625.x264_s": 30},
+        )
+        payload = json.loads(json.dumps(record.to_json()))
+        assert payload["union_configs"] == [{"rob_size": 128, "core_frequency_ghz": 2.5}]
+        restored = RoundRecord.from_json(payload)
+        assert restored.union_configs == payload["union_configs"]
+        assert (restored.round_index, restored.selections) == (2, record.selections)
+        assert (restored.union_pool_indices, restored.arms, restored.pool_sizes) == (
+            [17], record.arms, record.pool_sizes
+        )
+        for workload, rows in record.measured.items():
+            assert restored.measured[workload].dtype == np.float64
+            np.testing.assert_array_equal(restored.measured[workload], rows)
+
+    def test_a_round_without_arms_writes_no_arms_key(self):
+        record = RoundRecord(round_index=-1, union_configs=[], selections={}, measured={})
+        payload = record.to_json()
+        assert "arms" not in payload
+        assert RoundRecord.from_json(payload).arms == {}
+
+
 class TestCheckpointFile:
     def test_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "campaign.json"

@@ -1,5 +1,7 @@
 """Tests for executors and deterministic sharding (`repro.runtime`)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.runtime.executors import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    default_jobs,
     resolve_broadcast,
     resolve_executor,
 )
@@ -81,6 +84,13 @@ class TestPoolExecutors:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             ThreadExecutor(0)
+
+    @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
+    def test_width_defaults_to_one_worker_per_core_and_starts_lazily(self, executor_cls):
+        executor = executor_cls()
+        assert executor.jobs == default_jobs() == (os.cpu_count() or 1)
+        assert executor._pool is None
+        executor.shutdown()
 
 
 class TestResolveExecutor:

@@ -15,6 +15,8 @@ import pytest
 
 from repro.designspace.sampling import RandomSampler
 from repro.runtime.executors import ProcessExecutor, SerialExecutor
+from repro.sim.performance import PerformanceModel
+from repro.sim.power import PowerModel
 from repro.sim.simulator import BatchSimulationResult, SimulationResult, Simulator
 
 METRIC_FIELDS = ("ipc", "power_w", "area_mm2", "bips", "energy_per_instruction_nj")
@@ -111,6 +113,62 @@ class TestBatchScalarEquivalence:
         before = simulator.evaluation_count
         batch = simulator.run_batch(configs, "605.mcf_s")
         assert simulator.evaluation_count == before + len(configs) * batch.num_phases
+
+
+def _assert_fields_match(batch, scalars, tolerance=1e-12):
+    """Every dataclass field of *batch* row ``i`` equals ``scalars[i]``'s."""
+    for field in dataclasses.fields(batch):
+        value = getattr(batch, field.name)
+        if dataclasses.is_dataclass(value):
+            _assert_fields_match(value, [getattr(s, field.name) for s in scalars], tolerance)
+            continue
+        reference = np.array([getattr(s, field.name) for s in scalars], dtype=np.float64)
+        np.testing.assert_allclose(value, reference, rtol=0, atol=tolerance, err_msg=field.name)
+
+
+class TestComponentBatchEquivalence:
+    """Each analytical model's ``evaluate_batch`` mirrors its scalar ``evaluate``.
+
+    The simulator-level suite above compares aggregated metrics; this one
+    compares every intermediate field (miss rates, penalties, limits, area
+    parts), so a compensating pair of errors cannot hide.
+    """
+
+    @pytest.fixture(scope="class")
+    def encoded(self, table1_space, suite):
+        configs = RandomSampler(table1_space, seed=5).sample(20)
+        params, _ = Simulator(table1_space, suite, simpoint_phases=1).encode_batch(configs)
+        return configs, params
+
+    @pytest.mark.parametrize("workload", WORKLOAD_SAMPLE)
+    def test_performance_breakdown(self, table1_space, suite, encoded, workload):
+        configs, params = encoded
+        model, profile = PerformanceModel(), suite[workload]
+        batch = model.evaluate_batch(params, profile)
+        _assert_fields_match(batch, [model.evaluate(c, profile, table1_space) for c in configs])
+
+    @pytest.mark.parametrize("workload", WORKLOAD_SAMPLE)
+    def test_power_breakdown(self, table1_space, suite, encoded, workload):
+        configs, params = encoded
+        performance, power, profile = PerformanceModel(), PowerModel(), suite[workload]
+        batch = power.evaluate_batch(params, profile, performance.evaluate_batch(params, profile))
+        scalars = [
+            power.evaluate(c, profile, table1_space, performance.evaluate(c, profile, table1_space))
+            for c in configs
+        ]
+        _assert_fields_match(batch, scalars)
+        np.testing.assert_allclose(
+            batch.total_power_w, [s.total_power_w for s in scalars], rtol=0, atol=1e-12
+        )
+
+    def test_area_is_workload_independent_and_matches_scalar(self, table1_space, encoded):
+        configs, params = encoded
+        model = PowerModel()
+        area = model.area_batch(params)
+        _assert_fields_match(area, [model.area(c, table1_space) for c in configs])
+        np.testing.assert_allclose(
+            area.total, [model.area(c, table1_space).total for c in configs], rtol=0, atol=1e-12
+        )
 
 
 class TestBatchResultContainer:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sim.performance import PerformanceModel
 from repro.sim.power import PowerModel
+from repro.sim.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 from repro.workloads.spec2017 import build_spec2017_profiles
 
 
@@ -137,3 +138,35 @@ class TestPowerModel:
         bimode = power_model.area(dict(base, branch_predictor="BiModeBP"), table1_space)
         tournament = power_model.area(dict(base, branch_predictor="TournamentBP"), table1_space)
         assert tournament.branch_unit > bimode.branch_unit
+
+
+class TestTechnology:
+    def test_vdd_is_nominal_at_the_reference_frequency(self):
+        tech = DEFAULT_TECHNOLOGY
+        assert tech.vdd_at(tech.reference_frequency_ghz) == tech.nominal_vdd
+
+    def test_vdd_follows_the_dvfs_line_and_its_floor(self):
+        tech = TechnologyParameters(nominal_vdd=0.9, vdd_slope_per_ghz=0.05)
+        assert tech.vdd_at(3.0) == pytest.approx(0.95)
+        assert tech.vdd_at(1.0) == pytest.approx(0.85)
+        assert TechnologyParameters(vdd_slope_per_ghz=0.5).vdd_at(0.5) == 0.6
+
+    def test_vdd_of_a_vector_matches_each_scalar(self):
+        frequencies = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
+        expected = [DEFAULT_TECHNOLOGY.vdd_at(float(f)) for f in frequencies]
+        np.testing.assert_array_equal(DEFAULT_TECHNOLOGY.vdd_at(frequencies), expected)
+
+    def test_dram_latency_is_fixed_in_time(self):
+        tech = DEFAULT_TECHNOLOGY
+        assert tech.dram_latency_cycles(2.0) == tech.dram_latency_ns * 2.0
+        assert tech.dram_latency_cycles(3.0) / tech.dram_latency_cycles(1.5) == pytest.approx(2.0)
+
+    def test_l2_latency_grows_slower_than_frequency(self):
+        tech = DEFAULT_TECHNOLOGY
+        assert tech.l2_latency_cycles(tech.reference_frequency_ghz) == pytest.approx(
+            tech.l2_hit_cycles
+        )
+        slow, fast = tech.l2_latency_cycles(1.0), tech.l2_latency_cycles(4.0)
+        assert slow < tech.l2_hit_cycles < fast
+        assert fast / slow < 4.0
+

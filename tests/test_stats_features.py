@@ -61,6 +61,29 @@ class TestDistributionFeatures:
         assert features["iqr"] >= 0
 
 
+    def test_order_of_the_sample_does_not_matter(self):
+        values = np.random.default_rng(1).gamma(2.0, size=300)
+        np.testing.assert_allclose(
+            distribution_features(values),
+            distribution_features(np.random.default_rng(2).permutation(values)),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    def test_affine_map_moves_location_and_scales_spread(self):
+        values = np.random.default_rng(3).lognormal(size=400)
+        base = dict(zip(DISTRIBUTION_FEATURE_NAMES, distribution_features(values)))
+        moved = dict(zip(DISTRIBUTION_FEATURE_NAMES, distribution_features(-2.0 * values + 5.0)))
+        assert moved["mean"] == pytest.approx(-2.0 * base["mean"] + 5.0)
+        assert moved["median"] == pytest.approx(-2.0 * base["median"] + 5.0)
+        assert moved["std"] == pytest.approx(2.0 * base["std"])
+        assert moved["iqr"] == pytest.approx(2.0 * base["iqr"])
+        # A reflection flips the skew; the tail weight is unchanged.
+        assert moved["skewness"] == pytest.approx(-base["skewness"])
+        assert moved["kurtosis"] == pytest.approx(base["kurtosis"])
+        assert moved["q10"] == pytest.approx(-2.0 * base["q90"] + 5.0)
+
+
 class TestWorkloadFeatures:
     def test_distinguishes_memory_bound_from_compute_bound(self, small_dataset):
         mcf, exchange2 = (

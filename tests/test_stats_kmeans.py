@@ -60,6 +60,21 @@ class TestKMeans:
         result = KMeans(2, seed=0).fit(data)
         assert result.inertia == pytest.approx(0.0)
 
+    def test_same_seed_gives_the_same_clustering(self):
+        data = _blobs(np.random.default_rng(4), [(0, 0), (3, 3), (6, 0)], scale=0.8)
+        first, second = KMeans(3, seed=9).fit(data), KMeans(3, seed=9).fit(data)
+        np.testing.assert_array_equal(first.labels, second.labels)
+        np.testing.assert_array_equal(first.centers, second.centers)
+        assert first.num_clusters == 3 and first.iterations >= 1
+
+    def test_centres_are_the_means_of_their_clusters(self):
+        data = _blobs(np.random.default_rng(5), [(0, 0), (4, 0)], scale=0.3)
+        result = KMeans(2, seed=0).fit(data)
+        for cluster in range(result.num_clusters):
+            np.testing.assert_allclose(
+                result.centers[cluster], data[result.labels == cluster].mean(axis=0)
+            )
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             KMeans(2).predict(np.zeros((3, 2)))

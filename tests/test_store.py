@@ -181,6 +181,12 @@ class TestMeasurementStore:
 
 # -- fingerprints and corruption --------------------------------------------
 class TestMismatchAndCorruption:
+    def test_require_fingerprint_accepts_only_its_own(self, tmp_path):
+        store = open_store(tmp_path / "m.store")
+        store.require_fingerprint(fingerprint())
+        with pytest.raises(StoreMismatchError, match="different fingerprint"):
+            store.require_fingerprint(fingerprint(phase_seed=7))
+
     def test_foreign_fingerprint_raises_typed_error(self, tmp_path):
         open_store(tmp_path / "m.store")
         with pytest.raises(StoreMismatchError, match="different"):

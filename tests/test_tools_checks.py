@@ -227,6 +227,83 @@ class TestTestOnlyDefinitions:
             "under src/repro"
         ]
 
+    def test_private_dunder_and_nested_definitions_are_not_checked(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": (
+                "def _helper():\n    return 0\n"
+                "class _Hidden:\n    def shown(self):\n        return 1\n"
+                "class Widget:\n"
+                "    def __init__(self):\n        self.x = 0\n"
+                "    def _private(self):\n        return 2\n"
+                "    class Inner:\n        def deep(self):\n            return 3\n"
+                "def factory():\n"
+                "    def closure():\n        return 4\n"
+                "    return closure\n"
+            ),
+            "examples/use.py": "from repro.widgets import Widget, factory\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_aliased_import_counts_under_the_imported_name(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": "def helper():\n    return 1\n",
+            "tools/caller.py": "from repro.widgets import helper as h\nh()\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_attribute_access_from_another_module_counts(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": _WIDGET,
+            "src/repro/runner.py": (
+                "from repro.widgets import Widget\n"
+                "def drive(w: Widget):\n    return w.used() + w.spare()\n"
+            ),
+            "examples/run.py": "from repro.runner import drive\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_reexport_outside_an_init_counts(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": "def helper():\n    return 1\n",
+            "src/repro/facade.py": "from repro.widgets import helper\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_files_outside_the_caller_roots_are_ignored(self, check_repo):
+        sources = {
+            "src/repro/widgets.py": "def helper():\n    return 1\n",
+            "docs/snippet.py": "from repro.widgets import helper\nhelper()\n",
+            "scripts/one_off.py": "from repro.widgets import helper\nhelper()\n",
+        }
+        assert _offending_names(check_repo, sources) == ["helper"]
+
+    def test_definitions_outside_the_package_are_not_checked(self, check_repo):
+        sources = {
+            "tools/helper_tool.py": "def unused_tool_helper():\n    return 1\n",
+            "benchmarks/conftest_like.py": "class Unused:\n    def run(self):\n        return 0\n",
+        }
+        assert _offending_names(check_repo, sources) == []
+
+    def test_offences_are_reported_in_path_and_line_order(self, check_repo):
+        sources = {
+            "src/repro/b.py": "def second():\n    return 1\n",
+            "src/repro/a.py": "def first():\n    return 1\n\n\ndef also():\n    return 2\n",
+        }
+        assert check_repo.find_test_only_definitions(sources, {}) == [
+            "src/repro/a.py:1: first has no caller outside tests/",
+            "src/repro/a.py:5: also has no caller outside tests/",
+            "src/repro/b.py:1: second has no caller outside tests/",
+        ]
+
+    def test_main_fails_and_lists_a_planted_offender(self, check_repo, monkeypatch, capsys):
+        planted = dict(check_repo.caller_sources())
+        planted["src/repro/planted.py"] = "def planted_helper():\n    return 1\n"
+        monkeypatch.setattr(check_repo, "caller_sources", lambda: planted)
+        assert check_repo.main() == 1
+        out = capsys.readouterr().out
+        assert "1 test-only definition(s)" in out
+        assert "src/repro/planted.py:1: planted_helper has no caller outside tests/" in out
+
     def test_repository_has_no_test_only_definitions(self, check_repo):
         assert check_repo.find_test_only_definitions(check_repo.caller_sources()) == []
 

@@ -61,3 +61,34 @@ class TestSimPointSet:
     def test_empty_rejected(self, profile):
         with pytest.raises(ValueError):
             SimPointSet(workload_name=profile.name, points=())
+
+    def test_sequence_protocol_and_weights(self, profile):
+        simpoints = generate_simpoints(profile, max_clusters=8, seed=5)
+        points = list(simpoints)
+        assert len(points) == len(simpoints) == simpoints.weights.shape[0]
+        np.testing.assert_array_equal(simpoints.weights, [point.weight for point in points])
+        assert [point.index for point in points] == list(range(len(points)))
+
+    def test_phases_are_named_after_their_workload(self, profile):
+        simpoints = generate_simpoints(profile, max_clusters=5, seed=2)
+        assert simpoints.workload_name == profile.name
+        assert [point.profile.name for point in simpoints] == [
+            f"{profile.name}#sp{i}" for i in range(len(simpoints))
+        ]
+
+    def test_one_cluster_is_the_whole_run(self, profile):
+        simpoints = generate_simpoints(profile, max_clusters=1, seed=0)
+        assert len(simpoints) == 1
+        assert simpoints.weights[0] == pytest.approx(1.0)
+
+    def test_irregular_workloads_may_use_more_phases(self):
+        profiles = build_spec2017_profiles()
+        regular, irregular = sorted(
+            profiles.values(), key=lambda p: p.memory.access_irregularity
+        )[:: len(profiles) - 1]
+        counts = {
+            name: max(len(generate_simpoints(p, seed=seed)) for seed in range(20))
+            for name, p in (("regular", regular), ("irregular", irregular))
+        }
+        assert 4 <= counts["regular"] < counts["irregular"] <= MAX_SIMPOINT_CLUSTERS
+
