@@ -37,11 +37,14 @@
 #                          median gap above the parent's IQR); fails on a
 #                          failed repetition or a bound breach
 #   make docs-check      - fail on dead intra-repo links / stale module refs
-#                          / uncataloged benchmarks/results JSONs
-#   make repo-check      - fail on git-tracked build/bytecode artifacts and on
+#                          / stale bare names / uncataloged
+#                          benchmarks/results JSONs
+#   make repo-check      - fail on git-tracked build/bytecode artifacts, on
 #                          public names under src/repro that only tests/ call
-#                          (tools/check_repo.py; its allowlist names the
-#                          reference oracles)
+#                          and on switches (None/True/False defaults) that
+#                          only tests/ set (tools/check_repo.py; its
+#                          allowlists name the reference oracles and the
+#                          test seams)
 #   make examples        - run every example script end to end
 #
 # Only the bench targets rewrite benchmarks/results/*.json (they export

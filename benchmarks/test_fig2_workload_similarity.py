@@ -17,8 +17,8 @@ def test_fig2_wasserstein_heatmaps(benchmark, dataset, record):
 
     def compute():
         return {
-            "ipc": similarity_matrix(dataset, metric="ipc", normalize=True),
-            "power": similarity_matrix(dataset, metric="power", normalize=True),
+            "ipc": similarity_matrix(dataset, metric="ipc"),
+            "power": similarity_matrix(dataset, metric="power"),
         }
 
     matrices = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -65,7 +65,6 @@ def _surrogate() -> StackedPredictorSurrogate:
             num_heads=NUM_HEADS,
             num_layers=NUM_LAYERS,
             head_hidden=HEAD_HIDDEN,
-            dropout=0.0,
             seed=seed,
         )
         for seed in (0, 1)

@@ -167,7 +167,6 @@ def test_focused_pool_vs_full_pool_speedup(record):
             keep_fraction=KEEP_FRACTION,
             coarse_levels=COARSE_LEVELS,
             profile=profile,
-            refocus=False,
         )
         return engine.run_campaign(
             WORKLOADS,

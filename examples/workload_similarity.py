@@ -48,7 +48,7 @@ def main() -> None:
     dataset = generate_dataset(simulator, num_points=250, seed=1)
 
     for metric in ("ipc", "power"):
-        matrix = similarity_matrix(dataset, metric=metric, normalize=True)
+        matrix = similarity_matrix(dataset, metric=metric)
         print(f"\nWorkload similarity ({metric.upper()}), normalised Wasserstein distance")
         print("(darker symbol = less similar, as in Fig. 2)")
         print_heatmap(matrix)
@@ -56,7 +56,7 @@ def main() -> None:
 
     # For each workload, report its closest neighbour and how far away it is —
     # the quantitative version of the paper's "similarities are inconsistent".
-    matrix = similarity_matrix(dataset, metric="ipc", normalize=True)
+    matrix = similarity_matrix(dataset, metric="ipc")
     print("\nclosest source per target (IPC):")
     gaps = []
     for name in matrix.workloads:

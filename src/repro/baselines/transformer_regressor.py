@@ -1,9 +1,9 @@
 """Supervised transformer regressor (the TrEnDSE-Transformer building block).
 
 A :class:`TransformerRegressor` wraps :class:`~repro.nn.transformer.TransformerPredictor`
-behind the plain ``fit``/``predict`` interface: mini-batch Adam training on a
-fixed dataset with internal label standardisation.  It serves three roles in
-the experiments:
+behind the plain ``fit``/``predict`` interface: mini-batch Adam training with
+cosine annealing on a fixed dataset with internal label standardisation.
+It serves three roles in the experiments:
 
 * the predictor inside the *TrEnDSE-Transformer* baseline (ensemble replaced
   by a transformer, conventional supervised pre-training + fine-tuning);
@@ -39,8 +39,6 @@ class TransformerRegressor(Regressor):
         batch_size: int = 32,
         lr: float = 2e-3,
         weight_decay: float = 0.0,
-        cosine_annealing: bool = True,
-        standardize_labels: bool = True,
         seed: SeedLike = 0,
     ) -> None:
         if epochs < 1 or batch_size < 1:
@@ -50,8 +48,6 @@ class TransformerRegressor(Regressor):
         self.batch_size = batch_size
         self.lr = lr
         self.weight_decay = weight_decay
-        self.cosine_annealing = cosine_annealing
-        self.standardize_labels = standardize_labels
         self.rng = as_rng(seed)
         self.model = TransformerPredictor(
             num_parameters,
@@ -75,20 +71,14 @@ class TransformerRegressor(Regressor):
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "TransformerRegressor":
         features = as_2d(features)
         targets = as_1d(targets, features.shape[0])
-        if self.standardize_labels:
-            self._label_mean = float(targets.mean())
-            self._label_std = float(max(targets.std(), 1e-8))
-        else:
-            self._label_mean, self._label_std = 0.0, 1.0
+        self._label_mean = float(targets.mean())
+        self._label_std = float(max(targets.std(), 1e-8))
         scaled = self._scale(targets)
 
         optimizer = Adam(self.model.parameters(), self.lr, weight_decay=self.weight_decay)
         total_steps = self.epochs * max(1, int(np.ceil(features.shape[0] / self.batch_size)))
-        scheduler = (
-            CosineAnnealingLR(optimizer, total_steps) if self.cosine_annealing else None
-        )
+        scheduler = CosineAnnealingLR(optimizer, total_steps)
         self.training_losses_ = []
-        self.model.train()
         n = features.shape[0]
         for _ in range(self.epochs):
             order = self.rng.permutation(n)
@@ -99,11 +89,9 @@ class TransformerRegressor(Regressor):
                 loss = mse_loss(self.model(Tensor(features[batch])), scaled[batch])
                 loss.backward()
                 optimizer.step()
-                if scheduler is not None:
-                    scheduler.step()
+                scheduler.step()
                 epoch_losses.append(loss.item())
             self.training_losses_.append(float(np.mean(epoch_losses)))
-        self.model.eval()
         return self
 
     def fine_tune(
@@ -125,13 +113,11 @@ class TransformerRegressor(Regressor):
         targets = as_1d(targets, features.shape[0])
         scaled = self._scale(targets)
         optimizer = Adam(self.model.parameters(), lr if lr is not None else self.lr * 0.5)
-        self.model.train()
         for _ in range(steps):
             optimizer.zero_grad()
             loss = mse_loss(self.model(Tensor(features)), scaled)
             loss.backward()
             optimizer.step()
-        self.model.eval()
         return self
 
     # -- inference --------------------------------------------------------------------

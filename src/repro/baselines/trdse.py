@@ -156,7 +156,6 @@ class TrEE(CrossWorkloadModel):
         self,
         *,
         oa_samples: int = 96,
-        use_foldover: bool = True,
         n_estimators: int = 60,
         max_depth: int = 3,
         weight_temperature: float = 1.0,
@@ -168,7 +167,6 @@ class TrEE(CrossWorkloadModel):
         if weight_temperature <= 0:
             raise ValueError("weight_temperature must be > 0")
         self.oa_samples = oa_samples
-        self.use_foldover = use_foldover
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.weight_temperature = weight_temperature
@@ -215,7 +213,7 @@ class TrEE(CrossWorkloadModel):
         """
         count = min(self.oa_samples, population)
         base = np.linspace(0, population - 1, num=count, dtype=np.int64)
-        if not self.use_foldover or count >= population:
+        if count >= population:
             return np.unique(base)
         offset = max(population // (2 * count), 1)
         folded = np.clip(base + offset, 0, population - 1)

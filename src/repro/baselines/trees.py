@@ -181,7 +181,6 @@ class RandomForestRegressor(Regressor):
         max_depth: int = 10,
         min_samples_leaf: int = 2,
         max_features: float = 0.7,
-        bootstrap: bool = True,
         seed: SeedLike = 0,
     ) -> None:
         if n_estimators < 1:
@@ -190,7 +189,6 @@ class RandomForestRegressor(Regressor):
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.bootstrap = bootstrap
         self.rng = as_rng(seed)
         self.trees_: list[DecisionTreeRegressor] = []
 
@@ -200,10 +198,7 @@ class RandomForestRegressor(Regressor):
         self.trees_ = []
         n = features.shape[0]
         for _ in range(self.n_estimators):
-            if self.bootstrap:
-                indices = self.rng.integers(0, n, size=n)
-            else:
-                indices = np.arange(n)
+            indices = self.rng.integers(0, n, size=n)
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,

@@ -32,7 +32,6 @@ class PredictorConfig:
     num_heads: int = 4
     num_layers: int = 2
     head_hidden: int = 64
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.embed_dim % self.num_heads != 0:
@@ -48,7 +47,6 @@ class MetaDSEConfig:
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     wam: WAMConfig = field(default_factory=WAMConfig)
     use_wam: bool = True
-    standardize_labels: bool = True
     seed: int = 0
 
 

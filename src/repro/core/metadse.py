@@ -126,9 +126,6 @@ class MetaDSE(CrossWorkloadModel):
 
     # -- label scaling -------------------------------------------------------------
     def _fit_label_scaler(self, dataset: DSEDataset, workloads: Sequence[str], metric: str) -> None:
-        if not self.config.standardize_labels:
-            self._label_mean, self._label_std = 0.0, 1.0
-            return
         labels = np.concatenate([dataset[w].metric(metric) for w in workloads])
         self._label_mean = float(labels.mean())
         self._label_std = float(max(labels.std(), 1e-8))
@@ -165,7 +162,6 @@ class MetaDSE(CrossWorkloadModel):
             num_heads=predictor_cfg.num_heads,
             num_layers=predictor_cfg.num_layers,
             head_hidden=predictor_cfg.head_hidden,
-            dropout=predictor_cfg.dropout,
             seed=self.config.seed,
         ).to_dtype(dtype)
 
@@ -505,7 +501,6 @@ class MetaDSE(CrossWorkloadModel):
                     keep_fraction=focus,
                     coarse_levels=focus_levels,
                     profile=harvest_profile() if focus < 1.0 else None,
-                    refocus=False,
                 )
         elif strategy == "nsga2":
             from repro.dse.engine import NSGA2Evolve
@@ -529,7 +524,6 @@ class MetaDSE(CrossWorkloadModel):
                         keep_fraction=keep,
                         coarse_levels=focus_levels,
                         profile=harvest_profile() if keep < 1.0 else None,
-                        refocus=False,
                         seed=seed,
                     ),
                     "nsga2": NSGA2Evolve(seed=seed),
@@ -569,7 +563,7 @@ class MetaDSE(CrossWorkloadModel):
     def importance_profile(self, features: np.ndarray, *, workload=None):
         """Distil a parameter-importance profile from the current predictor.
 
-        One eval-mode forward over *features* through the adapted (or, before
+        One forward over *features* through the adapted (or, before
         adaptation, the meta-trained) predictor, returning the normalized
         :class:`~repro.meta.wam.ImportanceProfile` the pruning layer consumes
         (``docs/pruning.md``).  Deterministic for fixed weights and features.
@@ -604,15 +598,24 @@ class MetaDSE(CrossWorkloadModel):
 
         The model is built with the architecture the checkpoint records
         (which replaces ``config.predictor``); a checkpoint without one is
-        built with ``config.predictor``.
+        built with ``config.predictor``.  Checkpoints written before the
+        predictor lost its dropout option record ``"dropout": 0.0``; they
+        load, and one recording any other rate raises ``ValueError``.
         """
         from repro.meta.wam import ArchitecturalMask, WAMConfig
         from repro.nn.serialization import load_state
 
         state, header = load_state(path)
         if header.get("predictor") is not None:
+            architecture = dict(header["predictor"])
+            dropout = architecture.pop("dropout", 0.0)
+            if dropout != 0.0:
+                raise ValueError(
+                    f"{path}: the checkpoint records dropout {dropout}; the "
+                    "predictor has no dropout"
+                )
             self.config = replace(
-                self.config, predictor=PredictorConfig(**header["predictor"])
+                self.config, predictor=PredictorConfig(**architecture)
             )
         # Without an explicit precision the checkpoint keeps its recorded
         # dtype; load_state_dict casts the arrays to the model's dtype.

@@ -164,8 +164,7 @@ def generate_dataset(
     executor:
         Optional :class:`~repro.runtime.executors.Executor`: the labelling
         sweep is sharded over ``(configs x workloads)`` and produces a
-        bitwise-identical dataset (noise-free simulators only; see
-        ``docs/runtime.md``).
+        bitwise-identical dataset (see ``docs/runtime.md``).
     """
     if num_points < 1:
         raise ValueError(f"num_points must be >= 1, got {num_points}")

@@ -21,12 +21,12 @@ from repro.datasets.generation import DSEDataset
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """A symmetric matrix of pairwise workload distances."""
+    """A symmetric matrix of pairwise workload distances, scaled so the
+    largest off-diagonal entry is one."""
 
     workloads: tuple[str, ...]
     metric: str
     distances: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         n = len(self.workloads)
@@ -88,12 +88,11 @@ def similarity_matrix(
     *,
     metric: str = "ipc",
     workloads: Optional[Sequence[str]] = None,
-    normalize: bool = True,
 ) -> SimilarityMatrix:
     """Compute the pairwise Wasserstein distance matrix of Fig. 2.
 
-    With ``normalize=True`` the matrix is rescaled so its maximum
-    off-diagonal entry equals one (the paper's colour bars span [0, 1]).
+    The matrix is rescaled so its maximum off-diagonal entry equals one
+    (the paper's colour bars span [0, 1]); an all-zero matrix stays zero.
     """
     names = tuple(workloads) if workloads is not None else tuple(dataset.workloads)
     samples = [dataset[name].metric(metric) for name in names]
@@ -104,11 +103,9 @@ def similarity_matrix(
             d = standardized_wasserstein(samples[i], samples[j])
             distances[i, j] = d
             distances[j, i] = d
-    if normalize and distances.max() > 0:
+    if distances.max() > 0:
         distances = distances / distances.max()
-    return SimilarityMatrix(
-        workloads=names, metric=metric, distances=distances, normalized=normalize
-    )
+    return SimilarityMatrix(workloads=names, metric=metric, distances=distances)
 
 
 def select_similar_sources(

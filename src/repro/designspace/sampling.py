@@ -15,8 +15,8 @@ Four samplers are provided:
   focused it consumes its RNG stream exactly like :class:`RandomSampler`,
   so ``keep_fraction=1.0`` degrades to uniform sampling bitwise.
 
-All samplers deduplicate configurations when asked to (collisions are likely
-for tiny parameter cardinalities) and are deterministic given a seed.
+All samplers are deterministic given a seed, and may repeat a
+configuration (collisions are likely for tiny parameter cardinalities).
 """
 
 from __future__ import annotations
@@ -36,27 +36,11 @@ class BaseSampler:
         self.space = space
         self.rng = as_rng(seed)
 
-    def sample(self, count: int, *, unique: bool = False) -> list[Configuration]:
-        """Draw *count* configurations.
-
-        With ``unique=True`` the sampler retries until it has *count* distinct
-        configurations (or exhausts a generous retry budget, in which case it
-        returns as many distinct points as it found — callers that need an
-        exact count should check the length).
-        """
+    def sample(self, count: int) -> list[Configuration]:
+        """Draw *count* configurations."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        if not unique:
-            return [self._sample_one() for _ in range(count)]
-        seen: dict[tuple, Configuration] = {}
-        budget = max(count * 20, 100)
-        attempts = 0
-        while len(seen) < count and attempts < budget:
-            config = self._sample_one()
-            key = tuple(self.space.to_indices(config).tolist())
-            seen.setdefault(key, config)
-            attempts += 1
-        return list(seen.values())
+        return [self._sample_one() for _ in range(count)]
 
     def _sample_one(self) -> Configuration:
         raise NotImplementedError
@@ -80,7 +64,7 @@ class LatinHypercubeSampler(BaseSampler):
     then snapped to the nearest candidate value.
     """
 
-    def sample(self, count: int, *, unique: bool = False) -> list[Configuration]:
+    def sample(self, count: int) -> list[Configuration]:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if count == 0:
@@ -92,17 +76,7 @@ class LatinHypercubeSampler(BaseSampler):
             perm = self.rng.permutation(count)
             offsets = self.rng.random(count)
             positions[:, dim] = (perm + offsets) / count
-        configs = [self.space.from_features(row) for row in positions]
-        if unique:
-            deduped: dict[tuple, Configuration] = {}
-            for config in configs:
-                key = tuple(self.space.to_indices(config).tolist())
-                deduped.setdefault(key, config)
-            return list(deduped.values())
-        return configs
-
-    def _sample_one(self) -> Configuration:  # pragma: no cover - not used directly
-        return RandomSampler(self.space, seed=self.rng)._sample_one()
+        return [self.space.from_features(row) for row in positions]
 
 
 class OrthogonalArraySampler(BaseSampler):
@@ -116,7 +90,7 @@ class OrthogonalArraySampler(BaseSampler):
     not generally exist).
     """
 
-    def sample(self, count: int, *, unique: bool = False) -> list[Configuration]:
+    def sample(self, count: int) -> list[Configuration]:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if count == 0:
@@ -129,17 +103,7 @@ class OrthogonalArraySampler(BaseSampler):
             self.rng.shuffle(column)
             columns.append(column)
         matrix = np.stack(columns, axis=1)
-        configs = [self.space.from_indices(row) for row in matrix]
-        if unique:
-            deduped: dict[tuple, Configuration] = {}
-            for config in configs:
-                key = tuple(self.space.to_indices(config).tolist())
-                deduped.setdefault(key, config)
-            return list(deduped.values())
-        return configs
-
-    def _sample_one(self) -> Configuration:  # pragma: no cover - not used directly
-        return RandomSampler(self.space, seed=self.rng)._sample_one()
+        return [self.space.from_indices(row) for row in matrix]
 
 
 class FocusedSampler(BaseSampler):

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.designspace.encoding import OrdinalEncoder
-from repro.designspace.sampling import BaseSampler, FocusedSampler, RandomSampler
+from repro.designspace.sampling import FocusedSampler, RandomSampler
 from repro.designspace.space import Configuration, DesignSpace
 from repro.dse.acquisition import AcquisitionStrategy
 from repro.dse.pareto import hypervolume_2d, pareto_front, to_minimization
@@ -170,45 +170,35 @@ class ProposalContext:
     The campaign runtime proposes keyed pools inside its screen jobs;
     shipping the full engine would drag the simulator through pickling, so
     the jobs get this context instead.  It duck-types the engine attributes
-    every generator's :meth:`~CandidateGenerator.propose_for` touches
-    (``space``, ``objectives``, ``encoder``; ``sampler`` stays ``None``
-    because only rank-stable generators — which never touch the shared
-    stream — propose inside the jobs).
+    every rank-stable generator's :meth:`~CandidateGenerator.propose_for`
+    touches (``space``, ``objectives``, ``encoder``; it has no shared
+    sampler because only rank-stable generators — which never touch the
+    shared stream — propose inside the jobs).
     """
 
     space: DesignSpace
     objectives: ObjectiveSet
     encoder: OrdinalEncoder
-    sampler: Optional[BaseSampler] = None
 
 
 class RandomPool(CandidateGenerator):
     """Uniform random candidate pool (the classic screening pool).
 
-    By default every proposal draws from the engine's shared sampler stream
-    (or an explicit ``sampler=``), so successive rounds and workloads see
-    fresh but order-dependent pools.  With ``seed=`` the generator instead
-    draws each pool from a keyed per-``(workload, round)`` stream derived
-    from that seed — a pure function of ``(seed, workload, round_index)``,
-    which makes it :attr:`~CandidateGenerator.rank_stable` and eligible as a
+    By default every proposal draws from the engine's shared sampler stream,
+    so successive rounds and workloads see fresh but order-dependent pools.
+    With ``seed=`` the generator instead draws each pool from a keyed
+    per-``(workload, round)`` stream derived from that seed — a pure
+    function of ``(seed, workload, round_index)``, which makes it
+    :attr:`~CandidateGenerator.rank_stable` and eligible as a
     strategy-portfolio arm.
     """
 
-    def __init__(
-        self,
-        size: int,
-        *,
-        sampler: Optional[BaseSampler] = None,
-        seed: SeedLike = None,
-    ) -> None:
+    def __init__(self, size: int, *, seed: SeedLike = None) -> None:
         from repro.utils.rng import seed_entropy
 
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
-        if seed is not None and sampler is not None:
-            raise ValueError("pass either seed= (keyed streams) or sampler=, not both")
         self.size = size
-        self.sampler = sampler
         self.seed_entropy = None if seed is None else seed_entropy(seed)
         self.rank_stable = self.seed_entropy is not None
 
@@ -229,7 +219,7 @@ class RandomPool(CandidateGenerator):
         round_index: int,
     ) -> list[Configuration]:
         if self.seed_entropy is None:
-            sampler = self.sampler if self.sampler is not None else engine.sampler
+            sampler = engine.sampler
         else:
             from repro.utils.rng import keyed_rng
 
@@ -248,26 +238,16 @@ class FocusedPool(CandidateGenerator):
     """Attention-guided pruned candidate pool (``docs/pruning.md``).
 
     Samples each round's pool through a
-    :class:`~repro.designspace.sampling.FocusedSampler` built from a
-    per-parameter importance profile, so the budget lands on the parameters
-    the surrogates' attention says matter.  The profile comes from one of
-    two sources, checked in order:
+    :class:`~repro.designspace.sampling.FocusedSampler` built from the fixed
+    per-parameter importance profile passed at construction (``profile=``,
+    an :class:`~repro.meta.wam.ImportanceProfile` or raw score array), so
+    the budget lands on the parameters the surrogates' attention says
+    matter.  The profile never depends on the round's surrogate, which
+    keeps the generator eligible for the shared pool and checkpoint
+    resume.
 
-    1. **live refocus** (``refocus=True``, the default): when the round's
-       surrogate exposes ``attention_profile(features)`` (e.g.
-       :class:`~repro.dse.surrogates.StackedPredictorSurrogate`), a fixed
-       probe pool (``probe_size`` configurations from a private
-       ``probe_seed`` stream) is encoded and profiled, so the focus tracks
-       the surrogate as it refits between rounds;
-    2. **fixed profile**: the ``profile=`` passed at construction — an
-       :class:`~repro.meta.wam.ImportanceProfile` or raw score array.  This
-       is the form shared-pool campaigns use (their pool is proposed with
-       ``surrogate=None``), which keeps the generator
-       surrogate-independent and therefore eligible for the shared pool
-       and checkpoint resume.
-
-    ``keep_fraction=1.0`` skips profiling entirely and draws from the
-    engine's sampler exactly like :class:`RandomPool` — **bitwise**, the
+    ``keep_fraction=1.0`` needs no profile and draws from the engine's
+    sampler exactly like :class:`RandomPool` — **bitwise**, the
     repository's standard fast-path equivalence (pinned by
     ``tests/test_dse_pruning.py``).  ``fingerprint()`` feeds the runtime's
     checkpoint descriptor so resuming with different focus knobs is
@@ -285,10 +265,6 @@ class FocusedPool(CandidateGenerator):
         keep_fraction: float = 1.0,
         coarse_levels: int = 1,
         profile=None,
-        probe_size: int = 64,
-        probe_seed: SeedLike = 0,
-        refocus: bool = True,
-        sampler: Optional[BaseSampler] = None,
         seed: SeedLike = None,
     ) -> None:
         from repro.utils.rng import seed_entropy
@@ -301,18 +277,10 @@ class FocusedPool(CandidateGenerator):
             )
         if coarse_levels < 1:
             raise ValueError(f"coarse_levels must be >= 1, got {coarse_levels}")
-        if probe_size < 1:
-            raise ValueError(f"probe_size must be >= 1, got {probe_size}")
-        if seed is not None and sampler is not None:
-            raise ValueError("pass either seed= (keyed streams) or sampler=, not both")
         self.size = size
         self.keep_fraction = float(keep_fraction)
         self.coarse_levels = int(coarse_levels)
         self.profile = profile
-        self.probe_size = int(probe_size)
-        self.probe_seed = probe_seed
-        self.refocus = bool(refocus)
-        self.sampler = sampler
         self.seed_entropy = None if seed is None else seed_entropy(seed)
         self.rank_stable = self.seed_entropy is not None
 
@@ -326,31 +294,16 @@ class FocusedPool(CandidateGenerator):
         return (
             f"FocusedPool(size={self.size}, "
             f"keep_fraction={self.keep_fraction}, "
-            f"coarse_levels={self.coarse_levels}, "
-            f"probe_size={self.probe_size}, refocus={self.refocus}, {mode})"
+            f"coarse_levels={self.coarse_levels}, {mode})"
         )
 
-    def _scores(
-        self,
-        engine: "CampaignEngine",
-        surrogate: Optional[MultiObjectiveSurrogate],
-    ):
-        if (
-            self.refocus
-            and surrogate is not None
-            and hasattr(surrogate, "attention_profile")
-        ):
-            probe = RandomSampler(engine.space, seed=self.probe_seed).sample(
-                self.probe_size
+    def _scores(self):
+        if self.profile is None:
+            raise ValueError(
+                "FocusedPool with keep_fraction < 1.0 needs an importance "
+                "profile: pass profile=... at construction"
             )
-            return surrogate.attention_profile(engine.encoder.encode_batch(probe))
-        if self.profile is not None:
-            return self.profile
-        raise ValueError(
-            "FocusedPool with keep_fraction < 1.0 needs an importance source: "
-            "pass profile=... at construction, or propose with a surrogate "
-            "exposing attention_profile() and refocus=True"
-        )
+        return self.profile
 
     def propose_for(
         self,
@@ -362,9 +315,8 @@ class FocusedPool(CandidateGenerator):
         if self.seed_entropy is not None:
             from repro.utils.rng import keyed_rng
 
-            # Keyed mode: a fresh stream per (workload, round) — the scores
-            # themselves are already deterministic (fixed profile, or a probe
-            # drawn from the private probe_seed stream).
+            # Keyed mode: a fresh stream per (workload, round) — the fixed
+            # profile is already deterministic.
             rng = keyed_rng(
                 self.seed_entropy,
                 workload if workload is not None else "",
@@ -374,20 +326,20 @@ class FocusedPool(CandidateGenerator):
                 return RandomSampler(engine.space, seed=rng).sample(self.size)
             focused = FocusedSampler(
                 engine.space,
-                self._scores(engine, surrogate),
+                self._scores(),
                 keep_fraction=self.keep_fraction,
                 coarse_levels=self.coarse_levels,
                 seed=rng,
             )
             return focused.sample(self.size)
-        sampler = self.sampler if self.sampler is not None else engine.sampler
+        sampler = engine.sampler
         if self.keep_fraction >= 1.0:
             # Degenerate focus: consume the shared stream exactly like
             # RandomPool so existing campaigns reproduce bitwise.
             return sampler.sample(self.size)
         focused = FocusedSampler(
             engine.space,
-            self._scores(engine, surrogate),
+            self._scores(),
             keep_fraction=self.keep_fraction,
             coarse_levels=self.coarse_levels,
             seed=sampler.rng,
@@ -572,14 +524,8 @@ class QualityTracker:
     ``docs/benchmarks.md``.
     """
 
-    def __init__(
-        self, objectives: ObjectiveSet, *, mc_samples: Optional[int] = None
-    ) -> None:
-        from repro.dse.quality import MC_HYPERVOLUME_SAMPLES
-
+    def __init__(self, objectives: ObjectiveSet) -> None:
         self.objectives = objectives
-        #: Samples per Monte-Carlo estimate for 3+-objective campaigns.
-        self.mc_samples = mc_samples if mc_samples is not None else MC_HYPERVOLUME_SAMPLES
         self.rounds: list[CampaignRound] = []
         #: Pareto indices of the most recently recorded round (reused by the
         #: engine for the final result instead of recomputing the front).
@@ -604,7 +550,10 @@ class QualityTracker:
         if num_objectives == 2:
             return front_hypervolume(measured_min, front_indices), 0
         if num_objectives >= 3:
-            from repro.dse.quality import monte_carlo_hypervolume
+            from repro.dse.quality import (
+                MC_HYPERVOLUME_SAMPLES,
+                monte_carlo_hypervolume,
+            )
 
             if front_indices is None:
                 front_indices = pareto_front(measured_min)
@@ -613,10 +562,10 @@ class QualityTracker:
             estimate = monte_carlo_hypervolume(
                 measured_min[front_indices],
                 nadir + 0.1 * span,
-                num_samples=self.mc_samples,
+                num_samples=MC_HYPERVOLUME_SAMPLES,
                 seed=0,
             )
-            return estimate, self.mc_samples
+            return estimate, MC_HYPERVOLUME_SAMPLES
         if not self._warned:
             warnings.warn(
                 f"hypervolume tracking is only defined for 2 objectives "
@@ -764,14 +713,12 @@ class CampaignEngine:
         objectives: ObjectiveSet,
         *,
         seed: SeedLike = 0,
-        sampler: Optional[BaseSampler] = None,
-        encoder: Optional[OrdinalEncoder] = None,
     ) -> None:
         self.space = space
         self.simulator = simulator
         self.objectives = objectives
-        self.sampler = sampler if sampler is not None else RandomSampler(space, seed=seed)
-        self.encoder = encoder if encoder is not None else OrdinalEncoder(space)
+        self.sampler = RandomSampler(space, seed=seed)
+        self.encoder = OrdinalEncoder(space)
 
     # -- cross-workload campaign ---------------------------------------------------
     def run_campaign(

@@ -160,24 +160,20 @@ def hypervolume_slope(values: Sequence[float], *, window: int | None = None) -> 
     return float(np.mean(deltas[finite]))
 
 
-def hypervolume_ratio(
-    found: np.ndarray, reference: np.ndarray, *, reference_point: np.ndarray | None = None
-) -> float:
+def hypervolume_ratio(found: np.ndarray, reference: np.ndarray) -> float:
     """Hypervolume of the found front divided by the reference front's.
 
     Only defined for two objectives (the IPC/power trade-off the examples
-    explore).  The reference point defaults to the nadir of both fronts plus
-    a 10 % margin.
+    explore).  The reference point is the nadir of both fronts plus a 10 %
+    margin.
     """
     found = _as_front(found, "found")
     reference = _as_front(reference, "reference")
     if found.shape[1] != 2 or reference.shape[1] != 2:
         raise ValueError("hypervolume_ratio is defined for exactly two objectives")
-    if reference_point is None:
-        nadir = np.maximum(found.max(axis=0), reference.max(axis=0))
-        span = np.maximum(nadir - np.minimum(found.min(axis=0), reference.min(axis=0)), 1e-12)
-        reference_point = nadir + 0.1 * span
-    reference_point = np.asarray(reference_point, dtype=np.float64)
+    nadir = np.maximum(found.max(axis=0), reference.max(axis=0))
+    span = np.maximum(nadir - np.minimum(found.min(axis=0), reference.min(axis=0)), 1e-12)
+    reference_point = nadir + 0.1 * span
 
     found_front = found[pareto_front(found)]
     reference_front = reference[pareto_front(reference)]

@@ -208,11 +208,10 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
     objective with the graph-free
     :meth:`~repro.nn.transformer.TransformerPredictor.stacked_inference`
     pass.  Models with mismatched parameter sets (e.g. one carries a WAM
-    mask and another does not), with differing dtypes (a float32 and a
-    float64 model: stacking would run one of them at the other's width), or
-    with differing non-parameter tensor state (e.g. *non-learnable* masks,
-    which are absent from ``state_dict`` but shape the forward) fall back to
-    a per-predictor loop transparently, each model in its own dtype.
+    mask and another does not), or with differing dtypes (a float32 and a
+    float64 model: stacking would run one of them at the other's width),
+    fall back to a per-predictor loop transparently, each model in its own
+    dtype.
 
     The pass streams the candidates in fixed 64-row blocks
     (:func:`repro.nn.parallel.tile_spans`), so memory stays bounded by one
@@ -224,9 +223,7 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
     The stacked pass only reads the predictors, so concurrent calls on one
     surrogate are safe.  The per-predictor loop walks the same blocks
     serially through each model's own ``predict`` (bit for bit its
-    whole-pool ``predict``, by the same slice stability); ``predict``
-    toggles the module's eval mode, so that loop is not safe to call
-    concurrently on one surrogate.
+    whole-pool ``predict``, by the same slice stability).
 
     ``label_means`` / ``label_stds`` undo per-objective label
     standardisation, so a surrogate built from facade-adapted predictors
@@ -270,20 +267,6 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
         names = set(states[0])
         if any(set(state) != names for state in states[1:]):
             return None
-        # Non-parameter tensor state (e.g. a WAM mask installed with
-        # ``learnable=False``) is absent from ``state_dict`` yet shapes the
-        # forward.  The stacked pass reads it from the template for every
-        # objective, so it is only valid when all models carry bitwise-
-        # identical buffers; otherwise predictor[0]'s mask would silently be
-        # applied to every objective.
-        reference = list(self.predictors[0].named_buffers())
-        for predictor in self.predictors[1:]:
-            buffers = list(predictor.named_buffers())
-            if [name for name, _ in buffers] != [name for name, _ in reference]:
-                return None
-            for (_, ours), (_, theirs) in zip(reference, buffers):
-                if not np.array_equal(ours.data, theirs.data):
-                    return None
         stacked: dict[str, np.ndarray] = {}
         for name in states[0]:
             arrays = [state[name] for state in states]
@@ -302,7 +285,6 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
         raw = np.empty((len(features), len(self.predictors)), dtype=np.float64)
         spans = nn_parallel.tile_spans(len(features))
         if self._params is None:
-            # Serially: ``predict`` toggles the module's eval mode.
             for start, stop in spans:
                 for column, predictor in enumerate(self.predictors):
                     raw[start:stop, column] = predictor.predict(features[start:stop])
@@ -322,14 +304,12 @@ class StackedPredictorSurrogate(MultiObjectiveSurrogate):
         """Distil a parameter-importance profile from the stacked models.
 
         Runs :func:`repro.meta.wam.profile_from_predictors` over every
-        per-objective predictor on *features* (one eval-mode forward each
-        with attention storage temporarily enabled) and merges the
-        per-objective profiles into one normalized
-        :class:`~repro.meta.wam.ImportanceProfile`.  This is the hook
-        :class:`~repro.dse.engine.FocusedPool` probes for when refocusing a
-        pruned candidate pool between rounds; it is deterministic for fixed
-        *features* (the autodiff forward does not read the ``threads(n)``
-        worker count).
+        per-objective predictor on *features* (one forward each) and merges
+        the per-objective profiles into one normalized
+        :class:`~repro.meta.wam.ImportanceProfile`.  ``MetaDSE.explore``
+        harvests the fixed profile of a focused pool through it; it is
+        deterministic for fixed *features* (the autodiff forward does not
+        read the ``threads(n)`` worker count).
         """
         # Function-level import: repro.meta.wam already imports the nn layer
         # this module builds on, so a top-level import would be cyclic.

@@ -4,11 +4,12 @@ Given the meta-trained predictor ``f_theta*`` and a handful of labelled
 samples from the *target* workload, the adaptation stage:
 
 1. optionally installs the workload-adaptive architectural mask in the
-   self-attention operator and marks it trainable (Algorithm 2 lines 1-2);
+   last self-attention operator as a trainable parameter (Algorithm 2
+   lines 1-2);
 2. clones the meta-trained parameters (``theta_hat* = theta*``);
-3. runs a small number of gradient steps on the target support set with a
-   low learning rate and cosine annealing (Section VI-A: ten steps,
-   ``1e-5`` with cosine annealing in the paper's setup);
+3. runs a small number of cosine-annealed SGD steps on the target support
+   set with a low learning rate (Section VI-A: ten steps, ``1e-5`` with
+   cosine annealing in the paper's setup);
 4. returns the adapted predictor, which is then evaluated on unseen target
    design points.
 """
@@ -21,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.meta.wam import ArchitecturalMask
-from repro.nn.losses import mse_loss
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StackedSGD
+from repro.nn.optim import CosineAnnealingLR, StackedSGD
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerPredictor
 
@@ -37,12 +37,6 @@ class AdaptationConfig:
 
     steps: int = 10
     lr: float = 0.01
-    cosine_annealing: bool = True
-    optimizer: str = "sgd"
-    #: Install the WAM mask on every attention layer instead of the last one.
-    mask_all_layers: bool = False
-    #: Make the installed mask trainable (Algorithm 2 line 2).
-    learnable_mask: bool = True
     #: Learning-rate multiplier for the mask parameters.  The mask is a small,
     #: structured set of knobs (one per parameter pair), so letting it move
     #: faster than the backbone weights is what makes it *workload-adaptive*
@@ -54,14 +48,12 @@ class AdaptationConfig:
             raise ValueError("steps must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.mask_lr_multiplier <= 0:
             raise ValueError("mask_lr_multiplier must be positive")
 
 
 #: The adaptation hyper-parameters quoted in Section VI-A of the paper.
-PAPER_ADAPTATION_CONFIG = AdaptationConfig(steps=10, lr=1e-5, cosine_annealing=True)
+PAPER_ADAPTATION_CONFIG = AdaptationConfig(steps=10, lr=1e-5)
 
 
 @dataclass
@@ -85,21 +77,12 @@ def adapt_predictor(
 
     The meta-trained model is never modified: adaptation operates on a clone
     so the same initialisation can be reused for many target workloads (or
-    many support sizes, as in Table III).  With the default SGD optimiser the
-    call is a batch-of-one wrapper over :func:`adapt_predictor_batch` (the
-    stacked functional path); Adam keeps the stateful per-model loop.
+    many support sizes, as in Table III).  A batch-of-one wrapper over
+    :func:`adapt_predictor_batch` (the stacked functional path).
     """
-    config = config if config is not None else AdaptationConfig()
-    if config.optimizer == "sgd":
-        return adapt_predictor_batch(
-            meta_trained,
-            [(support_x, support_y)],
-            mask=mask,
-            config=config,
-        )[0]
-    return _adapt_predictor_stateful(
-        meta_trained, support_x, support_y, mask=mask, config=config
-    )
+    return adapt_predictor_batch(
+        meta_trained, [(support_x, support_y)], mask=mask, config=config
+    )[0]
 
 
 def adapt_predictor_batch(
@@ -115,9 +98,9 @@ def adapt_predictor_batch(
     target workload (or per support-size sweep point).  The meta-trained
     parameters are stacked along a leading task axis and every target's
     fine-tuning runs in the same stacked-tensor graph, exactly like the
-    batched MAML inner loop.  Targets with ragged support sizes, or an Adam
-    config, fall back to the per-target loop.  Returns one
-    :class:`AdaptationResult` per target, in input order.
+    batched MAML inner loop, so every support set must have the same shape
+    (``ValueError`` otherwise).  Returns one :class:`AdaptationResult` per
+    target, in input order.
     """
     config = config if config is not None else AdaptationConfig()
     dtype = meta_trained.dtype  # fine-tune in the meta-trained model's precision
@@ -130,22 +113,17 @@ def adapt_predictor_batch(
     ]
     if not supports:
         raise ValueError("adapt_predictor_batch needs at least one support set")
-    ragged = len({sx.shape for sx, _ in supports}) > 1
-    if config.optimizer != "sgd" or ragged:
-        return [
-            _adapt_predictor_stateful(meta_trained, sx, sy, mask=mask, config=config)
-            for sx, sy in supports
-        ]
+    shapes = {(sx.shape, sy.shape) for sx, sy in supports}
+    if len(shapes) > 1:
+        raise ValueError(
+            f"adapt_predictor_batch needs support sets of one shape, got "
+            f"{sorted(shapes)}"
+        )
 
     template: TransformerPredictor = meta_trained.clone()
-    used_mask = False
-    if mask is not None:
-        template.install_mask(
-            mask.bias,
-            learnable=config.learnable_mask,
-            all_layers=config.mask_all_layers,
-        )
-        used_mask = True
+    used_mask = mask is not None
+    if used_mask:
+        template.install_mask(mask.bias)
 
     n_tasks = len(supports)
     params = template.stack_parameters(n_tasks)
@@ -155,9 +133,7 @@ def adapt_predictor_batch(
         if name.endswith(".mask") or name == "mask"
     }
     optimizer = StackedSGD(config.lr, lr_scales=lr_scales)
-    scheduler = (
-        CosineAnnealingLR(optimizer, config.steps) if config.cosine_annealing else None
-    )
+    scheduler = CosineAnnealingLR(optimizer, config.steps)
 
     x = Tensor(np.stack([sx for sx, _ in supports]))
     y = np.stack([sy for _, sy in supports])
@@ -168,15 +144,13 @@ def adapt_predictor_batch(
         per_task = (diff * diff).mean(axis=-1)
         per_task.sum().backward()
         params = optimizer.step(params)
-        if scheduler is not None:
-            scheduler.step()
+        scheduler.step()
         step_losses.append(per_task.data.copy())
 
     results: list[AdaptationResult] = []
     for index in range(n_tasks):
         predictor: TransformerPredictor = template.clone()
         predictor.load_state_dict(template.unstack_state(params, index))
-        predictor.eval()
         results.append(
             AdaptationResult(
                 predictor=predictor,
@@ -186,51 +160,3 @@ def adapt_predictor_batch(
         )
     return results
 
-
-def _adapt_predictor_stateful(
-    meta_trained: TransformerPredictor,
-    support_x: np.ndarray,
-    support_y: np.ndarray,
-    *,
-    mask: Optional[ArchitecturalMask],
-    config: AdaptationConfig,
-) -> AdaptationResult:
-    """Per-model reference loop (and the Adam path, which carries state)."""
-    predictor: TransformerPredictor = meta_trained.clone()
-
-    used_mask = False
-    if mask is not None:
-        predictor.install_mask(
-            mask.bias,
-            learnable=config.learnable_mask,
-            all_layers=config.mask_all_layers,
-        )
-        used_mask = True
-
-    parameters = list(predictor.named_parameters())
-    lr_scales = [
-        config.mask_lr_multiplier if name.endswith(".mask") or name == "mask" else 1.0
-        for name, _ in parameters
-    ]
-    tensors = [tensor for _, tensor in parameters]
-    if config.optimizer == "adam":
-        optimizer = Adam(tensors, config.lr, lr_scales=lr_scales)
-    else:
-        optimizer = SGD(tensors, config.lr, lr_scales=lr_scales)
-    scheduler = (
-        CosineAnnealingLR(optimizer, config.steps) if config.cosine_annealing else None
-    )
-
-    x = Tensor(np.asarray(support_x, dtype=predictor.dtype))
-    y = np.asarray(support_y, dtype=predictor.dtype)
-    losses: list[float] = []
-    for _ in range(config.steps):
-        optimizer.zero_grad()
-        loss = mse_loss(predictor(x), y)
-        loss.backward()
-        optimizer.step()
-        if scheduler is not None:
-            scheduler.step()
-        losses.append(loss.item())
-    predictor.eval()
-    return AdaptationResult(predictor=predictor, support_losses=losses, used_mask=used_mask)

@@ -31,8 +31,9 @@ samples only ever meet parameter slice ``t``.  The original one-task-at-a-
 time loop survives as :meth:`MAMLTrainer.meta_step_scalar` (with
 :meth:`MAMLTrainer.adapt_scalar` as its inner loop): it is the executable
 specification the equivalence tests compare the batched path against,
-mirroring the simulation substrate's ``run_scalar`` pattern, and the
-fallback for ragged batches whose episode sizes differ.
+mirroring the simulation substrate's ``run_scalar`` pattern.  The batched
+path needs every episode of a batch to have one shape; a ragged batch
+raises ``ValueError``.
 
 After every epoch a meta-validation pass measures post-adaptation query loss
 on the validation workloads; the best-performing parameters are restored at
@@ -42,7 +43,7 @@ the end (the paper's "identify the optimal parameters for downstream tasks").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -138,19 +139,22 @@ def _per_task_mse(predictions: Tensor, targets: np.ndarray) -> Tensor:
 def _stack_episodes(
     tasks: Sequence[Task],
     dtype: np.dtype = np.float64,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stack a task batch's arrays on a leading task axis, in *dtype*.
 
     Returns ``(support_x, support_y, query_x, query_y)`` with shapes
-    ``(n_tasks, S, P) / (n_tasks, S) / (n_tasks, Q, P) / (n_tasks, Q)``, or
-    ``None`` when the batch is ragged (episode sizes differ), in which case
-    callers fall back to the scalar reference path.  The trainer passes its
-    model's dtype so a float32 surrogate trains on float32 episode arrays.
+    ``(n_tasks, S, P) / (n_tasks, S) / (n_tasks, Q, P) / (n_tasks, Q)``;
+    raises ``ValueError`` when the batch is ragged (episode sizes differ).
+    The trainer passes its model's dtype so a float32 surrogate trains on
+    float32 episode arrays.
     """
-    if len({t.support_x.shape for t in tasks}) > 1 or len(
-        {t.query_x.shape for t in tasks}
-    ) > 1:
-        return None
+    support_shapes = {t.support_x.shape for t in tasks}
+    query_shapes = {t.query_x.shape for t in tasks}
+    if len(support_shapes) > 1 or len(query_shapes) > 1:
+        raise ValueError(
+            f"a task batch needs episodes of one shape, got supports "
+            f"{sorted(support_shapes)} and queries {sorted(query_shapes)}"
+        )
     return (
         np.stack([np.asarray(t.support_x, dtype=dtype) for t in tasks]),
         np.stack([np.asarray(t.support_y, dtype=dtype) for t in tasks]),
@@ -305,15 +309,13 @@ class MAMLTrainer:
         The whole meta-batch runs as one stacked graph: inner loop via
         :meth:`adapt_batch`, then a single query pass whose per-task losses
         are summed so one backward produces every task's query gradient.
-        Ragged batches (mixed episode sizes) fall back to
-        :meth:`meta_step_scalar`.
+        Ragged batches (mixed episode sizes) raise ``ValueError``.
         """
         if not tasks:
             raise ValueError("meta_step needs at least one task")
-        batch = _stack_episodes(tasks, dtype=self.model.dtype)
-        if batch is None:
-            return self.meta_step_scalar(tasks)
-        support_x, support_y, query_x, query_y = batch
+        support_x, support_y, query_x, query_y = _stack_episodes(
+            tasks, dtype=self.model.dtype
+        )
         n_tasks = len(tasks)
         own = dict(self.model.named_parameters())
 
@@ -420,15 +422,9 @@ class MAMLTrainer:
         if not workloads:
             raise ValueError("meta_validate needs at least one workload")
         tasks = sampler.sample_batch(workloads, tasks_per_workload=tasks_per_workload)
-        batch = _stack_episodes(tasks, dtype=self.model.dtype)
-        if batch is None:
-            losses = []
-            for task in tasks:
-                adapted = self.adapt(task.support_x, task.support_y)
-                predictions = adapted(Tensor(task.query_x))
-                losses.append(mse_loss(predictions, task.query_y).item())
-            return float(np.mean(losses))
-        support_x, support_y, query_x, query_y = batch
+        support_x, support_y, query_x, query_y = _stack_episodes(
+            tasks, dtype=self.model.dtype
+        )
         adapted = self.adapt_batch(support_x, support_y)
         frozen = {name: Tensor(tensor.data) for name, tensor in adapted.items()}
         predictions = self.model.functional_call(frozen, Tensor(query_x))
@@ -440,8 +436,6 @@ class MAMLTrainer:
         sampler: TaskSampler,
         train_workloads: Sequence[str],
         validation_workloads: Optional[Sequence[str]] = None,
-        *,
-        epoch_callback: Optional[Callable[[int, float, Optional[float]], None]] = None,
     ) -> MetaTrainingHistory:
         """Run the full pre-training loop of Algorithm 1.
 
@@ -453,9 +447,6 @@ class MAMLTrainer:
             a sensitivity study overrides them).
         train_workloads, validation_workloads:
             Source and meta-validation workload names.
-        epoch_callback:
-            Optional ``f(epoch, train_loss, validation_loss)`` hook, useful
-            for logging and early-stopping experiments.
         """
         if not train_workloads:
             raise ValueError("meta_train needs at least one training workload")
@@ -472,7 +463,6 @@ class MAMLTrainer:
             train_loss = float(np.mean(epoch_losses))
             self.history.train_losses.append(train_loss)
 
-            validation_loss: Optional[float] = None
             if validation_workloads:
                 validation_loss = self.meta_validate(sampler, validation_workloads)
                 self.history.validation_losses.append(validation_loss)
@@ -480,8 +470,6 @@ class MAMLTrainer:
                     self.history.best_validation_loss = validation_loss
                     self.history.best_epoch = epoch
                     best_state = self.model.state_dict()
-            if epoch_callback is not None:
-                epoch_callback(epoch, train_loss, validation_loss)
 
         if validation_workloads and self.history.best_epoch >= 0:
             self.model.load_state_dict(best_state)

@@ -195,13 +195,13 @@ class MetaSGDTrainer(MAMLTrainer):
         backward yields every task's query gradient at once, and the
         first-order alpha gradient ``-g_query ⊙ g_support`` is formed from
         the stacked gradient banks before summing over the task axis.
+        Ragged batches raise ``ValueError``.
         """
         if not tasks:
             raise ValueError("meta_step needs at least one task")
-        batch = _stack_episodes(tasks, dtype=self.model.dtype)
-        if batch is None:
-            return self.meta_step_scalar(tasks)
-        support_x, support_y, query_x, query_y = batch
+        support_x, support_y, query_x, query_y = _stack_episodes(
+            tasks, dtype=self.model.dtype
+        )
         n_tasks = len(tasks)
 
         adapted = self.adapt_batch(support_x, support_y)

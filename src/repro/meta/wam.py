@@ -61,8 +61,6 @@ class WAMConfig:
     penalty: float = 1.0
     #: Number of episodes per source workload used to collect statistics.
     episodes_per_workload: int = 4
-    #: Whether the diagonal (a parameter attending to itself) is always kept.
-    keep_diagonal: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.keep_quantile < 1.0:
@@ -155,28 +153,23 @@ class WAMBuilder:
         """
         if not source_workloads:
             raise ValueError("collect_from_model needs at least one source workload")
-        was_training = model.training
-        model.eval()
-        try:
-            for workload in source_workloads:
-                episodes = [
-                    sampler.sample_task(workload)
-                    for _ in range(self.config.episodes_per_workload)
+        for workload in source_workloads:
+            episodes = [
+                sampler.sample_task(workload)
+                for _ in range(self.config.episodes_per_workload)
+            ]
+            inputs = np.stack(
+                [
+                    np.concatenate([task.support_x, task.query_x], axis=0)
+                    for task in episodes
                 ]
-                inputs = np.stack(
-                    [
-                        np.concatenate([task.support_x, task.query_x], axis=0)
-                        for task in episodes
-                    ]
-                )
-                # In the model's dtype: a float64 Tensor would promote a
-                # float32 model's whole forward to float64.
-                model(Tensor(np.asarray(inputs, dtype=model.dtype)))
-                recorded = model.last_attention_layer.last_attention
-                for episode_attention in recorded:
-                    self.accumulate(episode_attention)
-        finally:
-            model.train(was_training)
+            )
+            # In the model's dtype: a float64 Tensor would promote a float32
+            # model's whole forward to float64.
+            model(Tensor(np.asarray(inputs, dtype=model.dtype)))
+            recorded = model.last_attention_layer.last_attention
+            for episode_attention in recorded:
+                self.accumulate(episode_attention)
 
     # -- distillation -----------------------------------------------------------
     @property
@@ -187,12 +180,14 @@ class WAMBuilder:
         return self._sum / self._count
 
     def build(self) -> ArchitecturalMask:
-        """Distil the accumulated statistics into an :class:`ArchitecturalMask`."""
+        """Distil the accumulated statistics into an :class:`ArchitecturalMask`.
+
+        The diagonal (a parameter attending to itself) is always kept.
+        """
         frequency = self.frequency
         threshold = float(np.quantile(frequency, self.config.keep_quantile))
         kept = frequency >= threshold
-        if self.config.keep_diagonal:
-            np.fill_diagonal(kept, True)
+        np.fill_diagonal(kept, True)
         bias = np.where(kept, 0.0, -self.config.penalty)
         return ArchitecturalMask(
             bias=bias.astype(np.float64),
@@ -282,27 +277,20 @@ def importance_profile(
     """Harvest a parameter-importance profile from one batched forward.
 
     Runs *features* (``(n, P)``, optionally with a leading task axis)
-    through the predictor in eval mode — a single forward, no RNG — and
-    distils the last attention layer's probabilities with
-    :func:`attention_importance`.  Deterministic for a fixed model and
-    feature matrix (the autodiff forward does not read the
-    ``repro.nn.parallel`` worker count); the layer's stored
-    ``last_attention`` is restored afterwards so profile harvesting never
-    perturbs WAM collection state.
+    through the predictor — a single forward, no RNG — and distils the last
+    attention layer's probabilities with :func:`attention_importance`.
+    Deterministic for a fixed model and feature matrix (the autodiff
+    forward does not read the ``repro.nn.parallel`` worker count); the
+    layer's stored ``last_attention`` is restored afterwards so profile
+    harvesting never perturbs WAM collection state.
     """
-    was_training = model.training
     layer = model.last_attention_layer
-    stored_flag = layer.store_attention
     stored_attention = layer.last_attention
-    model.eval()
-    layer.store_attention = True
     try:
         model(Tensor(np.asarray(features, dtype=model.dtype)))
         scores = attention_importance(layer.last_attention)
     finally:
-        layer.store_attention = stored_flag
         layer.last_attention = stored_attention
-        model.train(was_training)
     return ImportanceProfile(scores=scores, workload=workload)
 
 

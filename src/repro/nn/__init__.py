@@ -7,9 +7,7 @@ from repro.nn.gradcheck import (
     numerical_gradient,
 )
 from repro.nn.layers import (
-    ACTIVATIONS,
     MLP,
-    Dropout,
     LayerNorm,
     Linear,
     ParameterEmbedding,
@@ -39,7 +37,7 @@ from repro.nn.precision import (
     set_default_dtype,
 )
 from repro.nn.serialization import load_state, save_model
-from repro.nn.tensor import Tensor, concatenate, ones, stack, tensor, zeros
+from repro.nn.tensor import Tensor, concatenate, ones, tensor, zeros
 from repro.nn.transformer import TransformerEncoderLayer, TransformerPredictor
 
 __all__ = [
@@ -56,14 +54,11 @@ __all__ = [
     "zeros",
     "ones",
     "concatenate",
-    "stack",
     "Module",
     "Linear",
     "LayerNorm",
-    "Dropout",
     "MLP",
     "ParameterEmbedding",
-    "ACTIVATIONS",
     "xavier_uniform",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",

@@ -7,7 +7,7 @@ Two pieces of the paper live here:
   candidates" from the last self-attention layer during pre-training
   (Fig. 4, steps 1-2);
 * the mask injection point: a WAM is an additive bias on the pre-softmax
-  attention logits.  When installed it can optionally be trained together
+  attention logits, installed as a parameter so it is trained together
   with the model during adaptation (Algorithm 2 sets
   ``M.required_grad = True``).
 """
@@ -33,22 +33,17 @@ class MultiHeadSelfAttention(Module):
         Token embedding width.
     num_heads:
         Number of attention heads; must divide *embed_dim*.
-    store_attention:
-        When True the layer keeps the attention probabilities of the latest
-        forward pass in :attr:`last_attention`: a plain numpy array of shape
-        ``(batch, heads, tokens, tokens)`` — or ``(n_tasks, batch, heads,
-        tokens, tokens)`` after a task-batched forward.  The array aliases
-        the (never-mutated) graph buffer rather than copying it; copy before
-        writing to it.
+
+    The layer keeps the attention probabilities of the latest forward pass
+    in :attr:`last_attention`: a plain numpy array of shape ``(batch,
+    heads, tokens, tokens)`` — or ``(n_tasks, batch, heads, tokens,
+    tokens)`` after a task-batched forward.  The array aliases the
+    (never-mutated) graph buffer rather than copying it; copy before
+    writing to it.
     """
 
     def __init__(
-        self,
-        embed_dim: int,
-        num_heads: int,
-        *,
-        store_attention: bool = True,
-        seed: SeedLike = None,
+        self, embed_dim: int, num_heads: int, *, seed: SeedLike = None
     ) -> None:
         super().__init__()
         if embed_dim % num_heads != 0:
@@ -63,31 +58,27 @@ class MultiHeadSelfAttention(Module):
         self.key = Linear(embed_dim, embed_dim, seed=rng)
         self.value = Linear(embed_dim, embed_dim, seed=rng)
         self.output = Linear(embed_dim, embed_dim, seed=rng)
-        self.store_attention = store_attention
         #: Attention probabilities of the last forward pass (numpy, detached).
         self.last_attention: Optional[np.ndarray] = None
         #: Optional workload-adaptive architectural mask (additive logit bias).
         self.mask: Optional[Tensor] = None
 
     # -- mask management -------------------------------------------------------
-    def install_mask(self, mask: np.ndarray, *, learnable: bool = True) -> Tensor:
+    def install_mask(self, mask: np.ndarray) -> Tensor:
         """Install an architectural mask as an additive attention-logit bias.
 
         The mask has shape ``(tokens, tokens)`` and is broadcast over batch
-        and heads.  When *learnable* the mask is registered as a parameter so
-        the adaptation stage fine-tunes it together with the weights
-        (Algorithm 2 line 2).  The mask is cast to the layer's own parameter
-        dtype, so installing the (float64) WAM statistics into a float32
-        model keeps the model uniformly float32.
+        and heads.  It is registered as a parameter so the adaptation stage
+        fine-tunes it together with the weights (Algorithm 2 line 2).  The
+        mask is cast to the layer's own parameter dtype, so installing the
+        (float64) WAM statistics into a float32 model keeps the model
+        uniformly float32.
         """
         mask = np.asarray(mask, dtype=self.query.weight.data.dtype)
         if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
             raise ValueError(f"mask must be square (tokens x tokens), got {mask.shape}")
-        tensor = Tensor(mask.copy(), requires_grad=learnable)
-        if learnable:
-            self.register_parameter("mask", tensor)
-        self.mask = tensor
-        return tensor
+        self.mask = self.register_parameter("mask", Tensor(mask.copy()))
+        return self.mask
 
     # -- forward ---------------------------------------------------------------
     def forward(self, tokens: Tensor) -> Tensor:
@@ -119,8 +110,7 @@ class MultiHeadSelfAttention(Module):
             scale=1.0 / np.sqrt(self.head_dim),
             mask=mask,
         )
-        if self.store_attention:
-            # The probabilities array is never mutated afterwards (the engine
-            # is functional), so recording it needs no defensive copy.
-            self.last_attention = attention
+        # The probabilities array is never mutated afterwards (the engine is
+        # functional), so recording it needs no defensive copy.
+        self.last_attention = attention
         return self.output(context)

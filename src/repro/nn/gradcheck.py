@@ -117,40 +117,35 @@ def check_module_gradients(
                 "float64 model, then convert with Module.to_dtype('float32')."
             )
     inputs = np.asarray(inputs, dtype=np.float64)
-    was_training = module.training
-    module.eval()  # dropout off: finite differences need a deterministic map
-    try:
-        module.zero_grad()
-        objective = loss(module(Tensor(inputs)))
-        objective.backward()
+    module.zero_grad()
+    objective = loss(module(Tensor(inputs)))
+    objective.backward()
 
-        def evaluate() -> float:
-            return float(loss(module(Tensor(inputs))).data)
+    def evaluate() -> float:
+        return float(loss(module(Tensor(inputs))).data)
 
-        errors: dict[str, float] = {}
-        for name, parameter in module.named_parameters():
-            if parameter.grad is None:
-                raise AssertionError(f"parameter {name!r} received no gradient")
-            flat = parameter.data.reshape(-1)
-            flat_grad = parameter.grad.reshape(-1)
-            stride = max(1, flat.size // max_entries_per_parameter)
-            worst = 0.0
-            for index in range(0, flat.size, stride):
-                original = flat[index]
-                flat[index] = original + epsilon
-                upper = evaluate()
-                flat[index] = original - epsilon
-                lower = evaluate()
-                flat[index] = original
-                numerical = (upper - lower) / (2.0 * epsilon)
-                analytical = flat_grad[index]
-                worst = max(worst, abs(analytical - numerical))
-                if not np.isclose(analytical, numerical, rtol=rtol, atol=atol):
-                    raise AssertionError(
-                        f"gradient mismatch in {name!r}[{index}]: "
-                        f"autograd {analytical:.6e} vs numerical {numerical:.6e}"
-                    )
-            errors[name] = worst
-        return errors
-    finally:
-        module.train(was_training)
+    errors: dict[str, float] = {}
+    for name, parameter in module.named_parameters():
+        if parameter.grad is None:
+            raise AssertionError(f"parameter {name!r} received no gradient")
+        flat = parameter.data.reshape(-1)
+        flat_grad = parameter.grad.reshape(-1)
+        stride = max(1, flat.size // max_entries_per_parameter)
+        worst = 0.0
+        for index in range(0, flat.size, stride):
+            original = flat[index]
+            flat[index] = original + epsilon
+            upper = evaluate()
+            flat[index] = original - epsilon
+            lower = evaluate()
+            flat[index] = original
+            numerical = (upper - lower) / (2.0 * epsilon)
+            analytical = flat_grad[index]
+            worst = max(worst, abs(analytical - numerical))
+            if not np.isclose(analytical, numerical, rtol=rtol, atol=atol):
+                raise AssertionError(
+                    f"gradient mismatch in {name!r}[{index}]: "
+                    f"autograd {analytical:.6e} vs numerical {numerical:.6e}"
+                )
+        errors[name] = worst
+    return errors

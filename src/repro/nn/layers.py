@@ -14,7 +14,7 @@ Every parameterised layer has two forward paths selected by parameter rank:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,15 +22,6 @@ from repro.nn.module import Module
 from repro.nn.precision import default_dtype
 from repro.nn.tensor import Tensor, affine
 from repro.utils.rng import SeedLike, as_rng
-
-#: Supported activation names for :class:`MLP`.
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": lambda x: x.relu(),
-    "gelu": lambda x: x.gelu(),
-    "tanh": lambda x: x.tanh(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "identity": lambda x: x,
-}
 
 
 def xavier_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -48,12 +39,7 @@ class Linear(Module):
     """Affine transform ``y = x W + b`` over the last axis."""
 
     def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        *,
-        bias: bool = True,
-        seed: SeedLike = None,
+        self, in_features: int, out_features: int, *, seed: SeedLike = None
     ) -> None:
         super().__init__()
         if in_features < 1 or out_features < 1:
@@ -64,11 +50,9 @@ class Linear(Module):
         self.weight = self.register_parameter(
             "weight", Tensor(xavier_uniform((in_features, out_features), rng))
         )
-        self.bias: Optional[Tensor] = None
-        if bias:
-            self.bias = self.register_parameter(
-                "bias", Tensor(np.zeros(out_features, dtype=default_dtype()))
-            )
+        self.bias = self.register_parameter(
+            "bias", Tensor(np.zeros(out_features, dtype=default_dtype()))
+        )
 
     def forward(self, inputs: Tensor) -> Tensor:
         # One fused graph node: leading input axes are collapsed into a
@@ -105,30 +89,8 @@ class LayerNorm(Module):
         return inputs.layer_norm(gamma, beta, eps=self.eps)
 
 
-class Dropout(Module):
-    """Inverted dropout; a no-op in evaluation mode."""
-
-    def __init__(self, rate: float = 0.1, *, seed: SeedLike = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = as_rng(seed)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return inputs
-        keep = 1.0 - self.rate
-        # Draw in float64 (dtype-independent stream), scale in the input's
-        # dtype so dropout never widens a float32 graph.
-        mask = ((self._rng.random(inputs.shape) < keep) / keep).astype(
-            inputs.data.dtype, copy=False
-        )
-        return inputs * Tensor(mask)
-
-
 class MLP(Module):
-    """Multi-layer perceptron with a configurable activation."""
+    """Multi-layer perceptron with GELU between its layers."""
 
     def __init__(
         self,
@@ -136,25 +98,16 @@ class MLP(Module):
         hidden_features: Sequence[int],
         out_features: int,
         *,
-        activation: str = "gelu",
-        dropout: float = 0.0,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
-        if activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {activation!r}; choose from {sorted(ACTIVATIONS)}"
-            )
         rng = as_rng(seed)
-        self.activation_name = activation
-        self._activation = ACTIVATIONS[activation]
         dims = [in_features, *hidden_features, out_features]
         self._layer_names: list[str] = []
         for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             name = f"fc{index}"
             self.register_module(name, Linear(d_in, d_out, seed=rng))
             self._layer_names.append(name)
-        self.dropout = Dropout(dropout, seed=rng) if dropout > 0 else None
 
     def forward(self, inputs: Tensor) -> Tensor:
         out = inputs
@@ -162,9 +115,7 @@ class MLP(Module):
         for index, name in enumerate(self._layer_names):
             out = self._modules[name](out)
             if index != last:
-                out = self._activation(out)
-                if self.dropout is not None:
-                    out = self.dropout(out)
+                out = out.gelu()
         return out
 
 

@@ -33,7 +33,7 @@ from typing import Collection, Iterator, Mapping, Optional
 import numpy as np
 
 from repro.nn.precision import default_dtype, resolve_dtype
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor
 
 
 def has_task_axis(value: np.ndarray, parameter: Tensor) -> bool:
@@ -52,7 +52,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: dict[str, Tensor] = {}
         self._modules: dict[str, "Module"] = {}
-        self.training = True
 
     # -- registration -------------------------------------------------------
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
@@ -92,37 +91,7 @@ class Module:
         """All trainable parameters in traversal order."""
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        """Yield ``(qualified_name, tensor)`` for non-parameter Tensor state.
-
-        These are Tensor attributes that are not registered parameters —
-        e.g. an attention mask installed with ``learnable=False`` — so they
-        shape the forward pass but do not appear in :meth:`state_dict`.
-        Same stable traversal order as :meth:`named_parameters`.
-        """
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor) and name not in self._parameters:
-                yield (f"{prefix}{name}", value)
-        for module_name, module in self._modules.items():
-            yield from module.named_buffers(prefix=f"{prefix}{module_name}.")
-
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants."""
-        yield self
-        for module in self._modules.values():
-            yield from module.modules()
-
-    # -- training / gradient state ---------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout)."""
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        """Switch to evaluation mode."""
-        return self.train(False)
-
+    # -- gradient state --------------------------------------------------------
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
         for parameter in self.parameters():
@@ -142,26 +111,19 @@ class Module:
         return default_dtype()
 
     def to_dtype(self, dtype) -> "Module":
-        """Convert every parameter (and installed mask) to *dtype*, in place.
+        """Convert every parameter (an installed mask included) to *dtype*.
 
-        Parameter tensors keep their identity — their ``data`` buffers are
-        cast — so attribute aliases (``self.weight``) and optimizer parameter
-        lists stay valid; gradients are cleared (stale-width gradients are
-        worse than none).  Tensor attributes that are not registered
-        parameters (e.g. a non-learnable attention mask) are cast too, so a
-        converted model never mixes widths in its own forward pass.
-        Optimizer *state* (momentum/Adam moments) created before the
-        conversion is not touched: build optimizers after converting.
+        In place: parameter tensors keep their identity — their ``data``
+        buffers are cast — so attribute aliases (``self.weight``) and
+        optimizer parameter lists stay valid; gradients are cleared
+        (stale-width gradients are worse than none).  Optimizer *state*
+        (momentum/Adam moments) created before the conversion is not
+        touched: build optimizers after converting.
         """
         target = resolve_dtype(dtype)
-        for module in self.modules():
-            for parameter in module._parameters.values():
-                parameter.data = parameter.data.astype(target, copy=False)
-                parameter.grad = None
-            for name, value in vars(module).items():
-                if isinstance(value, Tensor) and name not in module._parameters:
-                    value.data = value.data.astype(target, copy=False)
-                    value.grad = None
+        for parameter in self.parameters():
+            parameter.data = parameter.data.astype(target, copy=False)
+            parameter.grad = None
         return self
 
     # -- state management ----------------------------------------------------------
@@ -243,22 +205,15 @@ class Module:
                     object.__setattr__(module, attr, original)
 
     def stack_parameters(
-        self,
-        n_tasks: int,
-        *,
-        detach: bool = True,
-        names: Optional[Collection[str]] = None,
+        self, n_tasks: int, *, names: Optional[Collection[str]] = None
     ) -> dict[str, Tensor]:
         """Stack ``n_tasks`` copies of parameters along a leading task axis.
 
         Returns a mapping from qualified name to an ``(n_tasks, *shape)``
         tensor, covering every parameter by default or only *names* when
-        given (how the ANIL inner loop stacks just the head).  With
-        ``detach=True`` (the default, what first-order MAML needs) each
-        stack is a fresh gradient-requiring leaf; with ``detach=False`` the
-        stacks stay graph-connected to the underlying parameters via
-        :func:`repro.nn.tensor.stack`, so gradients flow back into them
-        (summed over the task axis).
+        given (how the ANIL inner loop stacks just the head).  Each stack
+        is a fresh gradient-requiring leaf, detached from the underlying
+        parameters, which is what first-order MAML needs.
         """
         if n_tasks < 1:
             raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
@@ -266,13 +221,10 @@ class Module:
         for name, parameter in self.named_parameters():
             if names is not None and name not in names:
                 continue
-            if detach:
-                data = np.broadcast_to(
-                    parameter.data, (n_tasks,) + parameter.data.shape
-                ).copy()
-                stacked[name] = Tensor(data, requires_grad=True, name=name)
-            else:
-                stacked[name] = stack([parameter] * n_tasks)
+            data = np.broadcast_to(
+                parameter.data, (n_tasks,) + parameter.data.shape
+            ).copy()
+            stacked[name] = Tensor(data, requires_grad=True, name=name)
         return stacked
 
     def unstack_state(

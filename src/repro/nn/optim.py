@@ -4,8 +4,9 @@ The paper's training recipe needs three pieces, all provided here:
 
 * plain SGD for the MAML inner loop (Algorithm 1 line 9),
 * Adam for the meta-update of the outer loop,
-* SGD/Adam with cosine annealing for the ten-step downstream adaptation
-  (Section VI-A: "a learning rate of 1e-5 and cosine annealing").
+* stacked SGD with cosine annealing for the ten-step downstream
+  adaptation (Section VI-A: "a learning rate of 1e-5 and cosine
+  annealing").
 
 Two optimiser styles coexist:
 
@@ -49,33 +50,14 @@ from repro.nn.tensor import Tensor
 
 
 class Optimizer:
-    """Base class: holds parameters and implements ``zero_grad``.
+    """Base class: holds parameters and implements ``zero_grad``."""
 
-    ``lr_scales`` optionally assigns a per-parameter multiplier on the
-    learning rate (aligned with *parameters*).  The adaptation stage uses it
-    to let the workload-adaptive mask move faster than the backbone weights.
-    """
-
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        lr: float,
-        *,
-        lr_scales: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, parameters: Sequence[Tensor], lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer needs at least one parameter")
-        if lr_scales is None:
-            self.lr_scales = [1.0] * len(self.parameters)
-        else:
-            if len(lr_scales) != len(self.parameters):
-                raise ValueError("lr_scales must match the number of parameters")
-            if any(scale <= 0 for scale in lr_scales):
-                raise ValueError("lr_scales must be positive")
-            self.lr_scales = list(lr_scales)
         self.lr = lr
         self.initial_lr = lr
 
@@ -98,9 +80,8 @@ class SGD(Optimizer):
         *,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        lr_scales: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(parameters, lr, lr_scales=lr_scales)
+        super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
@@ -109,9 +90,7 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         """Apply one SGD update using the accumulated gradients."""
-        for parameter, velocity, scale in zip(
-            self.parameters, self._velocity, self.lr_scales
-        ):
+        for parameter, velocity in zip(self.parameters, self._velocity):
             if parameter.grad is None:
                 continue
             grad = parameter.grad
@@ -123,7 +102,7 @@ class SGD(Optimizer):
                 update = velocity
             else:
                 update = grad
-            parameter.data = parameter.data - self.lr * scale * update
+            parameter.data = parameter.data - self.lr * update
 
 
 class Adam(Optimizer):
@@ -137,9 +116,8 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        lr_scales: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(parameters, lr, lr_scales=lr_scales)
+        super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
@@ -156,9 +134,7 @@ class Adam(Optimizer):
         beta1, beta2 = self.betas
         bias1 = 1.0 - beta1 ** self._step_count
         bias2 = 1.0 - beta2 ** self._step_count
-        for parameter, m, v, scale in zip(
-            self.parameters, self._m, self._v, self.lr_scales
-        ):
+        for parameter, m, v in zip(self.parameters, self._m, self._v):
             if parameter.grad is None:
                 continue
             grad = parameter.grad
@@ -170,7 +146,7 @@ class Adam(Optimizer):
             v += (1.0 - beta2) * grad ** 2
             m_hat = m / bias1
             v_hat = v / bias2
-            parameter.data = parameter.data - self.lr * scale * m_hat / (
+            parameter.data = parameter.data - self.lr * m_hat / (
                 np.sqrt(v_hat) + self.eps
             )
 

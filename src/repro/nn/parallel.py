@@ -65,18 +65,18 @@ def threads(count: int) -> Iterator[None]:
         set_num_threads(previous)
 
 
-def tile_spans(total: int, tile: Optional[int] = None) -> list[tuple[int, int]]:
-    """Fixed ``[start, stop)`` blocks of *tile* rows (default
-    :data:`DEFAULT_TILE`) covering ``range(total)``.
+def tile_spans(total: int) -> list[tuple[int, int]]:
+    """Fixed ``[start, stop)`` blocks of :data:`DEFAULT_TILE` rows covering
+    ``range(total)``.
 
-    A pure function of its arguments, independent of the worker count.
+    A pure function of *total*, independent of the worker count.
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    tile = DEFAULT_TILE if tile is None else int(tile)
-    if tile < 1:
-        raise ValueError(f"tile must be >= 1, got {tile}")
-    return [(start, min(start + tile, total)) for start in range(0, total, tile)]
+    return [
+        (start, min(start + DEFAULT_TILE, total))
+        for start in range(0, total, DEFAULT_TILE)
+    ]
 
 
 def _get_pool(width: int) -> ThreadPoolExecutor:

@@ -37,11 +37,9 @@ the fused primitives here dispatch on that rank.  A minimal example of the
 convention at the tensor level::
 
     w = Tensor(np.zeros((4, 3, 5)))         # 4 task slices of a (3, 5) weight
+    b = Tensor(np.zeros((4, 5)))            # and of a (5,) bias
     x = Tensor(np.ones((4, 10, 3)))         # task t's rows meet slice t
-    y = affine(x, w)                        # (4, 10, 5), one stacked GEMM
-
-``stack([p] * n)`` builds such a bank differentiably from a single shared
-parameter (gradients sum back over the task axis).
+    y = affine(x, w, b)                     # (4, 10, 5), one stacked GEMM
 """
 
 from __future__ import annotations
@@ -172,10 +170,6 @@ class Tensor:
         """Return (a copy of) the underlying data."""
         return self.data.copy()
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def astype(self, dtype) -> "Tensor":
         """Cast to *dtype* (differentiable; the gradient is cast back)."""
         target = resolve_dtype(dtype)
@@ -207,18 +201,15 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad = self.grad + grad
 
-    def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Run reverse-mode differentiation from this tensor.
+    def backward(self) -> None:
+        """Run reverse-mode differentiation from this scalar tensor.
 
-        For non-scalar tensors an explicit output gradient must be supplied.
+        The seed gradient is one, in the output's own dtype, so a float32
+        graph accumulates float32 gradients.
         """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without an argument requires a scalar output")
-            grad = np.ones_like(self.data)
-        # Seed in the output's own dtype so a float32 graph accumulates
-        # float32 gradients even when the caller hands a float64 seed.
-        grad = _as_array(grad, dtype=self.data.dtype)
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
+        grad = np.ones_like(self.data)
 
         # Topological order of the graph reachable from self.
         order: list[Tensor] = []
@@ -402,31 +393,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad * (1.0 - out_data ** 2),)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad * mask,)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation).
 
@@ -573,11 +539,7 @@ def ones(shape: Sequence[int], *, dtype=None, requires_grad: bool = False) -> Te
     return Tensor(np.ones(shape, dtype=resolve_dtype(dtype)), requires_grad=requires_grad)
 
 
-def affine(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-) -> Tensor:
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused affine transform ``x @ weight + bias`` over the last axis.
 
     One graph node covering the GEMM-bias pipeline of a ``Linear`` layer
@@ -589,7 +551,7 @@ def affine(
     :func:`affine_forward`; the backward flattens the batch axes into one
     GEMM per gradient.
     """
-    out_data = affine_forward(x.data, weight.data, None if bias is None else bias.data)
+    out_data = affine_forward(x.data, weight.data, bias.data)
 
     def backward(grad: np.ndarray) -> tuple:
         in_features, out_features = weight.data.shape[-2:]
@@ -598,19 +560,17 @@ def affine(
             x_flat = x.data.reshape(n_tasks, -1, in_features)
             g_flat = grad.reshape(n_tasks, -1, out_features)
             grad_w = np.matmul(x_flat.swapaxes(-1, -2), g_flat)
-            grad_b = g_flat.sum(axis=1) if bias is not None else None
+            grad_b = g_flat.sum(axis=1)
             grad_x = np.matmul(g_flat, weight.data.swapaxes(-1, -2))
         else:
             x_flat = x.data.reshape(-1, in_features)
             g_flat = grad.reshape(-1, out_features)
             grad_w = np.matmul(x_flat.T, g_flat)
-            grad_b = g_flat.sum(axis=0) if bias is not None else None
+            grad_b = g_flat.sum(axis=0)
             grad_x = np.matmul(g_flat, weight.data.T)
-        grads = (grad_x.reshape(x.data.shape), grad_w)
-        return grads + ((grad_b,) if bias is not None else ())
+        return (grad_x.reshape(x.data.shape), grad_w, grad_b)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(out_data, parents, backward)
+    return Tensor._make(out_data, (x, weight, bias), backward)
 
 
 def scaled_dot_product_attention(
@@ -668,26 +628,6 @@ def scaled_dot_product_attention(
     return Tensor._make(out_data, parents, backward), attention
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (differentiable).
-
-    The building block of stacked-parameter execution: ``stack([p] * n)``
-    produces an ``(n, *p.shape)`` tensor whose backward pass sums the task
-    gradients back into ``p`` (each slice contributes one gradient term).
-    """
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("stack needs at least one tensor")
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out_axis = axis % data.ndim
-
-    def backward(grad: np.ndarray) -> tuple:
-        slices = np.moveaxis(grad, out_axis, 0)
-        return tuple(slices[i] for i in range(len(tensors)))
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along *axis* (differentiable)."""
     tensors = list(tensors)
@@ -719,23 +659,18 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu_forward(
-    x: np.ndarray,
-    out: np.ndarray,
-    x_sq: np.ndarray,
-    tanh_inner: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def gelu_forward(x: np.ndarray, out: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     """Tanh-approximation GELU of *x* into *out*; returns ``tanh(inner)``.
 
     *x_sq* receives ``x * x`` (it may alias *out* when no backward needs
-    it); ``tanh(inner)`` lands in *tanh_inner*, or in a fresh buffer.
+    it); ``tanh(inner)`` lands in a fresh buffer.
     """
     np.multiply(x, x, out=x_sq)
     inner = x_sq * x
     inner *= 0.044715
     inner += x
     inner *= _GELU_C
-    tanh_inner = np.tanh(inner, out=inner if tanh_inner is None else tanh_inner)
+    tanh_inner = np.tanh(inner, out=inner)
     np.add(1.0, tanh_inner, out=out)
     out *= x
     out *= 0.5
@@ -759,9 +694,7 @@ def layer_norm_forward(
     return out, centered, inv_std
 
 
-def affine_forward(
-    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
-) -> np.ndarray:
+def affine_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Slice-stable ``x @ weight + bias``: one GEMM per leading item.
 
     *weight* is ``(in, out)`` against ``(..., in)`` inputs, or task-stacked
@@ -787,10 +720,9 @@ def affine_forward(
     out = np.matmul(x, weight)
     if per_row:
         out = out[..., 0, :]
-    if bias is not None:
-        if stacked:
-            bias = bias.reshape(bias.shape[0], *([1] * (out.ndim - 2)), bias.shape[-1])
-        out += bias
+    if stacked:
+        bias = bias.reshape(bias.shape[0], *([1] * (out.ndim - 2)), bias.shape[-1])
+    out += bias
     return out
 
 

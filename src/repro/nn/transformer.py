@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.layers import MLP, Dropout, LayerNorm, ParameterEmbedding
+from repro.nn.layers import MLP, LayerNorm, ParameterEmbedding
 from repro.nn.module import Module
 from repro.nn.tensor import (
     Tensor,
@@ -38,7 +38,6 @@ class TransformerEncoderLayer(Module):
         num_heads: int,
         *,
         ff_multiplier: int = 2,
-        dropout: float = 0.0,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -46,20 +45,13 @@ class TransformerEncoderLayer(Module):
         self.attention = MultiHeadSelfAttention(embed_dim, num_heads, seed=rng)
         self.attention_norm = LayerNorm(embed_dim)
         self.feedforward = MLP(
-            embed_dim, [embed_dim * ff_multiplier], embed_dim, activation="gelu", seed=rng
+            embed_dim, [embed_dim * ff_multiplier], embed_dim, seed=rng
         )
         self.feedforward_norm = LayerNorm(embed_dim)
-        self.dropout = Dropout(dropout, seed=rng) if dropout > 0 else None
 
     def forward(self, tokens: Tensor) -> Tensor:
-        attended = self.attention(self.attention_norm(tokens))
-        if self.dropout is not None:
-            attended = self.dropout(attended)
-        tokens = tokens + attended
-        fed = self.feedforward(self.feedforward_norm(tokens))
-        if self.dropout is not None:
-            fed = self.dropout(fed)
-        return tokens + fed
+        tokens = tokens + self.attention(self.attention_norm(tokens))
+        return tokens + self.feedforward(self.feedforward_norm(tokens))
 
 
 class TransformerPredictor(Module):
@@ -72,10 +64,12 @@ class TransformerPredictor(Module):
     embed_dim, num_heads, num_layers:
         Transformer capacity knobs.  The defaults are sized for few-shot
         training on a single CPU core.
-    dropout:
-        Dropout rate applied inside encoder layers and the head.
     seed:
         Initialisation seed (deterministic by default).
+
+    The forward is fixed: no dropout and no train/eval mode, GELU in every
+    MLP, one scalar prediction per configuration, and an architectural mask
+    only ever on the last attention layer.
     """
 
     def __init__(
@@ -87,8 +81,6 @@ class TransformerPredictor(Module):
         num_layers: int = 2,
         ff_multiplier: int = 2,
         head_hidden: int = 64,
-        dropout: float = 0.0,
-        output_dim: int = 1,
         seed: SeedLike = 0,
     ) -> None:
         super().__init__()
@@ -98,7 +90,6 @@ class TransformerPredictor(Module):
         self.num_parameters = num_parameters
         self.embed_dim = embed_dim
         self.num_layers = num_layers
-        self.output_dim = output_dim
         self.embedding = ParameterEmbedding(num_parameters, embed_dim, seed=rng)
         self._layer_names: list[str] = []
         for index in range(num_layers):
@@ -106,23 +97,20 @@ class TransformerPredictor(Module):
             self.register_module(
                 name,
                 TransformerEncoderLayer(
-                    embed_dim, num_heads, ff_multiplier=ff_multiplier,
-                    dropout=dropout, seed=rng,
+                    embed_dim, num_heads, ff_multiplier=ff_multiplier, seed=rng
                 ),
             )
             self._layer_names.append(name)
         self.final_norm = LayerNorm(embed_dim)
-        self.head = MLP(embed_dim, [head_hidden], output_dim, activation="gelu",
-                        dropout=dropout, seed=rng)
+        self.head = MLP(embed_dim, [head_hidden], 1, seed=rng)
 
     # -- forward ---------------------------------------------------------------
     def forward(self, inputs: Tensor) -> Tensor:
         """Predict from encoded configurations of shape ``(batch, P)``.
 
-        Returns a tensor of shape ``(batch,)`` when ``output_dim == 1`` and
-        ``(batch, output_dim)`` otherwise.  A leading task axis
-        (``(n_tasks, batch, P)`` in, ``(n_tasks, batch[, output_dim])`` out)
-        runs the task-batched path: with parameters bound task-stacked via
+        Returns a tensor of shape ``(batch,)``.  A leading task axis
+        (``(n_tasks, batch, P)`` in, ``(n_tasks, batch)`` out) runs the
+        task-batched path: with parameters bound task-stacked via
         :meth:`Module.functional_call` every task is predicted by its own
         parameter slice; plain parameters are shared across tasks.
         """
@@ -141,23 +129,20 @@ class TransformerPredictor(Module):
             tokens = self._modules[name](tokens)
         pooled = self.final_norm(tokens).mean(axis=-2)
         out = self.head(pooled)
-        if self.output_dim == 1:
-            return out.reshape(out.shape[:-1])
-        return out
+        return out.reshape(out.shape[:-1])
 
     def stacked_inference(
         self, params: Mapping[str, np.ndarray], inputs: np.ndarray
     ) -> np.ndarray:
-        """Graph-free eval-mode forward of a stacked parameter bank.
+        """Graph-free forward of a stacked parameter bank.
 
         *params* maps every parameter name to a ``(T, ...)`` stack of T
         models' values; *inputs* ``(batch, P)`` are shared by all T.
-        Returns ``(T, batch[, output_dim])``, bit for bit what
-        ``functional_call(params, Tensor(broadcast inputs))`` returns in
-        eval mode: both run the slice-stable forward functions of
-        :mod:`repro.nn.tensor`, here on plain arrays.
-        Nothing is bound, recorded or toggled on the module (non-learnable
-        masks are only read), so concurrent calls are safe.
+        Returns ``(T, batch)``, bit for bit what
+        ``functional_call(params, Tensor(broadcast inputs))`` returns: both
+        run the slice-stable forward functions of :mod:`repro.nn.tensor`,
+        here on plain arrays.  Nothing is bound or recorded on the module,
+        so concurrent calls are safe.
         """
 
         def norm(name: str, layer: LayerNorm, x: np.ndarray) -> np.ndarray:
@@ -168,10 +153,10 @@ class TransformerPredictor(Module):
             )[0]
 
         def linear(name: str, x: np.ndarray) -> np.ndarray:
-            return affine_forward(x, params[f"{name}.weight"], params.get(f"{name}.bias"))
+            return affine_forward(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
         def mlp(name: str, module: MLP, x: np.ndarray) -> np.ndarray:
-            # Both MLPs of this model are built with activation="gelu".
+            # Both MLPs of this model put GELU between their layers.
             for index, layer in enumerate(module._layer_names):
                 x = linear(f"{name}.{layer}", x)
                 if index != len(module._layer_names) - 1:
@@ -195,8 +180,6 @@ class TransformerPredictor(Module):
             mask = params.get(f"{name}.attention.mask")
             if mask is not None:
                 mask = mask.reshape(mask.shape[0], 1, 1, *mask.shape[1:])
-            elif attention.mask is not None:
-                mask = attention.mask.data
             context, _ = attention_forward(
                 q, k, v, attention.num_heads, 1.0 / np.sqrt(attention.head_dim), mask
             )
@@ -206,18 +189,11 @@ class TransformerPredictor(Module):
         normed = norm("final_norm", self.final_norm, tokens)
         # Tensor.mean's arithmetic: the sum times the reciprocal count.
         pooled = normed.sum(axis=-2) * np.asarray(1.0 / normed.shape[-2], normed.dtype)
-        out = mlp("head", self.head, pooled)
-        return out[..., 0] if self.output_dim == 1 else out
+        return mlp("head", self.head, pooled)[..., 0]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out inference helper (no graph is built)."""
-        was_training = self.training
-        self.eval()
-        try:
-            out = self.forward(Tensor(np.asarray(inputs, dtype=self.dtype)))
-        finally:
-            self.train(was_training)
-        return out.data.copy()
+        return self.forward(Tensor(np.asarray(inputs, dtype=self.dtype))).data.copy()
 
     # -- attention access for WAM ------------------------------------------------
     @property
@@ -226,18 +202,10 @@ class TransformerPredictor(Module):
         final_encoder: TransformerEncoderLayer = self._modules[self._layer_names[-1]]
         return final_encoder.attention
 
-    def attention_layers(self) -> list[MultiHeadSelfAttention]:
-        """All self-attention operators, in depth order."""
-        return [self._modules[name].attention for name in self._layer_names]
+    def install_mask(self, mask: np.ndarray) -> None:
+        """Install a workload-adaptive architectural mask on the last layer.
 
-    def install_mask(self, mask: np.ndarray, *, learnable: bool = True,
-                     all_layers: bool = False) -> None:
-        """Install a workload-adaptive architectural mask.
-
-        By default only the last layer (the one the mask was distilled from)
-        receives the mask; ``all_layers=True`` installs it everywhere, which
-        is used by an ablation benchmark.
+        The last layer is the one the mask was distilled from; the mask is
+        a learnable parameter of it (Algorithm 2 lines 1-2).
         """
-        targets = self.attention_layers() if all_layers else [self.last_attention_layer]
-        for layer in targets:
-            layer.install_mask(mask, learnable=learnable)
+        self.last_attention_layer.install_mask(mask)

@@ -18,8 +18,6 @@ Counter taxonomy (dotted, ``layer.quantity``):
 ``sim.evaluations``
     per-(config, phase) analytical-model evaluations — mirrors
     ``Simulator.evaluation_count``.
-``sim.cache_evictions``
-    FIFO evictions from the bounded evaluation cache.
 ``store.flushes`` / ``store.flushed_records`` / ``store.refresh_records``
     persistent-store segment flushes, the rows they carried, and rows
     picked up from other campaigns by ``refresh``.

@@ -241,18 +241,6 @@ def run_campaign_runtime(
             f"per-(workload, round) streams)"
         )
     acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
-    noise_std = getattr(engine.simulator, "noise_std", 0.0)
-    if noise_std > 0 and (checkpoint is not None or executor.jobs > 1):
-        # A checkpointed resume restores completed rounds without re-running
-        # their sweeps, so the noise RNG stream would sit at the wrong
-        # position for the first live round — the silent divergence the
-        # resume guards exist to prevent.  (Parallel sweeps reject noise
-        # anyway; raising here fails fast instead of mid-campaign.)
-        raise ValueError(
-            "checkpointed or parallel campaigns require a noise-free "
-            "simulator (noise_std == 0): resume restores measurements "
-            "without replaying the measurement-noise stream"
-        )
 
     objectives = engine.objectives
     surrogate_by_workload = {workload: surrogate_for(workload) for workload in workloads}

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.runtime.executors import Executor, SerialExecutor
@@ -58,8 +58,8 @@ class Job:
         The callable to run.  With ``pass_results=True`` it receives the
         dependency results (``{dependency_name: result}``) as its first
         positional argument, before *args*.
-    args, kwargs:
-        Pre-bound call arguments.  For a
+    args:
+        Pre-bound positional call arguments.  For a
         :class:`~repro.runtime.executors.ProcessExecutor`, *fn* and all
         arguments must be picklable (use module-level functions, not
         closures).
@@ -76,7 +76,6 @@ class Job:
         fn: Callable[..., Any],
         *,
         args: Sequence = (),
-        kwargs: Optional[Mapping[str, Any]] = None,
         deps: Sequence["Job"] = (),
         inline: bool = False,
         pass_results: bool = False,
@@ -84,7 +83,6 @@ class Job:
         self.name = str(name)
         self.fn = fn
         self.args = tuple(args)
-        self.kwargs = dict(kwargs) if kwargs else {}
         self.deps: tuple[Job, ...] = tuple(deps)
         self.inline = inline
         self.pass_results = pass_results
@@ -158,8 +156,8 @@ def prune(targets: Iterable[Job]) -> list[Job]:
 
 def _invoke(job: Job, dependency_results: dict[str, Any]):
     if job.pass_results:
-        return job.fn(dependency_results, *job.args, **job.kwargs)
-    return job.fn(*job.args, **job.kwargs)
+        return job.fn(dependency_results, *job.args)
+    return job.fn(*job.args)
 
 
 def _invoke_traced(job: Job, dependency_results: dict[str, Any], submitted: float):

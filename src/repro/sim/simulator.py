@@ -7,10 +7,10 @@ a workload and returns IPC and power:
   workload), mirroring the paper's "at most 30 clusters of ten million
   instructions" methodology;
 * each phase is evaluated with the analytical performance and power models;
-* results are aggregated with the SimPoint weights;
-* optional log-normal measurement noise models run-to-run variation of a
-  real simulation campaign (disabled by default so datasets are exactly
-  reproducible).
+* results are aggregated with the SimPoint weights.
+
+Labels are deterministic: the same configuration, workload and seed always
+give the same bits, so datasets are exactly reproducible.
 
 Two evaluation paths share those semantics:
 
@@ -190,16 +190,12 @@ class Simulator:
         Maximum number of SimPoint phases per workload.  ``1`` disables the
         phase decomposition (each workload is a single profile) which makes
         unit tests fast and exactly analytical.
-    noise_std:
-        Standard deviation of multiplicative log-normal measurement noise.
-        ``0`` (default) gives deterministic labels.
     seed:
-        Seed controlling phase generation and measurement noise.
+        Seed controlling phase generation.
     evaluation_cache:
         When true, every aggregated (configuration, workload) result is
         memoized by value, so re-simulating a configuration an active-DSE
-        loop has already measured is free.  Only available in noise-free
-        mode (a cache would break the run-to-run variation noise models).
+        loop has already measured is free.
 
         **Concurrency invariant**: the cache dict is only ever *written*
         by the parent between evaluation calls — never from inside a
@@ -211,16 +207,8 @@ class Simulator:
         merges the worker rows into the parent cache deterministically, in
         shard order, after all tasks join.  Because that one sequence runs
         under every executor kind, ``evaluation_count`` /
-        ``store_hit_count`` and the FIFO eviction order do not depend on
-        the executor, even with ``evaluation_cache_size`` set, and the
-        returned metric arrays are bitwise identical either way.
-    evaluation_cache_size:
-        Optional entry cap for the evaluation cache (requires
-        ``evaluation_cache=True``).  Eviction is FIFO in insertion order —
-        deliberately not LRU, because LRU reads would reorder the dict and
-        violate the read-only-during-parallel-sections invariant above.
-        With a store attached, evicted entries are still served from the
-        store tier without re-simulation.
+        ``store_hit_count`` do not depend on the executor, and the returned
+        metric arrays are bitwise identical either way.
     store:
         Optional persistent measurement store (a
         :class:`repro.store.MeasurementStore` or a path to one) — the
@@ -231,8 +219,7 @@ class Simulator:
         metric rows and are counted in ``store_hit_count``, not
         ``evaluation_count`` — so a warm campaign over a populated store
         reports ``evaluation_count == 0`` while returning exactly the cold
-        campaign's results.  Requires noise-free
-        mode, like the cache.  Pickled simulators (ProcessExecutor workers)
+        campaign's results.  Pickled simulators (ProcessExecutor workers)
         reopen the store read-only from its path, so shard tasks see every
         measurement flushed before the parallel section.
     """
@@ -244,37 +231,17 @@ class Simulator:
         *,
         technology: TechnologyParameters = DEFAULT_TECHNOLOGY,
         simpoint_phases: int = 8,
-        noise_std: float = 0.0,
         seed: SeedLike = 2017,
         evaluation_cache: bool = False,
-        evaluation_cache_size: Optional[int] = None,
         store: Optional[Union[MeasurementStore, str, os.PathLike]] = None,
     ) -> None:
         if simpoint_phases < 1:
             raise ValueError(f"simpoint_phases must be >= 1, got {simpoint_phases}")
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-        if evaluation_cache and noise_std > 0:
-            raise ValueError(
-                "evaluation_cache requires noise-free mode (noise_std == 0): "
-                "cached labels would hide the modelled run-to-run variation"
-            )
-        if evaluation_cache_size is not None:
-            if not evaluation_cache:
-                raise ValueError(
-                    "evaluation_cache_size requires evaluation_cache=True"
-                )
-            if evaluation_cache_size < 1:
-                raise ValueError(
-                    f"evaluation_cache_size must be >= 1, got {evaluation_cache_size}"
-                )
         self.space = space if space is not None else build_table1_space()
         self.suite = suite if suite is not None else spec2017_suite()
         self.technology = technology
         self.simpoint_phases = simpoint_phases
-        self.noise_std = noise_std
-        self._rng = as_rng(seed)
-        self._phase_seed = int(self._rng.integers(0, 2**31 - 1))
+        self._phase_seed = int(as_rng(seed).integers(0, 2**31 - 1))
         self.performance_model = PerformanceModel(technology)
         self.power_model = PowerModel(technology)
         self._simpoint_cache: dict[str, SimPointSet] = {}
@@ -286,7 +253,6 @@ class Simulator:
         self._evaluation_cache: Optional[dict[tuple, np.ndarray]] = (
             {} if evaluation_cache else None
         )
-        self._evaluation_cache_size = evaluation_cache_size
         #: Number of (config, phase) evaluations performed; exposed so
         #: experiments can report simulation budgets like the paper does.
         #: Evaluation-cache hits are free and therefore not counted.
@@ -313,8 +279,8 @@ class Simulator:
         """Fingerprint identifying this simulator's measurement stream.
 
         Covers the design-space spec, the metric row layout, the SimPoint
-        settings (phase count and derived phase seed), the technology
-        constants, and noise-free mode — exactly the fields that must agree
+        settings (phase count and derived phase seed) and the technology
+        constants — exactly the fields that must agree
         for two simulators to produce interchangeable metric rows.  Used to
         match simulators to measurement stores.
         """
@@ -324,34 +290,23 @@ class Simulator:
             simpoint_phases=self.simpoint_phases,
             phase_seed=self._phase_seed,
             technology=self.technology,
-            noise_free=self.noise_std == 0.0,
         )
 
     def attach_store(
-        self,
-        store: Union[MeasurementStore, str, os.PathLike],
-        *,
-        read_only: bool = False,
+        self, store: Union[MeasurementStore, str, os.PathLike]
     ) -> MeasurementStore:
         """Attach a persistent measurement store (path or open store).
 
         A path is opened (and created if needed) under this simulator's
         :meth:`measurement_fingerprint`; an already-open store must match
         that fingerprint (:class:`repro.store.StoreMismatchError`
-        otherwise).  Requires noise-free mode, and at most one store per
-        simulator.  Returns the attached store.
+        otherwise).  At most one store per simulator.  Returns the attached
+        store.
         """
         if self._store is not None:
             raise ValueError("a measurement store is already attached")
-        if self.noise_std > 0:
-            raise ValueError(
-                "a measurement store requires noise-free mode (noise_std == 0): "
-                "stored labels would hide the modelled run-to-run variation"
-            )
         if isinstance(store, (str, os.PathLike)):
-            store = MeasurementStore(
-                store, self.measurement_fingerprint(), read_only=read_only
-            )
+            store = MeasurementStore(store, self.measurement_fingerprint())
         else:
             store.require_fingerprint(self.measurement_fingerprint())
         self._store = store
@@ -465,8 +420,7 @@ class Simulator:
         """Simulate one configuration on one workload.
 
         Thin wrapper over :meth:`run_batch` with a single-element batch, so
-        scalar lookups and batched sweeps produce identical labels (and, in
-        noisy mode, consume the measurement-noise stream identically).
+        scalar lookups and batched sweeps produce identical labels.
         """
         return self.run_batch([config], workload)[0]
 
@@ -485,9 +439,8 @@ class Simulator:
         cache/store tiers hold are not re-simulated.  With an *executor*
         of width > 1 the missing configurations are split into
         ``executor.jobs`` contiguous shards evaluated in parallel and merged
-        in shard order — bitwise identical to the serial result
-        (noise-free mode only; see ``docs/runtime.md`` for the determinism
-        contract).
+        in shard order — bitwise identical to the serial result (see
+        ``docs/runtime.md`` for the determinism contract).
         """
         (result,) = self.run_sweep(configs, [workload], executor=executor).values()
         return result
@@ -578,8 +531,7 @@ class Simulator:
         The single place shared state is mutated — :meth:`run_sweep` ends
         here after its join, with *metric_rows* already in configuration
         order.  Rows whose key the store does not hold yet are queued for
-        the next :meth:`_flush_store`; the cache is trimmed FIFO when
-        ``evaluation_cache_size`` is set.
+        the next :meth:`_flush_store`.
         """
         self.evaluation_count += count
         self.store_hit_count += store_hits
@@ -594,13 +546,6 @@ class Simulator:
         if cache is not None:
             for i, key in enumerate(keys):
                 cache[(profile.name, key)] = metric_rows[i]
-            if self._evaluation_cache_size is not None:
-                evicted = 0
-                while len(cache) > self._evaluation_cache_size:
-                    cache.pop(next(iter(cache)))
-                    evicted += 1
-                if evicted:
-                    obs.add_counter("sim.cache_evictions", evicted)
         if self._store is not None and not self._store.read_only:
             for i, key in enumerate(keys):
                 store_key = (profile.name, key)
@@ -659,12 +604,6 @@ class Simulator:
         # batch exactly.
         ipc = (weights[:, None] * ipc_phases).sum(axis=0)
         power_w = (weights[:, None] * power_phases).sum(axis=0)
-        if self.noise_std > 0:
-            # Draw per-config (ipc, power) noise pairs in row-major order so
-            # the stream matches the legacy one-pair-per-run() consumption.
-            noise = self._rng.normal(0.0, self.noise_std, size=(n, 2))
-            ipc = ipc * np.exp(noise[:, 0])
-            power_w = power_w * np.exp(noise[:, 1])
 
         frequency = params["core_frequency_ghz"]
         bips = ipc * frequency
@@ -693,26 +632,17 @@ class Simulator:
         deterministic ``(workload, configuration shard)`` tasks
         (:func:`repro.runtime.sharding.plan_sweep_shards`); per-workload
         results are merged in shard order after all tasks join, so the
-        sweep is bitwise identical under every executor.  A noisy simulator
-        evaluates only on width-1 executors, in the parent, so its noise
-        stream is consumed in configuration order.
+        sweep is bitwise identical under every executor.  A width-1
+        executor runs in the parent.
         """
         targets = list(workloads) if workloads is not None else self.workload_names()
         params, keys = self.encode_batch(configs)
         profiles = [self._resolve_workload(workload) for workload in targets]
         if executor is None or executor.jobs == 1:
-            # Width one runs in the parent: a pickled worker copy would draw
-            # noise from its own RNG and leave this simulator's stream behind.
             executor = SerialExecutor()
-        elif self.noise_std > 0:
-            raise ValueError(
-                "parallel evaluation requires noise-free mode (noise_std == 0): "
-                "sharding would consume the measurement-noise stream in shard "
-                "order instead of configuration order"
-            )
         with obs.span("sim.run_sweep", workloads=len(profiles), configs=len(keys)):
-            # Tier walk for every workload before any absorb: counts and FIFO
-            # eviction then never depend on the executor.
+            # Tier walk for every workload before any absorb: counts then
+            # never depend on the executor.
             lookups = []
             for profile in profiles:
                 self._phase_table(profile)  # warm before pickling / fan-out
@@ -762,8 +692,7 @@ class Simulator:
         Kept as the executable specification of :meth:`run_batch` — the
         equivalence tests assert that the vectorized path reproduces these
         labels, and the throughput benchmark measures its speed-up against
-        this loop.  Semantically identical to :meth:`run` (in noisy mode both
-        consume one (ipc, power) noise pair per call).
+        this loop.  Semantically identical to :meth:`run`.
         """
         profile = self._resolve_workload(workload)
         simpoints = self.simpoints_for(profile)
@@ -787,9 +716,6 @@ class Simulator:
         weights = simpoints.weights
         ipc = float(np.dot(weights, ipc_values))
         power_w = float(np.dot(weights, power_values))
-        if self.noise_std > 0:
-            ipc *= float(np.exp(self._rng.normal(0.0, self.noise_std)))
-            power_w *= float(np.exp(self._rng.normal(0.0, self.noise_std)))
 
         frequency = float(cfg["core_frequency_ghz"])
         bips = ipc * frequency

@@ -6,7 +6,7 @@ process-pool workers.  This module adds the durable tier below it — an
 append-only binary **segment log** plus an in-memory index, keyed exactly
 like the evaluation cache (``(workload, encoded-config key)`` mapping to the
 ``(5,)`` float64 metric row) under a **fingerprint** covering the design-space
-spec, the metric set, the simulator settings, and noise-free mode.  Two
+spec, the metric set and the simulator settings.  Two
 campaigns exploring the same space amortise each other's simulations: store
 hits skip simulation but produce bitwise-identical results (the values are
 stored as raw IEEE-754 bits, so a warm campaign equals a cold one bitwise).
@@ -107,7 +107,6 @@ def measurement_fingerprint(
     simpoint_phases: int,
     phase_seed: int,
     technology,
-    noise_free: bool = True,
 ) -> dict:
     """Identity of a measurement stream, as a JSON-serialisable dict.
 
@@ -115,10 +114,12 @@ def measurement_fingerprint(
     if and only if these fields agree: the design-space spec (parameter
     names and candidate values — the encoded-config key layout), the metric
     row layout, the SimPoint phase count and phase seed (which determine
-    the per-workload phase decompositions), the technology constants, and
-    noise-free mode.  Workload identity is part of the record *key*, not
-    the fingerprint, so campaigns over different workload subsets of the
-    same suite share one store.
+    the per-workload phase decompositions) and the technology constants.
+    Workload identity is part of the record *key*, not the fingerprint, so
+    campaigns over different workload subsets of the same suite share one
+    store.  ``"noise_free": True`` is a constant: simulation has been
+    deterministic since measurement noise was removed, and the field keeps
+    the digest of every existing store.
     """
     return {
         "store_version": STORE_VERSION,
@@ -127,7 +128,7 @@ def measurement_fingerprint(
         "simpoint_phases": int(simpoint_phases),
         "phase_seed": int(phase_seed),
         "technology": dataclasses.asdict(technology),
-        "noise_free": bool(noise_free),
+        "noise_free": True,
     }
 
 
@@ -363,8 +364,8 @@ class MeasurementStore:
             raise StoreMismatchError(
                 f"measurement store {self._path} belongs to a different "
                 f"fingerprint (manifest digest {digest[:12]}…, expected "
-                f"{self._digest[:12]}…): design space, metric set, simulator "
-                f"settings, and noise-free mode must all match"
+                f"{self._digest[:12]}…): design space, metric set and simulator "
+                f"settings must all match"
             )
 
     # -- locking ------------------------------------------------------------

@@ -8,13 +8,33 @@ campaign checkpoint (:mod:`repro.runtime.checkpoint`), the trace sink
 (:func:`repro.datasets.io.save_dataset`) and the CLI's JSON reports
 (``--output`` of every ``repro`` subcommand).  The last three serialize to
 memory first, so a save that raises part-way publishes nothing.
+
+A published file gets the mode ``open()`` would give it, ``0o666`` less
+the process umask (0644 under the usual 022), not ``tempfile.mkstemp``'s
+owner-only 0600.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from pathlib import Path
+
+
+def _create_temporary(path: Path) -> tuple[int, Path]:
+    """Create a new, uniquely named file next to *path* for writing.
+
+    Created with ``O_CREAT | O_EXCL`` and mode ``0o666``, so the kernel
+    applies the umask exactly as it does for ``open()`` — without reading
+    or changing the process-wide umask, which other threads may rely on.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        temporary = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+        try:
+            return os.open(temporary, flags, 0o666), temporary
+        except FileExistsError:
+            continue
 
 
 def write_atomic(path, payload: bytes, *, durable: bool = True) -> None:
@@ -28,9 +48,7 @@ def write_atomic(path, payload: bytes, *, durable: bool = True) -> None:
     the temporary file is deleted and *path* keeps its old content.
     """
     path = Path(path)
-    handle, temporary = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    handle, temporary = _create_temporary(path)
     try:
         with os.fdopen(handle, "wb") as stream:
             stream.write(payload)

@@ -11,12 +11,10 @@ from typing import Sized
 import numpy as np
 
 
-def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Ensure *value* is positive (strictly by default)."""
-    if strict and not value > 0:
+def check_positive(name: str, value: float) -> float:
+    """Ensure *value* is strictly positive."""
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
 

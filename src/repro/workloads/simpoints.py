@@ -28,6 +28,10 @@ MAX_SIMPOINT_CLUSTERS = 30
 #: Paper setting: each cluster represents ten million instructions.
 INSTRUCTIONS_PER_CLUSTER = 10_000_000
 
+#: Scale of the per-phase perturbation of a workload's profile
+#: (:meth:`WorkloadProfile.perturbed`).
+PHASE_DIVERSITY = 0.08
+
 
 @dataclass(frozen=True)
 class SimPoint:
@@ -69,7 +73,6 @@ def generate_simpoints(
     profile: WorkloadProfile,
     *,
     max_clusters: int = MAX_SIMPOINT_CLUSTERS,
-    phase_diversity: float = 0.08,
     seed: SeedLike = None,
 ) -> SimPointSet:
     """Decompose *profile* into a weighted set of perturbed phase profiles.
@@ -82,8 +85,6 @@ def generate_simpoints(
         Upper bound on the number of phases; the actual count is drawn
         between 4 and *max_clusters* with irregular workloads getting more
         phases (pointer-chasing codes show more phase behaviour in practice).
-    phase_diversity:
-        Scale of the per-phase perturbation.  Zero yields identical phases.
     seed:
         Determinism handle; the same seed always yields the same phases.
     """
@@ -99,7 +100,7 @@ def generate_simpoints(
         SimPoint(
             index=i,
             weight=float(w),
-            profile=profile.perturbed(rng, scale=phase_diversity).with_name(
+            profile=profile.perturbed(rng, scale=PHASE_DIVERSITY).with_name(
                 f"{profile.name}#sp{i}"
             ),
         )

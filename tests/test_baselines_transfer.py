@@ -173,6 +173,17 @@ class TestTransformerRegressor:
         predictions = model.predict(x)
         assert abs(predictions.mean() - y.mean()) < 5.0
 
+    def test_labels_are_standardised_with_the_training_statistics(self):
+        rng = np.random.default_rng(3)
+        x = rng.random((30, 22))
+        y = 50.0 + 4.0 * x[:, 1]
+        model = TransformerRegressor(22, epochs=1, seed=0).fit(x, y)
+        assert model._label_mean == float(y.mean())
+        assert model._label_std == float(y.std())
+        # Fine-tuning maps new labels with the fitted scaling, not its own.
+        model.fine_tune(x, y + 1.0, steps=1)
+        assert model._label_mean == float(y.mean())
+
     def test_fine_tune_moves_predictions(self):
         rng = np.random.default_rng(2)
         x = rng.random((40, 22))

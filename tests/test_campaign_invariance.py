@@ -65,7 +65,7 @@ def make_nsga2() -> NSGA2Evolve:
 STRATEGIES = {
     "random": lambda: RandomPool(POOL),
     "focused": lambda: FocusedPool(
-        POOL, keep_fraction=0.4, coarse_levels=2, profile=fixed_profile(), refocus=False
+        POOL, keep_fraction=0.4, coarse_levels=2, profile=fixed_profile()
     ),
     "nsga2": make_nsga2,
     "portfolio": lambda: StrategyPortfolio(

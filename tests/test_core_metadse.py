@@ -143,6 +143,23 @@ class TestMetaDSEFacade:
         predictions = model.predict(task.query_x)
         assert np.all(predictions > 0)  # power predictions stay in physical range
 
+    def test_labels_are_standardised_with_source_statistics(
+        self, pretrained, small_dataset, small_split
+    ):
+        sources = list(small_split.train) + list(small_split.validation)
+        labels = np.concatenate([small_dataset[w].metric("ipc") for w in sources])
+        report = pretrained.pretrain_report
+        assert report.label_mean == float(labels.mean())
+        assert report.label_std == float(labels.std())
+        # predict() maps the model's standardised output back to IPC units
+        # (the shared fixture may carry an adapted predictor by now).
+        features = small_dataset["605.mcf_s"].features[:4]
+        current = pretrained.adapted if pretrained.adapted is not None else pretrained.meta_model
+        raw = current.predict(features).astype(np.float64)
+        np.testing.assert_array_equal(
+            pretrained.predict(features), raw * report.label_std + report.label_mean
+        )
+
     def test_errors_before_pretrain(self):
         model = MetaDSE(22, config=fast_config())
         with pytest.raises(RuntimeError):
@@ -161,6 +178,33 @@ class TestMetaDSEFacade:
             clone.meta_model.predict(features),
         )
         assert clone.mask is not None
+
+    @staticmethod
+    def _rewrite_recorded_dropout(model, path, dropout):
+        """Save *model*, then record a dropout rate in its architecture, as
+        checkpoints written before the predictor lost that option do."""
+        model.save_pretrained(path)
+        _, header = load_state(path)
+        header["predictor"]["dropout"] = dropout
+        save_model(model.meta_model, path, header=header)
+
+    def test_checkpoint_recording_zero_dropout_loads(
+        self, pretrained, small_dataset, tmp_path
+    ):
+        path = tmp_path / "metadse.npz"
+        self._rewrite_recorded_dropout(pretrained, path, 0.0)
+        clone = MetaDSE(22, config=fast_config())
+        clone.load_pretrained(path)
+        features = small_dataset["605.mcf_s"].features[:5]
+        np.testing.assert_array_equal(
+            clone.meta_model.predict(features), pretrained.meta_model.predict(features)
+        )
+
+    def test_checkpoint_recording_a_dropout_rate_is_rejected(self, pretrained, tmp_path):
+        path = tmp_path / "metadse.npz"
+        self._rewrite_recorded_dropout(pretrained, path, 0.1)
+        with pytest.raises(ValueError, match="dropout 0.1"):
+            MetaDSE(22, config=fast_config()).load_pretrained(path)
 
     def test_float32_facade_round_trips_and_adapts(
         self, small_dataset, small_split, tmp_path

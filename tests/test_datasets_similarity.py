@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.similarity import (
+    SimilarityMatrix,
     select_similar_sources,
     similarity_matrix,
     standardized_wasserstein,
@@ -51,16 +52,12 @@ class TestSimilarityMatrix:
         np.testing.assert_allclose(np.diag(matrix.distances), 0.0)
 
     def test_normalized_to_unit_maximum(self, small_dataset):
-        matrix = similarity_matrix(small_dataset, metric="ipc", normalize=True)
+        matrix = similarity_matrix(small_dataset, metric="ipc")
         assert matrix.distances.max() == pytest.approx(1.0)
-
-    def test_unnormalized(self, small_dataset):
-        matrix = similarity_matrix(small_dataset, metric="ipc", normalize=False)
-        assert matrix.normalized is False
 
     def test_workloads_are_dissimilar(self, small_dataset):
         """The Fig. 2 motivation: many workload pairs are far apart."""
-        matrix = similarity_matrix(small_dataset, metric="ipc", normalize=False)
+        matrix = similarity_matrix(small_dataset, metric="ipc")
         assert matrix.mean_offdiagonal() > 0.1
 
     def test_distance_lookup(self, small_dataset):
@@ -75,10 +72,14 @@ class TestSimilarityMatrix:
         assert len(nearest) == 3
 
     def test_memory_bound_pair_is_closer_than_opposites(self, small_dataset):
-        matrix = similarity_matrix(small_dataset, metric="ipc", normalize=False)
+        matrix = similarity_matrix(small_dataset, metric="ipc")
         similar = matrix.distance("605.mcf_s", "620.omnetpp_s")
         dissimilar = matrix.distance("605.mcf_s", "638.imagick_s")
         assert similar < dissimilar
+
+    def test_matrix_shape_must_match_the_workloads(self):
+        with pytest.raises(ValueError, match="does not match 3 workloads"):
+            SimilarityMatrix(workloads=("a", "b", "c"), metric="ipc", distances=np.zeros((2, 2)))
 
     def test_to_rows(self, small_dataset):
         matrix = similarity_matrix(small_dataset, metric="power")

@@ -38,11 +38,6 @@ class TestRandomSampler:
         b = RandomSampler(space, seed=5).sample(10)
         assert a == b
 
-    def test_unique_sampling(self, space):
-        configs = RandomSampler(space, seed=0).sample(40, unique=True)
-        keys = {tuple(space.to_indices(c)) for c in configs}
-        assert len(keys) == len(configs) == 40
-
 
 class TestLatinHypercubeSampler:
     def test_count_and_validity(self, space):

@@ -12,11 +12,15 @@ from repro.dse.acquisition import (
 )
 from repro.dse.engine import (
     CampaignEngine,
+    FocusedPool,
     NSGA2Evolve,
     ObjectiveSet,
+    ProposalContext,
+    QualityTracker,
     RandomPool,
     front_hypervolume,
 )
+from repro.dse.quality import MC_HYPERVOLUME_SAMPLES
 from repro.dse.pareto import hypervolume_2d, pareto_front, pareto_mask
 from repro.dse.surrogates import (
     CallableSurrogate,
@@ -112,6 +116,63 @@ class TestFrontHypervolume:
         rng = np.random.default_rng(3)
         measured = rng.normal(size=(30, 2))
         assert front_hypervolume(measured, pareto_front(measured)) == front_hypervolume(measured)
+
+
+class TestQualityTrackerEntries:
+    def test_two_objectives_record_the_exact_area_without_samples(self):
+        tracker = QualityTracker(ObjectiveSet.from_names(("ipc", "power")))
+        measured = np.array([[1.0, 3.0], [2.0, 1.0], [3.0, 3.5]])
+        volume, samples = tracker.hypervolume_entry(measured)
+        assert samples == 0
+        assert volume == front_hypervolume(measured)
+
+    def test_three_objectives_record_the_fixed_sample_count(self):
+        tracker = QualityTracker(ObjectiveSet.from_names(("ipc", "power", "area_mm2")))
+        measured = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 4.0], [3.0, 3.0, 1.0]])
+        volume, samples = tracker.hypervolume_entry(measured)
+        assert samples == MC_HYPERVOLUME_SAMPLES
+        assert volume > 0 and volume == tracker.hypervolume_entry(measured)[0]
+
+    def test_one_objective_records_nan_and_warns_once(self):
+        tracker = QualityTracker(ObjectiveSet.from_names(("ipc",)))
+        measured = np.array([[1.0], [2.0]])
+        with pytest.warns(RuntimeWarning, match="recording NaN"):
+            volume, samples = tracker.hypervolume_entry(measured)
+        assert np.isnan(volume) and samples == 0
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(tracker.hypervolume(measured))
+
+
+class TestCandidateGeneratorDefaults:
+    def test_a_plain_generator_proposes_itself_and_ignores_observations(self):
+        pool = RandomPool(10, seed=1)
+        assert pool.proposer_for("605.mcf_s", 3) is pool
+        tracker = QualityTracker(ObjectiveSet.from_names(("ipc", "power")))
+        assert pool.observe_round("605.mcf_s", 0, tracker) is None
+        assert pool.fingerprint() == RandomPool(10, seed=1).fingerprint()
+
+    @pytest.mark.parametrize("make_pool", [
+        lambda space: RandomPool(12, seed=4),
+        lambda space: FocusedPool(
+            12, keep_fraction=0.3, coarse_levels=2,
+            profile=np.linspace(1.0, 2.0, space.num_parameters), seed=4,
+        ),
+    ], ids=["random", "focused"])
+    def test_keyed_pools_propose_alike_from_a_proposal_context(
+        self, table1_space, fast_simulator, make_pool
+    ):
+        objectives = ObjectiveSet.from_names(("ipc", "power"))
+        engine = CampaignEngine(table1_space, fast_simulator, objectives, seed=0)
+        context = ProposalContext(
+            space=engine.space, objectives=objectives, encoder=engine.encoder
+        )
+        pool = make_pool(table1_space)
+        assert pool.propose_for(context, None, "602.gcc_s", 2) == pool.propose_for(
+            engine, None, "602.gcc_s", 2
+        )
 
 
 class TestAcquisitionStrategies:
@@ -229,7 +290,7 @@ class TestSurrogates:
     def test_stacked_predictor_falls_back_on_mismatched_models(self):
         masked = TransformerPredictor(4, embed_dim=8, num_heads=2, num_layers=1,
                                       head_hidden=8, seed=0)
-        masked.install_mask(np.zeros((4, 4)), learnable=True)
+        masked.install_mask(np.zeros((4, 4)))
         plain = TransformerPredictor(4, embed_dim=8, num_heads=2, num_layers=1,
                                      head_hidden=8, seed=1)
         surrogate = StackedPredictorSurrogate([masked, plain], ("ipc", "power"))
@@ -238,22 +299,22 @@ class TestSurrogates:
         reference = np.stack([masked.predict(features), plain.predict(features)], axis=1)
         np.testing.assert_allclose(surrogate.predict(features), reference)
 
-    def test_stacked_predictor_falls_back_on_differing_nonlearnable_masks(self):
-        # Non-learnable masks are plain Tensor attributes, invisible to
-        # state_dict(); stacking regardless would silently run every
-        # objective's forward under predictor[0]'s mask.
+    def test_stacked_predictor_stacks_each_objective_with_its_own_mask(self):
+        # A mask is a parameter, so differing masks stack like any other
+        # weight: every objective's forward runs under its own mask.
         rng = np.random.default_rng(4)
         predictors = []
         for seed in (0, 1):
             predictor = TransformerPredictor(4, embed_dim=8, num_heads=2,
                                              num_layers=1, head_hidden=8, seed=seed)
-            predictor.install_mask(rng.normal(size=(4, 4)), learnable=False)
+            predictor.install_mask(rng.normal(size=(4, 4)))
             predictors.append(predictor)
         surrogate = StackedPredictorSurrogate(predictors, ("ipc", "power"))
-        assert not surrogate.is_stacked
+        assert surrogate.is_stacked
         features = rng.uniform(size=(6, 4))
         reference = np.stack([p.predict(features) for p in predictors], axis=1)
-        np.testing.assert_allclose(surrogate.predict(features), reference)
+        np.testing.assert_allclose(surrogate.predict(features), reference,
+                                   rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("order", [("float32", "float64"), ("float64", "float32")])
     def test_stacked_predictor_runs_mixed_dtypes_each_in_its_own(self, order):
@@ -283,13 +344,13 @@ class TestSurrogates:
         for column, expected in enumerate(whole):
             np.testing.assert_array_equal(predicted[:, column], expected)
 
-    def test_stacked_predictor_stacks_identical_nonlearnable_masks(self):
+    def test_stacked_predictor_stacks_identical_masks(self):
         mask = np.random.default_rng(5).normal(size=(4, 4))
         predictors = []
         for seed in (0, 1):
             predictor = TransformerPredictor(4, embed_dim=8, num_heads=2,
                                              num_layers=1, head_hidden=8, seed=seed)
-            predictor.install_mask(mask, learnable=False)
+            predictor.install_mask(mask)
             predictors.append(predictor)
         surrogate = StackedPredictorSurrogate(predictors, ("ipc", "power"))
         assert surrogate.is_stacked
@@ -374,20 +435,21 @@ class TestCampaignEngine:
         simulator = Simulator(
             table1_space, suite, simpoint_phases=1, seed=7, evaluation_cache=True
         )
-        engine = CampaignEngine(
-            table1_space, simulator, ObjectiveSet.from_names(("ipc", "power")), seed=0
-        )
-        surrogates = self._tree_surrogates(engine, WORKLOADS, points=30)
-        # Identical pools via identically seeded generators -> identical
+
+        def engine():
+            return CampaignEngine(
+                table1_space, simulator, ObjectiveSet.from_names(("ipc", "power")), seed=5
+            )
+
+        surrogates = self._tree_surrogates(engine(), WORKLOADS, points=30)
+        # Identical pools via identically seeded engines -> identical
         # unions; the second campaign must be served from the cache.
-        pool_a = RandomPool(40, sampler=RandomSampler(table1_space, seed=5))
-        pool_b = RandomPool(40, sampler=RandomSampler(table1_space, seed=5))
-        first = engine.run_campaign(
-            WORKLOADS, surrogates, generator=pool_a, simulation_budget=6
+        first = engine().run_campaign(
+            WORKLOADS, surrogates, generator=RandomPool(40), simulation_budget=6
         )
         count = simulator.evaluation_count
-        second = engine.run_campaign(
-            WORKLOADS, surrogates, generator=pool_b, simulation_budget=6
+        second = engine().run_campaign(
+            WORKLOADS, surrogates, generator=RandomPool(40), simulation_budget=6
         )
         assert simulator.evaluation_count == count
         for workload in WORKLOADS:

@@ -28,6 +28,7 @@ from repro.dse.engine import (
     RandomPool,
     screen_predict,
 )
+from repro.dse.quality import MC_HYPERVOLUME_SAMPLES
 from repro.dse.reference import active_learning_reference, predictor_guided_reference
 from repro.dse.surrogates import (
     CallableSurrogate,
@@ -210,10 +211,9 @@ def _fitted_tree_surrogate(fast_simulator, table1_space, seed=0):
 def _predictors(num_objectives, mask=None, dtype="float64"):
     """Small architecture-identical predictors, one per objective.
 
-    ``mask`` installs a WAM-style logit bias in the last layer: a
-    ``"learnable"`` one (a parameter, different per objective, stacked like
-    the weights) or a ``"buffer"`` (non-learnable, identical across the
-    objectives, read from the template).
+    ``mask`` installs a WAM-style logit bias in the last layer, a parameter
+    stacked like the weights: different per objective (``"learnable"``) or
+    identical across the objectives (``"shared"``).
     """
     predictors = []
     for seed in range(num_objectives):
@@ -221,9 +221,8 @@ def _predictors(num_objectives, mask=None, dtype="float64"):
             TOKENS, embed_dim=8, num_heads=2, num_layers=2, head_hidden=8, seed=seed
         ).to_dtype(dtype)
         if mask is not None:
-            learnable = mask == "learnable"
-            bias = np.random.default_rng(seed if learnable else 99)
-            predictor.install_mask(bias.normal(size=(TOKENS, TOKENS)), learnable=learnable)
+            bias = np.random.default_rng(seed if mask == "learnable" else 99)
+            predictor.install_mask(bias.normal(size=(TOKENS, TOKENS)))
         predictors.append(predictor)
     return predictors
 
@@ -251,7 +250,8 @@ def _screen_in_blocks(surrogate, features, tile):
     return np.concatenate(
         [
             screen_predict(surrogate, features[start:stop])
-            for start, stop in nn_parallel.tile_spans(len(features), tile)
+            for start in range(0, len(features), tile)
+            for stop in [min(start + tile, len(features))]
         ]
     )
 
@@ -297,7 +297,7 @@ class TestScreenPredictEquivalence:
 class TestStackedInferencePass:
     """``predict`` is the autodiff stacked forward, bit for bit."""
 
-    @pytest.mark.parametrize("mask", (None, "learnable", "buffer"))
+    @pytest.mark.parametrize("mask", (None, "learnable", "shared"))
     @pytest.mark.parametrize("dtype", ("float32", "float64"))
     @settings(max_examples=12, deadline=None)
     @given(
@@ -380,8 +380,10 @@ class TestStackedInferencePass:
             return [
                 (
                     {name: value.shape for name, value in p.state_dict().items()},
-                    [module.training for module in p.modules()],
-                    [(layer.store_attention, layer.last_attention) for layer in p.attention_layers()],
+                    [
+                        p._modules[name].attention.last_attention
+                        for name in p._layer_names
+                    ],
                 )
                 for p in predictors
             ]
@@ -402,15 +404,9 @@ class TestStackedInferencePass:
         for result in results:
             np.testing.assert_array_equal(result, reference)
         after = snapshot()
-        for (shapes, training, attention), (shapes_after, training_after, attention_after) in zip(
-            before, after
-        ):
+        for (shapes, attention), (shapes_after, attention_after) in zip(before, after):
             assert shapes_after == shapes
-            assert training_after == training
-            assert [flag for flag, _ in attention_after] == [flag for flag, _ in attention]
-            assert all(
-                kept is found for (_, kept), (_, found) in zip(attention, attention_after)
-            )
+            assert all(kept is found for kept, found in zip(attention, attention_after))
 
 
 class TestCampaignThreadingEquivalence:
@@ -487,7 +483,7 @@ class TestQualityTrackerScope:
             warnings_module.simplefilter("error")
             entry = tracker.record(0, measured_min, simulations_total=2)
         assert np.isfinite(entry.hypervolume) and entry.hypervolume > 0
-        assert entry.hypervolume_samples == tracker.mc_samples > 0
+        assert entry.hypervolume_samples == MC_HYPERVOLUME_SAMPLES > 0
         # Deterministic: a fresh tracker reproduces the estimate exactly.
         again = QualityTracker(
             ObjectiveSet.from_names(("ipc", "power", "area_mm2"))

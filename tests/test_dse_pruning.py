@@ -7,8 +7,9 @@ Two contracts are pinned here, in the repository's usual style:
   campaigns (serial, multi-round/refit, and through the parallel runtime
   under a ``ThreadExecutor``) reproduce the unpruned results bit for bit;
 * **pruning is deterministic and honest** — focused campaigns respect the
-  coarse grids, refocus reproducibly from the surrogate's attention, and
-  the checkpoint fingerprint rejects resuming with different focus knobs.
+  coarse grids, propose from their fixed profile whatever the surrogate,
+  and the checkpoint fingerprint rejects resuming with different focus
+  knobs.
 """
 
 import functools
@@ -89,11 +90,17 @@ class TestFocusedPoolValidation:
             FocusedPool(10, keep_fraction=1.2)
         with pytest.raises(ValueError, match="coarse_levels"):
             FocusedPool(10, coarse_levels=0)
-        with pytest.raises(ValueError, match="probe_size"):
-            FocusedPool(10, probe_size=0)
 
     def test_surrogate_independent_by_default(self):
         assert FocusedPool(10).surrogate_dependent is False
+
+    def test_fingerprint_names_exactly_the_proposal_knobs(self):
+        # Checkpoints match on this string: the removed probe-size and
+        # re-focus knobs no longer appear, so a checkpoint written with them
+        # is refused on resume.
+        assert FocusedPool(60, keep_fraction=0.4, coarse_levels=2).fingerprint() == (
+            "FocusedPool(size=60, keep_fraction=0.4, coarse_levels=2, shared-stream)"
+        )
 
     def test_fingerprint_carries_focus_knobs(self):
         a = FocusedPool(10, keep_fraction=0.5).fingerprint()
@@ -104,7 +111,7 @@ class TestFocusedPoolValidation:
     def test_missing_importance_source_raises(self, table1_space, suite):
         engine = _make_engine(table1_space, suite)
         pool = FocusedPool(10, keep_fraction=0.5)
-        with pytest.raises(ValueError, match="importance source"):
+        with pytest.raises(ValueError, match="importance profile"):
             pool.propose_for(engine, None, None, 0)
 
 
@@ -221,8 +228,7 @@ class TestFocusedCampaigns:
         threaded = run(ThreadExecutor(2))
         _assert_campaigns_identical(serial, threaded)
 
-    def test_refocus_from_surrogate_attention(self, table1_space, suite):
-        engine = _make_engine(table1_space, suite)
+    def test_proposals_ignore_the_surrogate(self, table1_space, suite):
         predictors = [
             TransformerPredictor(
                 table1_space.num_parameters,
@@ -235,15 +241,17 @@ class TestFocusedCampaigns:
             for seed in (1, 2)
         ]
         surrogate = StackedPredictorSurrogate(predictors, OBJECTIVES)
-        pool = FocusedPool(40, keep_fraction=0.4, probe_size=16)
-        first = pool.propose_for(engine, surrogate, None, 0)
-        assert len(first) == 40
-        # Identical engine state and surrogate: the refocused proposals
-        # reproduce exactly (the probe pool comes from a private seed).
-        again = FocusedPool(40, keep_fraction=0.4, probe_size=16).propose_for(
+        profile = _profile(table1_space)
+        with_surrogate = FocusedPool(40, keep_fraction=0.4, profile=profile).propose_for(
             _make_engine(table1_space, suite), surrogate, None, 0
         )
-        assert first == again
+        assert len(with_surrogate) == 40
+        # The attention-capable surrogate changes nothing: the pool comes
+        # from the fixed profile and the engine's stream alone.
+        without = FocusedPool(40, keep_fraction=0.4, profile=profile).propose_for(
+            _make_engine(table1_space, suite), None, None, 0
+        )
+        assert with_surrogate == without
 
     def test_checkpoint_rejects_different_focus_knobs(
         self, table1_space, suite, tmp_path

@@ -148,14 +148,16 @@ class TestHypervolumeRatio:
     def test_dominating_front_exceeds_one(self):
         assert hypervolume_ratio(REFERENCE - 0.5, REFERENCE) > 1.0
 
+    def test_reference_point_is_the_joint_nadir_plus_a_tenth_of_the_span(self):
+        found = REFERENCE + np.array([0.5, -0.25])
+        nadir = np.maximum(found.max(axis=0), REFERENCE.max(axis=0))
+        span = nadir - np.minimum(found.min(axis=0), REFERENCE.min(axis=0))
+        point = nadir + 0.1 * span
+        expected = hypervolume_2d(found, point) / hypervolume_2d(REFERENCE, point)
+        assert hypervolume_ratio(found, REFERENCE) == expected
+
     def test_dominated_front_below_one(self):
         assert hypervolume_ratio(REFERENCE + 0.5, REFERENCE) < 1.0
-
-    def test_explicit_reference_point(self):
-        ratio = hypervolume_ratio(
-            REFERENCE.copy(), REFERENCE, reference_point=np.array([4.0, 4.0])
-        )
-        assert ratio == pytest.approx(1.0)
 
     def test_requires_two_objectives(self):
         with pytest.raises(ValueError):

@@ -99,7 +99,7 @@ class TestCrossWorkloadPipeline:
 class TestWorkloadSimilarityIntegration:
     def test_similarity_structure_matches_profiles(self, small_dataset):
         """Fig. 2's qualitative claim on the synthetic substrate."""
-        matrix = similarity_matrix(small_dataset, metric="ipc", normalize=False)
+        matrix = similarity_matrix(small_dataset, metric="ipc")
         memory_pair = matrix.distance("605.mcf_s", "620.omnetpp_s")
         opposite_pair = matrix.distance("605.mcf_s", "638.imagick_s")
         assert memory_pair < opposite_pair

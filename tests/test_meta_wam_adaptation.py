@@ -8,6 +8,7 @@ from repro.meta.adaptation import (
     PAPER_ADAPTATION_CONFIG,
     AdaptationConfig,
     adapt_predictor,
+    adapt_predictor_batch,
 )
 from repro.meta.wam import ArchitecturalMask, WAMBuilder, WAMConfig, generate_wam
 from repro.nn.transformer import TransformerPredictor
@@ -105,7 +106,6 @@ class TestAdaptation:
     def test_paper_config_values(self):
         assert PAPER_ADAPTATION_CONFIG.steps == 10
         assert PAPER_ADAPTATION_CONFIG.lr == pytest.approx(1e-5)
-        assert PAPER_ADAPTATION_CONFIG.cosine_annealing
 
     def test_adaptation_reduces_support_loss(self, model, small_dataset):
         sampler = TaskSampler(small_dataset, support_size=20, query_size=10, seed=0)
@@ -116,6 +116,18 @@ class TestAdaptation:
         )
         assert result.support_losses[-1] < result.support_losses[0]
         assert not result.used_mask
+
+    def test_single_target_is_a_batch_of_one(self, model, small_dataset):
+        sampler = TaskSampler(small_dataset, support_size=6, query_size=10, seed=0)
+        task = sampler.sample_task("605.mcf_s")
+        config = AdaptationConfig(steps=4, lr=0.05)
+        single = adapt_predictor(model, task.support_x, task.support_y, config=config)
+        (batched,) = adapt_predictor_batch(
+            model, [(task.support_x, task.support_y)], config=config
+        )
+        assert single.support_losses == batched.support_losses
+        for name, value in single.predictor.state_dict().items():
+            np.testing.assert_array_equal(value, batched.predictor.state_dict()[name])
 
     def test_original_model_untouched(self, model, small_dataset):
         sampler = TaskSampler(small_dataset, support_size=10, query_size=10, seed=0)
@@ -145,36 +157,18 @@ class TestAdaptation:
         # The learnable mask should have moved away from its initial zeros.
         assert not np.allclose(adapted_mask.data, 0.0)
 
-    def test_non_learnable_mask_stays_fixed(self, model, small_dataset):
-        sampler = TaskSampler(small_dataset, support_size=10, query_size=10, seed=0)
-        task = sampler.sample_task("625.x264_s")
-        mask = ArchitecturalMask(
-            bias=np.full((NUM_PARAMETERS, NUM_PARAMETERS), -0.5),
-            frequency=np.ones((NUM_PARAMETERS, NUM_PARAMETERS)) / NUM_PARAMETERS,
-            kept=np.zeros((NUM_PARAMETERS, NUM_PARAMETERS), dtype=bool),
-            config=WAMConfig(),
-        )
-        result = adapt_predictor(
-            model, task.support_x, task.support_y, mask=mask,
-            config=AdaptationConfig(steps=3, lr=0.05, learnable_mask=False),
-        )
-        np.testing.assert_allclose(
-            result.predictor.last_attention_layer.mask.data, -0.5
-        )
-
-    def test_adam_optimizer_variant(self, model, small_dataset):
-        sampler = TaskSampler(small_dataset, support_size=10, query_size=10, seed=0)
-        task = sampler.sample_task("602.gcc_s")
-        result = adapt_predictor(
-            model, task.support_x, task.support_y,
-            config=AdaptationConfig(steps=5, lr=0.01, optimizer="adam"),
-        )
-        assert len(result.support_losses) == 5
+    def test_batch_rejects_support_sets_of_different_shapes(self, model, small_dataset):
+        small = TaskSampler(small_dataset, support_size=5, query_size=10, seed=0)
+        large = TaskSampler(small_dataset, support_size=8, query_size=10, seed=0)
+        supports = [
+            (task.support_x, task.support_y)
+            for task in (small.sample_task("602.gcc_s"), large.sample_task("602.gcc_s"))
+        ]
+        with pytest.raises(ValueError, match="one shape"):
+            adapt_predictor_batch(model, supports, config=AdaptationConfig(steps=2))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             AdaptationConfig(steps=0)
-        with pytest.raises(ValueError):
-            AdaptationConfig(optimizer="rmsprop")
         with pytest.raises(ValueError):
             AdaptationConfig(mask_lr_multiplier=0.0)

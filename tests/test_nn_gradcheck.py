@@ -37,10 +37,7 @@ class TestTensorOperations:
             lambda x: (x + 2.0) / (x * x + 1.0),
             lambda x: x.exp(),
             lambda x: (x * x + 0.1).log(),
-            lambda x: x.tanh(),
-            lambda x: x.sigmoid(),
             lambda x: x.gelu(),
-            lambda x: x.relu(),
             lambda x: (x ** 3),
             lambda x: x.mean(axis=0),
             lambda x: x.var(),
@@ -49,9 +46,8 @@ class TestTensorOperations:
             lambda x: x[1:, :2],
         ],
         ids=[
-            "affine", "square", "rational", "exp", "log", "tanh", "sigmoid",
-            "gelu", "relu", "pow3", "mean", "var", "reshape", "swapaxes",
-            "slice",
+            "affine", "square", "rational", "exp", "log", "gelu", "pow3",
+            "mean", "var", "reshape", "swapaxes", "slice",
         ],
     )
     def test_elementwise_and_shape_ops(self, operation):
@@ -63,10 +59,6 @@ class TestTensorOperations:
         rng = np.random.default_rng(1)
         weight = rng.normal(size=(4, 3))
         check_tensor_gradient(lambda x: x @ weight, rng.normal(size=(5, 4)))
-
-    def test_relu_away_from_kink(self):
-        inputs = np.array([[1.0, -1.0, 2.0, -2.0]])
-        check_tensor_gradient(lambda x: x.relu(), inputs)
 
     def test_unused_parameter_is_detected(self):
         """check_module_gradients flags parameters that never receive a gradient."""
@@ -96,7 +88,7 @@ class TestModuleGradients:
         check_module_gradients(module, np.random.default_rng(1).normal(size=(4, 6)))
 
     def test_mlp(self):
-        module = MLP(5, [8], 1, activation="gelu", seed=0)
+        module = MLP(5, [8], 1, seed=0)
         check_module_gradients(module, np.random.default_rng(2).normal(size=(6, 5)))
 
     def test_parameter_embedding(self):

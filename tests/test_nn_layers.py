@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.layers import MLP, Dropout, LayerNorm, Linear, ParameterEmbedding, xavier_uniform
+from repro.nn.layers import MLP, LayerNorm, Linear, ParameterEmbedding, xavier_uniform
 from repro.nn.module import Module, has_task_axis
 from repro.nn.precision import precision
 from repro.nn.tensor import Tensor
@@ -31,10 +30,10 @@ class TestLinear:
         layer = Linear(4, 3, seed=0)
         assert layer(Tensor(np.zeros((5, 4)))).shape == (5, 3)
 
-    def test_no_bias(self):
-        layer = Linear(4, 3, bias=False, seed=0)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
+    def test_bias_is_always_a_zero_initialised_parameter(self):
+        layer = Linear(4, 3, seed=0)
+        assert [name for name, _ in layer.named_parameters()] == ["weight", "bias"]
+        np.testing.assert_array_equal(layer.bias.data, np.zeros(3))
 
     def test_deterministic_initialisation(self):
         a, b = Linear(4, 3, seed=7), Linear(4, 3, seed=7)
@@ -72,36 +71,17 @@ class TestLayerNorm:
             LayerNorm(0)
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        layer = Dropout(0.5, seed=0)
-        layer.eval()
-        x = np.random.default_rng(0).normal(size=(10, 10))
-        np.testing.assert_allclose(layer(Tensor(x)).data, x)
-
-    def test_training_mode_zeroes_entries(self):
-        layer = Dropout(0.5, seed=0)
-        out = layer(Tensor(np.ones((50, 50))))
-        assert (out.data == 0).mean() == pytest.approx(0.5, abs=0.1)
-
-    def test_scaling_preserves_expectation(self):
-        layer = Dropout(0.3, seed=1)
-        out = layer(Tensor(np.ones((200, 200))))
-        assert out.data.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
 class TestMLP:
     def test_mlp_shapes(self):
         model = MLP(6, [16, 16], 1, seed=0)
         assert model(Tensor(np.zeros((5, 6)))).shape == (5, 1)
 
-    def test_mlp_unknown_activation(self):
-        with pytest.raises(ValueError):
-            MLP(4, [8], 1, activation="swishh")
+    def test_gelu_between_layers_and_none_after_the_last(self):
+        model = MLP(3, [5], 2, seed=0)
+        x = Tensor(np.random.default_rng(4).normal(size=(6, 3)))
+        hidden = model._modules["fc0"](x).gelu()
+        expected = model._modules["fc1"](hidden)
+        np.testing.assert_array_equal(model(x).data, expected.data)
 
     def test_mlp_can_fit_linear_function(self):
         from repro.nn.losses import mse_loss
@@ -163,11 +143,6 @@ class TestModuleInfrastructure:
         names = [name for name, _ in model.named_parameters()]
         assert any(name.startswith("fc0.") for name in names)
 
-    def test_train_eval_propagates(self):
-        model = MLP(2, [2], 2, dropout=0.5, seed=0)
-        model.eval()
-        assert all(not m.training for m in model.modules())
-
     def test_register_parameter_type_check(self):
         module = Module()
         with pytest.raises(TypeError):
@@ -189,16 +164,6 @@ class TestModuleInfrastructure:
         state["weight"] = np.zeros((3, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
             model.load_state_dict(state)
-
-    def test_named_buffers_list_a_fixed_mask_but_not_parameters(self):
-        layer = MultiHeadSelfAttention(8, 2, seed=0)
-        layer.install_mask(np.zeros((3, 3)), learnable=False)
-        assert [name for name, _ in layer.named_buffers()] == ["mask"]
-        assert "mask" not in layer.state_dict()
-        learnable = MultiHeadSelfAttention(8, 2, seed=0)
-        learnable.install_mask(np.zeros((3, 3)))
-        assert list(learnable.named_buffers()) == []
-        assert "mask" in learnable.state_dict()
 
     def test_functional_call_restores_parameters_when_forward_raises(self):
         model = Linear(3, 2, seed=0)
@@ -222,6 +187,20 @@ class TestTaskStacking:
     def test_stack_parameters_rejects_an_empty_task_axis(self):
         with pytest.raises(ValueError, match="n_tasks"):
             Linear(3, 2, seed=0).stack_parameters(0)
+
+    def test_stacks_are_detached_leaves(self):
+        model = Linear(3, 2, seed=0)
+        before = model.state_dict()
+        bank = model.stack_parameters(2)
+        assert all(t.requires_grad and t.grad is None for t in bank.values())
+        out = model.functional_call(bank, Tensor(np.ones((2, 4, 3))))
+        out.sum().backward()
+        assert bank["weight"].grad.shape == (2, 3, 2)
+        # Gradients land on the stacks only, never on the module's own.
+        assert model.weight.grad is None and model.bias.grad is None
+        bank["weight"].data += 1.0
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_unstack_state_recovers_one_task(self):
         model = MLP(3, [4], 1, seed=0)

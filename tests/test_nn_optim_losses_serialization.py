@@ -53,15 +53,6 @@ class TestSGD:
         optimizer.step()
         assert np.all(np.abs(theta.data) < 1.0)
 
-    def test_lr_scales(self):
-        fast = Tensor(np.zeros(1), requires_grad=True)
-        slow = Tensor(np.zeros(1), requires_grad=True)
-        optimizer = SGD([fast, slow], 0.1, lr_scales=[10.0, 1.0])
-        optimizer.zero_grad()
-        ((fast + slow) * 1.0).sum().backward()
-        optimizer.step()
-        assert abs(fast.data[0]) > abs(slow.data[0])
-
     def test_invalid_hyperparameters(self):
         theta = Tensor(np.zeros(1), requires_grad=True)
         with pytest.raises(ValueError):
@@ -70,8 +61,6 @@ class TestSGD:
             SGD([theta], 0.1, momentum=1.0)
         with pytest.raises(ValueError):
             SGD([], 0.1)
-        with pytest.raises(ValueError):
-            SGD([theta], 0.1, lr_scales=[1.0, 2.0])
 
 
 class TestAdam:

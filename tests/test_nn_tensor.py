@@ -65,11 +65,6 @@ class TestBasicOps:
         assert t.item() == 5.0
         assert t.numpy().shape == (1, 1)
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert b._parents == ()
-
     def test_shape_ndim_size(self):
         t = Tensor(np.zeros((2, 3, 4)))
         assert (t.shape, t.ndim, t.size, len(t)) == ((2, 3, 4), 3, 24, 2)
@@ -94,9 +89,6 @@ class TestGradients:
         lambda t: t.exp(),
         lambda t: t.log(),
         lambda t: t.sqrt(),
-        lambda t: t.tanh(),
-        lambda t: t.sigmoid(),
-        lambda t: t.relu(),
         lambda t: t.gelu(),
         lambda t: t.abs(),
         lambda t: t.mean(axis=0),
@@ -138,15 +130,10 @@ class TestGradients:
         out.backward()
         np.testing.assert_allclose(a.grad, [5.0])  # d(a^2 + a)/da = 2a + 1
 
-    def test_backward_requires_scalar_or_grad(self):
+    def test_backward_requires_a_scalar_output(self):
         a = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
             (a * 2).backward()
-
-    def test_backward_with_explicit_grad(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        (a * 2).backward(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(a.grad, [2.0, 4.0, 6.0])
 
     def test_zero_grad(self):
         a = Tensor([1.0], requires_grad=True)

@@ -548,3 +548,49 @@ class TestPolicyApi:
         assert [row["name"] for row in rows] == ["sim.run_batch", "sim.evaluate"]
         assert rows[1]["depth"] == 1
         assert "sim.evaluate" in obs.render_timeline(rows)
+
+
+class TestWorkerTelemetryBuffer:
+    """The picklable worker-side buffer, as a plain value object."""
+
+    def test_spans_and_events_record_their_parents(self):
+        telemetry = obs.WorkerTelemetry()
+        assert not telemetry
+        root = telemetry.open_span("shard", 1.0, {"rows": 4}, None)
+        telemetry.add_event("retry", 1.5, {}, root)
+        child = telemetry.open_span("evaluate", 1.6, {}, root)
+        telemetry.close_span(child, 1.9)
+        telemetry.close_span(root, 2.0)
+        assert telemetry
+        assert [(e["kind"], e["name"], e["parent"]) for e in telemetry.entries] == [
+            ("span", "shard", None),
+            ("event", "retry", 0),
+            ("span", "evaluate", 0),
+        ]
+        assert telemetry.entries[root]["t_end"] == 2.0
+        assert telemetry.entries[1]["t_start"] == telemetry.entries[1]["t_end"] == 1.5
+
+    def test_counters_alone_make_the_buffer_non_empty_and_accumulate(self):
+        telemetry = obs.WorkerTelemetry()
+        telemetry.add_counter("sim.fresh", 3)
+        telemetry.add_counter("sim.fresh", 2)
+        assert telemetry and telemetry.entries == []
+        assert telemetry.counters == {"sim.fresh": 5}
+
+    def test_absorb_grafts_roots_under_the_parent_and_remaps_children(self):
+        outer = obs.WorkerTelemetry()
+        join = outer.open_span("join", 0.0, {}, None)
+        outer.add_counter("dag.jobs", 1)
+        inner = obs.WorkerTelemetry()
+        task = inner.open_span("task", 0.1, {}, None)
+        inner.open_span("step", 0.2, {}, task)
+        inner.add_counter("dag.jobs", 2)
+        outer.absorb(inner, join)
+        assert [(e["name"], e["parent"]) for e in outer.entries] == [
+            ("join", None),
+            ("task", join),
+            ("step", 1),
+        ]
+        assert outer.counters == {"dag.jobs": 3}
+        # The absorbed buffer is left as it was.
+        assert [e["parent"] for e in inner.entries] == [None, 0]

@@ -381,29 +381,6 @@ class TestResumableCampaign:
                 **CAMPAIGN,
             )
 
-    def test_noisy_simulator_rejected_for_checkpointed_campaigns(self, tmp_path):
-        # Resume restores measurements without replaying the noise RNG
-        # stream, so a checkpointed noisy campaign could silently diverge
-        # from an uninterrupted one; the driver fails fast instead.
-        noisy = Simulator(simpoint_phases=1, noise_std=0.05, seed=1)
-        from repro.dse.engine import CampaignEngine as Engine
-
-        engine = Engine(
-            noisy.space,
-            noisy,
-            make_engine().objectives,
-            seed=5,
-        )
-        with pytest.raises(ValueError, match="noise-free"):
-            engine.run_campaign(
-                WORKLOADS,
-                callable_surrogates(),
-                executor=SerialExecutor(),
-                checkpoint=tmp_path / "campaign.json",
-                candidate_pool=20,
-                simulation_budget=3,
-            )
-
     def test_resume_with_different_spec_is_rejected(self, tmp_path):
         checkpoint = tmp_path / "campaign.json"
         make_engine().run_campaign(

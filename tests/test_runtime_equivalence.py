@@ -1,7 +1,7 @@
 """Bitwise equivalence of the parallel runtime against the serial reference.
 
-The runtime's determinism contract (``docs/runtime.md``): for noise-free
-simulators, every executor path — sharded ``run_batch``/``run_sweep``,
+The runtime's determinism contract (``docs/runtime.md``): every executor
+path — sharded ``run_batch``/``run_sweep``,
 parallel dataset generation, and thread/process campaigns — produces
 results **bitwise identical** to the :class:`SerialExecutor` reference.
 These tests pin that contract for every executor kind, and pin a
@@ -12,7 +12,6 @@ single-round campaign against an independent spec,
 """
 
 import json
-from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -43,14 +42,8 @@ def _executor_factories():
     ]
 
 
-def make_simulator(cache: "bool | int" = False) -> Simulator:
-    # An int *cache* is the entry cap of a bounded evaluation cache.
-    return Simulator(
-        simpoint_phases=3,
-        seed=17,
-        evaluation_cache=bool(cache),
-        evaluation_cache_size=None if isinstance(cache, bool) else cache,
-    )
+def make_simulator(cache: bool = False) -> Simulator:
+    return Simulator(simpoint_phases=3, seed=17, evaluation_cache=cache)
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +66,10 @@ class TestSimulatorEquivalence:
             )
 
     @pytest.mark.parametrize("make_executor", _executor_factories())
-    @pytest.mark.parametrize("cache", [False, True, 12])
+    @pytest.mark.parametrize("cache", [False, True])
     def test_run_sweep_bitwise(self, configs, make_executor, cache):
         def sweep(executor=None):
             simulator = make_simulator(cache)
-            if not isinstance(cache, bool):
-                # Pre-warmed, so the sweep reads a FIFO-trimmed cache whose
-                # hits must not depend on the order tiers are walked in.
-                simulator.run_sweep(configs, WORKLOADS)
             result = simulator.run_sweep(configs, WORKLOADS, executor=executor)
             return result, (simulator.evaluation_count, simulator.store_hit_count)
 
@@ -134,39 +123,6 @@ class TestSimulatorEquivalence:
             np.testing.assert_array_equal(
                 serial[workload].ipc, parallel[workload].ipc[:10]
             )
-
-    def test_noisy_simulator_rejects_parallel_evaluation(self, configs):
-        noisy = Simulator(simpoint_phases=2, noise_std=0.05, seed=1)
-        with ThreadExecutor(2) as executor:
-            with pytest.raises(ValueError, match="noise-free"):
-                noisy.run_batch(configs, WORKLOADS[0], executor=executor)
-            with pytest.raises(ValueError, match="noise-free"):
-                noisy.run_sweep(configs, WORKLOADS, executor=executor)
-
-    @pytest.mark.parametrize(
-        "make_executor",
-        [
-            pytest.param(nullcontext, id="none"),
-            pytest.param(lambda: ThreadExecutor(1), id="thread1"),
-            pytest.param(lambda: ProcessExecutor(1), id="process1"),
-        ],
-    )
-    def test_width_one_executors_keep_the_noise_stream(self, configs, make_executor):
-        # Width one evaluates in the parent, so the noise is drawn from the
-        # simulator's own stream, never from a worker's pickled copy: the
-        # sweep and the batch after it reproduce the serial draws.
-        def draws(executor):
-            noisy = Simulator(simpoint_phases=2, noise_std=0.05, seed=1)
-            sweep = noisy.run_sweep(configs, WORKLOADS[:2], executor=executor)
-            batch = noisy.run_batch(configs, WORKLOADS[2], executor=executor)
-            return [sweep[WORKLOADS[0]], sweep[WORKLOADS[1]], batch]
-
-        reference = draws(SerialExecutor())
-        with make_executor() as executor:
-            got = draws(executor)
-        for expected, actual in zip(reference, got):
-            np.testing.assert_array_equal(expected.ipc, actual.ipc)
-            np.testing.assert_array_equal(expected.power_w, actual.power_w)
 
     def test_pickled_simulator_ships_an_empty_cache(self, configs):
         import pickle

@@ -3,7 +3,7 @@
 ``Simulator.run_scalar`` is the executable specification: it pushes one
 configuration at a time through the scalar analytical models, exactly as the
 original substrate did.  ``Simulator.run_batch`` must reproduce its labels to
-within 1e-12 in noise-free mode for every metric, workload, and SimPoint
+within 1e-12 for every metric, workload, and SimPoint
 setting — that is the contract that lets every consumer switch to the batch
 path without re-validating downstream results.
 """
@@ -95,17 +95,6 @@ class TestBatchScalarEquivalence:
             single = fast_simulator.run(config, "605.mcf_s")
             for field in METRIC_FIELDS:
                 assert getattr(single, field) == getattr(batch, field)[index]
-
-    def test_noise_stream_matches_scalar_path(self, table1_space, suite):
-        configs = RandomSampler(table1_space, seed=5).sample(6)
-        batched = Simulator(table1_space, suite, simpoint_phases=1, noise_std=0.05, seed=9)
-        scalar = Simulator(table1_space, suite, simpoint_phases=1, noise_std=0.05, seed=9)
-        batch = batched.run_batch(configs, "602.gcc_s")
-        reference = [scalar.run_scalar(config, "602.gcc_s") for config in configs]
-        # Both consume one (ipc, power) normal pair per configuration, in
-        # configuration order, from identical generator states.
-        for field in ("ipc", "power_w"):
-            assert _max_abs_diff(batch, reference, field) <= 1e-12, field
 
     def test_evaluation_count_matches_scalar_semantics(self, table1_space, suite):
         simulator = Simulator(table1_space, suite, simpoint_phases=3, seed=3)
@@ -230,7 +219,3 @@ class TestEvaluationCache:
         a = simulator.run_batch(configs, "605.mcf_s")
         b = simulator.run_batch(configs, "602.gcc_s")
         assert not np.array_equal(a.ipc, b.ipc)
-
-    def test_cache_rejected_with_noise(self, table1_space, suite):
-        with pytest.raises(ValueError):
-            Simulator(table1_space, suite, noise_std=0.05, evaluation_cache=True)

@@ -12,7 +12,7 @@ import pytest
 from repro.designspace.sampling import RandomSampler
 from repro.runtime.executors import ProcessExecutor, ThreadExecutor
 from repro.sim.simulator import Simulator
-from repro.store import MeasurementStore, StoreMismatchError
+from repro.store import MeasurementStore, StoreMismatchError, fingerprint_digest
 
 METRICS = ("ipc", "power_w", "area_mm2", "bips", "energy_per_instruction_nj")
 WORKLOADS = ("605.mcf_s", "625.x264_s")
@@ -113,9 +113,15 @@ class TestStoreTier:
 
 
 class TestValidation:
-    def test_store_requires_noise_free_mode(self, tmp_path):
-        with pytest.raises(ValueError, match="noise-free"):
-            make_simulator(tmp_path, noise_std=0.1)
+    def test_fingerprint_digest_is_pinned(self):
+        # Existing stores are matched by this digest; a change to the
+        # fingerprint's fields (or to its constant "noise_free": True)
+        # would orphan every store written before it.
+        fingerprint = make_simulator().measurement_fingerprint()
+        assert fingerprint["noise_free"] is True
+        assert fingerprint_digest(fingerprint) == (
+            "02841bb5cd4cced35b4227d4e1726743314aae0e5d79b24acdcadc42f625148a"
+        )
 
     def test_attach_twice_is_rejected(self, tmp_path):
         simulator = make_simulator(tmp_path)
@@ -144,55 +150,3 @@ class TestValidation:
 
     def test_refresh_store_without_store_is_noop(self):
         assert make_simulator().refresh_store() == 0
-
-
-class TestBoundedEvaluationCache:
-    def test_cache_size_requires_cache(self):
-        with pytest.raises(ValueError, match="evaluation_cache=True"):
-            Simulator(evaluation_cache_size=4)
-        with pytest.raises(ValueError, match=">= 1"):
-            Simulator(evaluation_cache=True, evaluation_cache_size=0)
-
-    def test_cache_never_exceeds_cap(self):
-        simulator = make_simulator(
-            evaluation_cache=True, evaluation_cache_size=5
-        )
-        configs = sample_configs(simulator, 12)
-        simulator.run_batch(configs, "605.mcf_s")
-        assert len(simulator._evaluation_cache) == 5
-
-    def test_eviction_is_fifo(self):
-        simulator = make_simulator(
-            evaluation_cache=True, evaluation_cache_size=4
-        )
-        configs = sample_configs(simulator, 6)
-        _, keys = simulator.encode_batch(configs)
-        simulator.run_batch(configs, "605.mcf_s")
-        cached = list(simulator._evaluation_cache)
-        # Oldest (first-inserted) entries are gone, newest survive, in order.
-        assert cached == [("605.mcf_s", key) for key in keys[2:]]
-
-    def test_evicted_entries_resimulate_bitwise_identical(self):
-        unbounded = make_simulator(evaluation_cache=True)
-        bounded = make_simulator(evaluation_cache=True, evaluation_cache_size=3)
-        configs = sample_configs(unbounded, 10)
-        reference = unbounded.run_batch(configs, "605.mcf_s")
-        bounded.run_batch(configs, "605.mcf_s")
-        again = bounded.run_batch(configs, "605.mcf_s")
-        # Everything except the 3 surviving entries was re-simulated...
-        assert bounded.evaluation_count == (10 + 7) * 3
-        # ...but partition invariance keeps the labels bitwise identical.
-        assert_batches_equal(reference, again)
-
-    def test_evicted_entries_served_from_store_without_resimulation(self, tmp_path):
-        simulator = make_simulator(
-            tmp_path, evaluation_cache=True, evaluation_cache_size=3
-        )
-        configs = sample_configs(simulator, 10)
-        simulator.run_batch(configs, "605.mcf_s")
-        assert simulator.evaluation_count == 10 * 3
-        simulator.run_batch(configs, "605.mcf_s")
-        # The 7 evicted entries fell through to the store tier, not the
-        # simulator.
-        assert simulator.evaluation_count == 10 * 3
-        assert simulator.store_hit_count == 7

@@ -308,6 +308,171 @@ class TestTestOnlyDefinitions:
         assert check_repo.find_test_only_definitions(check_repo.caller_sources()) == []
 
 
+def _switches(check_repo, sources, allowlist=None):
+    """``qualname(parameter=)`` (or stale entries) the switch rule reports."""
+    offences = check_repo.find_test_only_switches(
+        sources, {} if allowlist is None else allowlist
+    )
+    return [offence.split(": ", 1)[1].split(" ")[0] for offence in offences]
+
+
+_FETCH = """
+def fetch(key, *, fresh=False, limit=None, retries=3, mode="fast"):
+    return key
+"""
+
+
+class TestTestOnlySwitches:
+    def test_switch_only_tests_set_is_flagged(self, check_repo):
+        sources = {
+            "src/repro/cache.py": _FETCH,
+            "examples/use.py": "from repro.cache import fetch\nfetch(1, limit=4)\n",
+            "tests/test_cache.py": "from repro.cache import fetch\nfetch(1, fresh=True)\n",
+        }
+        offences = check_repo.find_test_only_switches(sources, {})
+        assert offences == [
+            "src/repro/cache.py:2: fetch(fresh=) is set only by tests/"
+        ]
+
+    def test_only_none_true_and_false_defaults_are_switches(self, check_repo):
+        sources = {"src/repro/cache.py": _FETCH}
+        assert _switches(check_repo, sources) == ["fetch(fresh=)", "fetch(limit=)"]
+
+    @pytest.mark.parametrize("root", ["src", "examples", "benchmarks", "perfbench", "tools"])
+    def test_a_keyword_from_any_caller_root_counts(self, check_repo, root):
+        sources = {
+            "src/repro/cache.py": _FETCH,
+            f"{root}/driver.py": "def run(f):\n    f(1, fresh=True, limit=2)\n",
+        }
+        assert _switches(check_repo, sources) == []
+
+    def test_a_keyword_counts_whatever_the_callee(self, check_repo):
+        sources = {
+            "src/repro/cache.py": _FETCH,
+            "tools/driver.py": "dict(fresh=True, limit=None)\n",
+        }
+        assert _switches(check_repo, sources) == []
+
+    def test_a_positional_call_of_the_same_name_reaches_its_position(self, check_repo):
+        source = "def fetch(key, fresh=False, limit=None):\n    return key\n"
+        sources = {
+            "src/repro/cache.py": source,
+            "examples/use.py": "from repro.cache import fetch\nfetch(1, True)\n",
+        }
+        assert _switches(check_repo, sources) == ["fetch(limit=)"]
+
+    def test_star_arguments_reach_every_switch(self, check_repo):
+        source = "def fetch(key, fresh=False, *, limit=None):\n    return key\n"
+        for call in ("fetch(*args)", "fetch(1, **options)"):
+            sources = {
+                "src/repro/cache.py": source,
+                "examples/use.py": f"from repro.cache import fetch\n{call}\n",
+            }
+            assert _switches(check_repo, sources) == [], call
+
+    def test_methods_skip_self_and_init_is_called_by_its_class(self, check_repo):
+        source = (
+            "class Cache:\n"
+            "    def __init__(self, size, bounded=False, spill=None):\n"
+            "        self.size = size\n"
+            "    def get(self, key, fresh=False, default=None):\n"
+            "        return key\n"
+            "    @staticmethod\n"
+            "    def make(size, bounded=False):\n"
+            "        return Cache(size)\n"
+        )
+        sources = {
+            "src/repro/cache.py": source,
+            "examples/use.py": (
+                "from repro.cache import Cache\n"
+                "cache = Cache(8, True)\n"
+                "cache.get(1, True)\n"
+                "Cache.make(4, False)\n"
+            ),
+        }
+        assert _switches(check_repo, sources) == [
+            "Cache.__init__(spill=)",
+            "Cache.get(default=)",
+        ]
+
+    def test_dataclass_fields_are_switches(self, check_repo):
+        source = (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Options:\n"
+            "    size: int = 4\n"
+            "    strict: bool = True\n"
+            "    label: str = None\n"
+            "class Plain:\n"
+            "    verbose: bool = False\n"
+        )
+        sources = {
+            "src/repro/options.py": source,
+            "examples/use.py": "from repro.options import Options\nOptions(8, False)\n",
+        }
+        assert _switches(check_repo, sources) == ["Options(label=)"]
+
+    def test_private_and_nested_definitions_are_not_checked(self, check_repo):
+        source = (
+            "def _helper(fresh=False):\n    return fresh\n"
+            "class _Hidden:\n    def run(self, fresh=False):\n        return fresh\n"
+            "class Cache:\n"
+            "    def _load(self, fresh=False):\n        return fresh\n"
+            "def factory():\n"
+            "    def inner(fresh=False):\n        return fresh\n"
+            "    return inner\n"
+        )
+        assert _switches(check_repo, {"src/repro/cache.py": source}) == []
+
+    def test_tests_and_files_outside_the_roots_do_not_count(self, check_repo):
+        call = "from repro.cache import fetch\nfetch(1, fresh=True, limit=3)\n"
+        sources = {
+            "src/repro/cache.py": _FETCH,
+            "tests/test_cache.py": call,
+            "docs/snippet.py": call,
+        }
+        assert _switches(check_repo, sources) == ["fetch(fresh=)", "fetch(limit=)"]
+
+    def test_allowlisted_switches_pass_and_stale_entries_fail(self, check_repo):
+        sources = {"src/repro/cache.py": _FETCH}
+        allowlist = {
+            "repro.cache.fetch.fresh": "a test seam",
+            "repro.cache.fetch.limit": "a test seam",
+            "repro.cache.fetch.vanished": "removed long ago",
+        }
+        assert check_repo.find_test_only_switches(sources, allowlist) == [
+            "switch allowlist entry 'repro.cache.fetch.vanished' names no "
+            "switch under src/repro"
+        ]
+
+    def test_allowlist_names_exactly_the_two_test_seams(self, check_repo):
+        assert set(check_repo.SWITCH_ALLOWLIST) == {
+            "repro.cli.main.argv",
+            "repro.sim.simulator.Simulator.__init__.suite",
+        }
+        assert all(reason.strip() for reason in check_repo.SWITCH_ALLOWLIST.values())
+
+    def test_main_fails_and_lists_a_planted_switch(self, check_repo, monkeypatch, capsys):
+        planted = dict(check_repo.caller_sources())
+        planted["src/repro/planted.py"] = (
+            "def planted_helper(key, *, planted_switch=False):\n    return key\n"
+        )
+        planted["examples/planted_use.py"] = (
+            "from repro.planted import planted_helper\nplanted_helper(1)\n"
+        )
+        monkeypatch.setattr(check_repo, "caller_sources", lambda: planted)
+        assert check_repo.main() == 1
+        out = capsys.readouterr().out
+        assert "1 test-only switch(es)" in out
+        assert (
+            "src/repro/planted.py:1: planted_helper(planted_switch=) is set only by tests/"
+            in out
+        )
+
+    def test_repository_has_no_test_only_switches(self, check_repo):
+        assert check_repo.find_test_only_switches(check_repo.caller_sources()) == []
+
+
 class TestMain:
     def test_repository_is_clean(self, check_repo):
         # The real index must pass — this is the invariant the PR restores
@@ -330,7 +495,7 @@ class TestDottedReferences:
             "repro.dse.engine",
             "repro.dse.engine.CampaignEngine",
             "repro.dse.engine.CampaignEngine.run_campaign",
-            "repro.nn.tensor.stack",
+            "repro.nn.tensor.concatenate",
             "repro.dse.RandomPool",
         ],
     )
@@ -371,6 +536,65 @@ class TestMemberReferences:
 
     def test_planted_stale_member_is_caught(self, check_docs):
         assert not check_docs._member_resolves("Simulator.vanished")
+
+
+class TestBareNames:
+    _CODE = (
+        '"""Module docstring naming only_in_a_docstring."""\n'
+        "import os.path as osp\n"
+        "from pkg.sub import thing\n"
+        "def helper(option=1, *, flag=False):\n"
+        '    """Docstrings do not count: ghost_name."""\n'
+        "    return obj.attribute, call(keyword=2), 'string_token', b'bytes_token'\n"
+        "class Widget:\n"
+        "    pass\n"
+    )
+
+    def test_every_kind_of_code_identifier_counts(self, check_docs):
+        names = check_docs.code_identifiers([self._CODE])
+        for name in (
+            "os", "path", "osp", "pkg", "sub", "thing", "helper", "option",
+            "flag", "obj", "attribute", "call", "keyword", "string_token",
+            "bytes_token", "Widget",
+        ):
+            assert name in names, name
+        assert "ghost_name" not in names
+        assert "only_in_a_docstring" not in names
+
+    def test_bare_names_cover_calls_and_assignments_but_not_fences(self, check_docs):
+        text = (
+            "Use `helper`, `helper(option=2)` and `flag=True`; not `x.y`,\n"
+            "`make test`, ``double``, or `--option`.\n"
+            "```python\nfenced_only = 1\n```\n"
+        )
+        assert check_docs.bare_names(text) == ["helper", "helper", "flag", "double"]
+
+    def test_stale_names_are_found_once_and_keywords_and_builtins_are_exempt(
+        self, check_docs
+    ):
+        text = "`vanished` `vanished(1)` `helper` `None` `len` `lambda` `match`"
+        identifiers = check_docs.code_identifiers([self._CODE])
+        assert check_docs.find_stale_bare_names(text, identifiers) == ["vanished"]
+
+    def test_allowlist_entries_need_a_doc_that_uses_them(self, check_docs, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(
+            check_docs, "_tracked_identifiers", lambda: frozenset({"helper"})
+        )
+        # Tokens built at run time, so this file does not vouch for them.
+        prose, unused = "Prose" + "Token", "Unused" + "Token"
+        doc = tmp_path / "guide.md"
+        doc.write_text(f"`helper` `{prose}` `vanished`\n")
+        errors = check_docs.check_bare_names(
+            [doc], {prose: "named in prose", unused: "no doc names it"}
+        )
+        assert errors == [
+            "guide.md: stale bare name -> vanished",
+            f"tools/check_docs.py: allowlist entry '{unused}' is no longer needed",
+        ]
+
+    def test_repository_docs_have_no_stale_bare_names(self, check_docs):
+        assert check_docs.check_bare_names(check_docs.MODULE_REF_FILES) == []
 
 
 _END_TO_END = [

@@ -15,16 +15,13 @@ class TestCheckPositive:
     def test_accepts_positive(self):
         assert check_positive("x", 3.5) == 3.5
 
-    def test_rejects_zero_when_strict(self):
+    def test_rejects_zero(self):
         with pytest.raises(ValueError, match="x"):
             check_positive("x", 0.0)
 
-    def test_accepts_zero_when_not_strict(self):
-        assert check_positive("x", 0.0, strict=False) == 0.0
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            check_positive("x", -1.0, strict=False)
+            check_positive("x", -1.0)
 
 
 class TestCheckInRange:

@@ -6,6 +6,7 @@ import pytest
 from repro.workloads.simpoints import (
     INSTRUCTIONS_PER_CLUSTER,
     MAX_SIMPOINT_CLUSTERS,
+    PHASE_DIVERSITY,
     SimPoint,
     SimPointSet,
     generate_simpoints,
@@ -38,9 +39,23 @@ class TestGenerateSimpoints:
         assert [p.profile.ideal_ipc for p in a] == [p.profile.ideal_ipc for p in b]
 
     def test_phases_are_perturbations_of_the_profile(self, profile):
-        simpoints = generate_simpoints(profile, seed=3, phase_diversity=0.05)
+        simpoints = generate_simpoints(profile, seed=3)
         for point in simpoints:
             assert 0.5 * profile.ideal_ipc < point.profile.ideal_ipc < 2.0 * profile.ideal_ipc
+
+    def test_phases_are_perturbed_at_the_fixed_diversity(self, profile):
+        simpoints = generate_simpoints(profile, max_clusters=8, seed=5)
+        # Replay the draws: phase count, weights, then one perturbation per
+        # phase at PHASE_DIVERSITY.
+        rng = np.random.default_rng(5)
+        high = max(4, int(round(8 * (0.4 + 0.6 * profile.memory.access_irregularity))))
+        count = int(rng.integers(4, high + 1))
+        assert count == len(simpoints)
+        np.testing.assert_array_equal(rng.dirichlet(np.full(count, 2.0)), simpoints.weights)
+        for point in simpoints:
+            expected = profile.perturbed(rng, scale=PHASE_DIVERSITY)
+            assert point.profile.ideal_ipc == expected.ideal_ipc
+            assert point.profile.mix == expected.mix
 
     def test_invalid_max_clusters(self, profile):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (the ``make docs-check`` target).
 
-Three failure classes, all of which have bitten stale docs before:
+Five failure classes, all of which have bitten stale docs before:
 
 1. **Dead intra-repo links** — every relative markdown link in the repo's
    top-level ``*.md`` files and ``docs/*.md`` must point at a file or
@@ -25,6 +25,15 @@ Three failure classes, all of which have bitten stale docs before:
    in the README's module map / examples list.  Examples are the narrated
    entry points; one that is not discoverable from the README is dead
    documentation (and a new example cannot land without its README line).
+5. **Stale bare names** — a backticked bare identifier in ``docs/*.md`` or
+   ``README.md`` (`` `adapt_many` ``, `` `FocusedPool` ``, also leading a
+   call or an assignment: `` `adapt_many(...)` ``, `` `refit=True` ``) must
+   occur as an identifier in the git-tracked Python code: a name, attribute,
+   definition, parameter, keyword or imported module part, or a string or
+   bytes constant that is a whole identifier (docstrings do not count).
+   Python keywords and builtins are exempt, and :data:`BARE_NAME_ALLOWLIST`
+   names the tokens that are prose, not code, each with its reason (an
+   entry no doc needs any more fails the check).
 
 Exits non-zero listing every offence, so it can gate ``make test``.
 """
@@ -32,7 +41,10 @@ Exits non-zero listing every offence, so it can gate ``make test``.
 from __future__ import annotations
 
 import ast
+import builtins
+import keyword
 import re
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -193,6 +205,144 @@ def check_module_references(path: Path) -> list[str]:
     return errors
 
 
+#: Backticked bare tokens in the docs that name no Python identifier on
+#: purpose, mapped to the reason.
+BARE_NAME_ALLOWLIST: dict[str, str] = {
+    "CLAIM": "a make variable of `make bench-pairs`",
+    "PARENT": "a make variable of `make bench-pairs`",
+    "SEED": "a make variable of `make bench-repo` and `make bench-pairs`",
+    "PYTHONPATH": "the environment variable every drive command sets",
+    "NaN": "the floating-point value, named in prose",
+    "theta_hat": "the adapted-parameter notation of Algorithm 1",
+}
+
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_CODE_SPAN = re.compile(r"(`+)(.+?)(?<!`)\1(?!`)", re.DOTALL)
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+#: A code span that is a bare identifier, alone or leading a call or an
+#: assignment.
+_BARE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\(.*\)|=.*)?\Z", re.DOTALL)
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """``id()`` of every docstring constant in *tree*."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                found.add(id(body[0].value))
+    return found
+
+
+def code_identifiers(sources: list[str]) -> set[str]:
+    """Every identifier the Python *sources* use, in the sense of check 5."""
+    names: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                if node.asname:
+                    names.add(node.asname)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                names.update(node.names)
+            elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+                value = node.value
+                if isinstance(value, bytes):
+                    value = value.decode("ascii", "replace")
+                if isinstance(value, str) and _IDENTIFIER.match(value):
+                    names.add(value)
+    return names
+
+
+@lru_cache(maxsize=None)
+def _tracked_identifiers() -> frozenset[str]:
+    paths = subprocess.run(
+        ["git", "ls-files", "-z", "*.py"],
+        cwd=REPO_ROOT,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.split("\0")
+    # This file is left out: its allowlist's keys would vouch for
+    # themselves.
+    own = Path(__file__).resolve().relative_to(REPO_ROOT).as_posix()
+    return frozenset(
+        code_identifiers(
+            [(REPO_ROOT / path).read_text() for path in paths if path and path != own]
+        )
+    )
+
+
+def bare_names(text: str) -> list[str]:
+    """Backticked bare identifiers of markdown *text*, fenced blocks skipped."""
+    names = []
+    for span in _CODE_SPAN.finditer(_FENCE.sub("", text)):
+        bare = _BARE.match(span.group(2).strip())
+        if bare:
+            names.append(bare.group(1))
+    return names
+
+
+def find_stale_bare_names(text: str, identifiers: "set[str] | frozenset[str]") -> list[str]:
+    """The bare names of *text* that are no identifier, keyword or builtin.
+
+    Allowlisted tokens are included, so the caller can check the allowlist
+    against what the docs need.
+    """
+    exempt = set(keyword.kwlist) | set(keyword.softkwlist) | set(dir(builtins))
+    stale = []
+    for name in bare_names(text):
+        if name not in identifiers and name not in exempt and name not in stale:
+            stale.append(name)
+    return stale
+
+
+def check_bare_names(
+    paths: list[Path], allowlist: "dict[str, str]" = BARE_NAME_ALLOWLIST
+) -> list[str]:
+    """One message per stale bare name in *paths*, and per stale allowlist entry."""
+    identifiers = _tracked_identifiers()
+    errors = []
+    needed = set()
+    for path in paths:
+        for name in find_stale_bare_names(path.read_text(), identifiers):
+            if name in allowlist:
+                needed.add(name)
+            else:
+                errors.append(
+                    f"{path.relative_to(REPO_ROOT)}: stale bare name -> {name}"
+                )
+    errors.extend(
+        f"tools/check_docs.py: allowlist entry {name!r} is no longer needed"
+        for name in sorted(set(allowlist) - needed)
+    )
+    return errors
+
+
 def check_benchmark_catalog() -> list[str]:
     """Return one message per ``benchmarks/results/*.json`` not cataloged."""
     catalog = REPO_ROOT / "docs" / "benchmarks.md"
@@ -230,6 +380,7 @@ def main() -> int:
         errors.extend(check_links(path))
     for path in MODULE_REF_FILES:
         errors.extend(check_module_references(path))
+    errors.extend(check_bare_names(MODULE_REF_FILES))
     errors.extend(check_benchmark_catalog())
     errors.extend(check_examples_referenced())
     if errors:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository hygiene checker (the ``make repo-check`` target).
 
-Two checks, each a pure function over its inputs so the unit tests
+Three checks, each a pure function over its inputs so the unit tests
 (``tests/test_tools_checks.py``) verify the rules against planted offenders
 without touching the real tree:
 
@@ -27,10 +27,22 @@ without touching the real tree:
    name at run time.  :data:`ALLOWLIST` exempts the reference oracles by
    qualified name, each with its reason; an entry that names no definition
    fails the check, so the list cannot go stale.
+3. **Test-only switches** (:func:`find_test_only_switches`, over the same
+   mapping).  A *switch* is a parameter of a public function or method
+   under ``src/repro`` (``__init__`` included: it is called by its class's
+   name), or a field of a public ``@dataclass`` there, whose default is
+   ``None``, ``True`` or ``False``.  A switch needs a caller under the same
+   roots that sets it: a call that passes its name as a keyword (any
+   callee, so the check again errs toward keeping code), or a call of a
+   same-named callable that reaches it by position or through ``*``/``**``.
+   A switch that only ``tests/`` set selects a code path only tests reach;
+   make it a constant and delete the path.  :data:`SWITCH_ALLOWLIST`
+   exempts the test seams by ``module.qualname.parameter``, each with its
+   reason, and fails on a stale entry like :data:`ALLOWLIST`.
 
 Exits non-zero listing every offence; wired as a prerequisite of
 ``make test`` next to ``tools/check_docs.py``, and
-``tests/test_tools_checks.py`` runs both checks on the real tree.
+``tests/test_tools_checks.py`` runs every check on the real tree.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ import subprocess
 import sys
 from collections import Counter
 from collections.abc import Iterator, Mapping
+from typing import Optional
 from pathlib import Path, PurePosixPath
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +246,147 @@ def find_test_only_definitions(
     return offences
 
 
+#: Defaults that make a parameter or dataclass field a switch.
+SWITCH_DEFAULTS = (None, True, False)
+
+#: Switches exempt from the test-only-switch rule, by
+#: ``module.qualname.parameter`` (a dataclass field's qualname is its
+#: class), mapped to the reason.
+SWITCH_ALLOWLIST: dict[str, str] = {
+    "repro.cli.main.argv": (
+        "the test seam of the CLI: tests run it in-process on an argument "
+        "list, the console entry point reads sys.argv"
+    ),
+    "repro.sim.simulator.Simulator.__init__.suite": (
+        "the test seam of the simulator: tests substitute a small workload "
+        "suite, every other caller simulates the SPEC CPU 2017 suite"
+    ),
+}
+
+
+def _is_switch_default(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Constant) and any(
+        node.value is value for value in SWITCH_DEFAULTS
+    )
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _parameter_switches(
+    node: ast.AST, offset: int
+) -> Iterator[tuple[str, Optional[int]]]:
+    """``(name, position)`` of each switch parameter of a ``def``.
+
+    The position is the argument index a positional call must exceed to
+    reach the parameter (*offset* discounts ``self``/``cls``); ``None``
+    for keyword-only parameters.
+    """
+    arguments = node.args
+    positional = arguments.posonlyargs + arguments.args
+    defaults = [None] * (len(positional) - len(arguments.defaults)) + list(
+        arguments.defaults
+    )
+    for index, (argument, default) in enumerate(zip(positional, defaults)):
+        if _is_switch_default(default):
+            yield argument.arg, index - offset
+    for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+        if _is_switch_default(default):
+            yield argument.arg, None
+
+
+def _switches(
+    tree: ast.Module,
+) -> Iterator[tuple[str, str, str, Optional[int], ast.AST]]:
+    """``(qualname, parameter, callee name, position, node)`` per switch."""
+    for qualname, node in _definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                fields = [
+                    statement
+                    for statement in node.body
+                    if isinstance(statement, ast.AnnAssign)
+                    and isinstance(statement.target, ast.Name)
+                ]
+                for position, field in enumerate(fields):
+                    if _is_switch_default(field.value):
+                        yield qualname, field.target.id, node.name, position, field
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    for name, position in _parameter_switches(member, offset=1):
+                        yield f"{qualname}.__init__", name, node.name, position, member
+        elif "." in qualname:
+            static = any(
+                getattr(decorator, "id", None) == "staticmethod"
+                for decorator in node.decorator_list
+            )
+            for name, position in _parameter_switches(node, offset=0 if static else 1):
+                yield qualname, name, node.name, position, node
+        else:
+            for name, position in _parameter_switches(node, offset=0):
+                yield qualname, name, node.name, position, node
+
+
+def find_test_only_switches(
+    sources: Mapping[str, str], allowlist: Mapping[str, str] = SWITCH_ALLOWLIST
+) -> list[str]:
+    """One message per switch that no call outside ``tests/`` sets.
+
+    *sources* is read as by :func:`find_test_only_definitions`; a stale
+    *allowlist* entry is an offence too.
+    """
+    trees = {
+        path: ast.parse(text, filename=path)
+        for path, text in sources.items()
+        if PurePosixPath(path).parts[0] in CALLER_ROOTS
+    }
+    keywords: set[str] = set()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                keywords.update(k.arg for k in node.keywords if k.arg is not None)
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+
+    def reached(callee: str, position: Optional[int]) -> bool:
+        for call in calls.get(callee, ()):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                return True
+            if position is not None and len(call.args) > position:
+                return True
+        return False
+
+    offences = []
+    used_entries = set()
+    for path, tree in sorted(trees.items()):
+        if not path.startswith(DEFINITION_ROOT + "/"):
+            continue
+        module = _module_name(path)
+        for qualname, name, callee, position, node in _switches(tree):
+            entry = f"{module}.{qualname}.{name}"
+            if entry in allowlist:
+                used_entries.add(entry)
+                continue
+            if name in keywords or reached(callee, position):
+                continue
+            offences.append(
+                f"{path}:{node.lineno}: {qualname}({name}=) is set only by tests/"
+            )
+    offences.extend(
+        f"switch allowlist entry {entry!r} names no switch under {DEFINITION_ROOT}"
+        for entry in sorted(allowlist.keys() - used_entries)
+    )
+    return offences
+
+
 def caller_sources() -> dict[str, str]:
     """Source text of every ``.py`` file under :data:`CALLER_ROOTS`."""
     return {
@@ -251,17 +405,28 @@ def main() -> int:
             print(f"  git-tracked build/bytecode artifact -> {path}")
         print("  (git rm --cached them; .gitignore already covers the patterns)")
         status = 1
-    test_only = find_test_only_definitions(caller_sources())
+    sources = caller_sources()
+    test_only = find_test_only_definitions(sources)
     if test_only:
         print(f"repo-check: {len(test_only)} test-only definition(s)")
         for offence in test_only:
             print(f"  {offence}")
         print("  (wire each one in or delete it with its tests; see ALLOWLIST)")
         status = 1
+    switches = find_test_only_switches(sources)
+    if switches:
+        print(f"repo-check: {len(switches)} test-only switch(es)")
+        for offence in switches:
+            print(f"  {offence}")
+        print(
+            "  (make each one a constant and delete the path it selected; "
+            "see SWITCH_ALLOWLIST)"
+        )
+        status = 1
     if status == 0:
         print(
             "repo-check: OK (no tracked build/bytecode artifacts, "
-            "no test-only definitions)"
+            "no test-only definitions or switches)"
         )
     return status
 
