@@ -38,7 +38,6 @@ class TransformerRegressor(Regressor):
         epochs: int = 60,
         batch_size: int = 32,
         lr: float = 2e-3,
-        weight_decay: float = 0.0,
         seed: SeedLike = 0,
     ) -> None:
         if epochs < 1 or batch_size < 1:
@@ -47,7 +46,6 @@ class TransformerRegressor(Regressor):
         self.epochs = epochs
         self.batch_size = batch_size
         self.lr = lr
-        self.weight_decay = weight_decay
         self.rng = as_rng(seed)
         self.model = TransformerPredictor(
             num_parameters,
@@ -75,7 +73,7 @@ class TransformerRegressor(Regressor):
         self._label_std = float(max(targets.std(), 1e-8))
         scaled = self._scale(targets)
 
-        optimizer = Adam(self.model.parameters(), self.lr, weight_decay=self.weight_decay)
+        optimizer = Adam(self.model.parameters(), self.lr)
         total_steps = self.epochs * max(1, int(np.ceil(features.shape[0] / self.batch_size)))
         scheduler = CosineAnnealingLR(optimizer, total_steps)
         self.training_losses_ = []

@@ -17,6 +17,10 @@ Four samplers are provided:
 
 All samplers are deterministic given a seed, and may repeat a
 configuration (collisions are likely for tiny parameter cardinalities).
+:class:`RandomSampler` and :class:`FocusedSampler` draw a whole pool as one
+``(count, P)`` index matrix in a single ``rng.integers`` call, which
+consumes the generator exactly as one scalar draw per parameter per
+configuration, row by row, would.
 """
 
 from __future__ import annotations
@@ -40,20 +44,19 @@ class BaseSampler:
         """Draw *count* configurations."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        return [self._sample_one() for _ in range(count)]
+        return [self.space.from_indices(row) for row in self._draw_indices(count)]
 
-    def _sample_one(self) -> Configuration:
+    def _draw_indices(self, count: int) -> np.ndarray:
+        """The ``(count, P)`` ordinal indices of the next *count* draws."""
         raise NotImplementedError
 
 
 class RandomSampler(BaseSampler):
     """Uniform sampling over the ordinal grid."""
 
-    def _sample_one(self) -> Configuration:
-        indices = [
-            int(self.rng.integers(0, p.cardinality)) for p in self.space.parameters
-        ]
-        return self.space.from_indices(indices)
+    def _draw_indices(self, count: int) -> np.ndarray:
+        cardinalities = self.space.cardinalities()
+        return self.rng.integers(0, cardinalities, size=(count, cardinalities.size))
 
 
 class LatinHypercubeSampler(BaseSampler):
@@ -117,13 +120,16 @@ class FocusedSampler(BaseSampler):
     coarse sub-grid of at most *coarse_levels* evenly spaced levels
     (``coarse_levels=1`` clamps it to its median level).
 
-    RNG contract: each draw consumes exactly one ``rng.integers(0, L_i)``
-    per parameter in declaration order, where ``L_i`` is the number of
-    retained levels.  With ``keep_fraction=1.0`` every ``L_i`` equals the
-    parameter cardinality and the level map is the identity, so the sampler
-    is **bitwise identical** to :class:`RandomSampler` on the same stream —
-    the equivalence that lets ``FocusedPool(keep_fraction=1.0)`` degrade to
-    ``RandomPool`` exactly (see ``tests/test_designspace_sampling.py``).
+    RNG contract: a pool of *count* is one ``rng.integers(0, L, size=(count,
+    P))`` draw, where ``L`` holds each parameter's number of retained
+    levels.  It consumes the stream exactly as one ``rng.integers(0, L_i)``
+    per parameter in declaration order, configuration after configuration,
+    would (a clamped parameter's ``L_i = 1`` draws nothing).  With
+    ``keep_fraction=1.0`` every ``L_i`` equals the parameter cardinality and
+    the level map is the identity, so the sampler is **bitwise identical**
+    to :class:`RandomSampler` on the same stream — the equivalence that lets
+    ``FocusedPool(keep_fraction=1.0)`` degrade to ``RandomPool`` exactly
+    (see ``tests/test_designspace_sampling.py``).
     """
 
     def __init__(
@@ -177,13 +183,16 @@ class FocusedSampler(BaseSampler):
                     ).astype(int)
                 )
             self._levels.append(levels)
+        # Flat level table: parameter i's draw d maps to table[offset_i + d].
+        self._level_counts = np.array([len(levels) for levels in self._levels])
+        self._level_offsets = np.cumsum(self._level_counts) - self._level_counts
+        self._level_table = np.concatenate(self._levels)
 
-    def _sample_one(self) -> Configuration:
-        indices = [
-            int(levels[int(self.rng.integers(0, len(levels)))])
-            for levels in self._levels
-        ]
-        return self.space.from_indices(indices)
+    def _draw_indices(self, count: int) -> np.ndarray:
+        draws = self.rng.integers(
+            0, self._level_counts, size=(count, self._level_counts.size)
+        )
+        return self._level_table[self._level_offsets + draws]
 
 
 def make_sampler(

@@ -117,7 +117,7 @@ class Module:
         buffers are cast — so attribute aliases (``self.weight``) and
         optimizer parameter lists stay valid; gradients are cleared
         (stale-width gradients are worse than none).  Optimizer *state*
-        (momentum/Adam moments) created before the conversion is not
+        (Adam moments) created before the conversion is not
         touched: build optimizers after converting.
         """
         target = resolve_dtype(dtype)

@@ -30,12 +30,12 @@ task-batched paths use everywhere::
         params = optimizer.step(params)               # fresh detached leaves
     model.load_state_dict(model.unstack_state(params, task_index))
 
-**Precision.**  Optimiser state follows the parameters it manages: velocity
-and Adam moments are allocated with ``np.zeros_like`` on the parameter data,
-and the engine guarantees leaf gradients match the leaf dtype, so a float32
-model trains with float32 state end to end — no configuration needed.
-Construct optimisers *after* :meth:`Module.to_dtype`; converting a model
-under an existing optimiser leaves stale-width state behind.  Scalar
+**Precision.**  The SGD variants keep no state, and Adam's moments are
+allocated with ``np.zeros_like`` on the parameter data; the engine
+guarantees leaf gradients match the leaf dtype, so a float32 model trains
+with float32 updates and state end to end — no configuration needed.
+Construct an Adam optimiser *after* :meth:`Module.to_dtype`; converting a
+model under an existing one leaves stale-width moments behind.  Scalar
 hyper-parameters (``lr``, ``betas``, schedules) stay Python floats and never
 widen an update.
 """
@@ -71,38 +71,14 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        lr: float,
-        *,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+    """Plain stochastic gradient descent: ``data - lr * grad``."""
 
     def step(self) -> None:
         """Apply one SGD update using the accumulated gradients."""
-        for parameter, velocity in zip(self.parameters, self._velocity):
+        for parameter in self.parameters:
             if parameter.grad is None:
                 continue
-            grad = parameter.grad
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            parameter.data = parameter.data - self.lr * update
+            parameter.data = parameter.data - self.lr * parameter.grad
 
 
 class Adam(Optimizer):
@@ -115,7 +91,6 @@ class Adam(Optimizer):
         *,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
         beta1, beta2 = betas
@@ -123,7 +98,6 @@ class Adam(Optimizer):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -138,8 +112,6 @@ class Adam(Optimizer):
             if parameter.grad is None:
                 continue
             grad = parameter.grad
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * parameter.data
             m *= beta1
             m += (1.0 - beta1) * grad
             v *= beta2
@@ -156,9 +128,6 @@ def stacked_sgd_step(
     lr: float,
     *,
     lr_scales: Optional[Mapping[str, float]] = None,
-    weight_decay: float = 0.0,
-    velocity: Optional[dict[str, np.ndarray]] = None,
-    momentum: float = 0.0,
 ) -> dict[str, Tensor]:
     """One functional SGD step over a mapping of stacked parameters.
 
@@ -166,70 +135,46 @@ def stacked_sgd_step(
     ``data - lr * scale * grad`` (matching :meth:`SGD.step` entry-wise, so
     the batched inner loop reproduces the scalar reference exactly); tensors
     without a gradient — frozen shared parameters, or parameters the loss
-    does not reach — pass through unchanged.  With *momentum*, *velocity*
-    carries the per-name state between calls.
+    does not reach — pass through unchanged.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     updated: dict[str, Tensor] = {}
     for name, parameter in params.items():
         if not parameter.requires_grad or parameter.grad is None:
             updated[name] = parameter
             continue
-        grad = parameter.grad
-        if weight_decay > 0:
-            grad = grad + weight_decay * parameter.data
-        if momentum > 0:
-            if velocity is None:
-                raise ValueError("momentum requires a velocity state dict")
-            grad = velocity[name] = momentum * velocity.get(name, 0.0) + grad
         scale = 1.0 if lr_scales is None else lr_scales.get(name, 1.0)
         updated[name] = Tensor(
-            parameter.data - lr * scale * grad, requires_grad=True, name=name
+            parameter.data - lr * scale * parameter.grad, requires_grad=True, name=name
         )
     return updated
 
 
 class StackedSGD:
-    """Functional SGD over stacked parameter dicts (momentum-capable).
+    """Functional SGD over stacked parameter dicts.
 
-    The object only holds the hyper-parameters and the momentum state; each
-    :meth:`step` call maps an input parameter dict to the updated one.  The
-    mutable ``lr`` / ``initial_lr`` pair makes it schedulable with
-    :class:`CosineAnnealingLR`, which the batched adaptation stage uses.
+    The object only holds the hyper-parameters; each :meth:`step` call maps
+    an input parameter dict to the updated one.  The mutable ``lr`` /
+    ``initial_lr`` pair makes it schedulable with :class:`CosineAnnealingLR`,
+    which the batched adaptation stage uses.
     """
 
     def __init__(
         self,
         lr: float,
         *,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
         lr_scales: Optional[Mapping[str, float]] = None,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.initial_lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.lr_scales = dict(lr_scales) if lr_scales is not None else None
-        self._velocity: dict[str, np.ndarray] = {}
 
     def step(self, params: Mapping[str, Tensor]) -> dict[str, Tensor]:
         """Return the updated parameter mapping (inputs are not mutated)."""
-        return stacked_sgd_step(
-            params,
-            self.lr,
-            lr_scales=self.lr_scales,
-            weight_decay=self.weight_decay,
-            velocity=self._velocity,
-            momentum=self.momentum,
-        )
+        return stacked_sgd_step(params, self.lr, lr_scales=self.lr_scales)
 
 
 class CosineAnnealingLR:

@@ -24,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+from repro import obs
+
 #: Rows per block of the stacked inference pass.
 DEFAULT_TILE = 64
 
@@ -117,7 +119,11 @@ def run_tiles(
     inputs and their output slices are identical for every count, so the
     result bits are too.  Exceptions propagate in span order.  Nested calls
     from inside a pool worker run inline (no pool-starvation deadlock).
+    Each call adds the spans to the ``nn.tiles`` counter and the rows they
+    cover to ``nn.tile_rows`` (no-ops without an active trace).
     """
+    obs.add_counter("nn.tiles", len(spans))
+    obs.add_counter("nn.tile_rows", sum(stop - start for start, stop in spans))
     width = num_threads()
     if width <= 1 or len(spans) <= 1 or getattr(_worker, "flag", False):
         for start, stop in spans:

@@ -507,8 +507,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> tuple:
             d_normalised = grad * gamma.data
-            d_mean = d_normalised.mean(axis=-1, keepdims=True)
-            d_proj = (d_normalised * normalised).mean(axis=-1, keepdims=True)
+            d_mean = _row_mean(d_normalised)
+            d_proj = _row_mean(d_normalised * normalised)
             grad_gamma = _unbroadcast(grad * normalised, gamma.shape)
             grad_beta = _unbroadcast(grad, beta.shape)
             # Reuse d_normalised's buffer for the input gradient.
@@ -608,21 +608,20 @@ def scaled_dot_product_attention(
     def backward(grad: np.ndarray) -> tuple:
         d_context = _split_heads(grad, num_heads)
         d_attention = np.matmul(d_context, v4.swapaxes(-1, -2))
-        d_v = np.matmul(attention.swapaxes(-1, -2), d_context)
+        d_v = _matmul_merged(attention.swapaxes(-1, -2), d_context)
         # Softmax backward, reusing d_attention's buffer for the logits grad.
-        dot = (d_attention * attention).sum(axis=-1, keepdims=True)
+        dot = _row_sum(d_attention * attention)
         d_attention -= dot
         d_attention *= attention
         d_logits = d_attention
         d_mask = None
         if mask is not None:
             d_mask = _unbroadcast(d_logits, mask.shape)
-        d_q = np.matmul(d_logits, k4)
+        d_q = _matmul_merged(d_logits, k4)
         d_q *= scale
-        d_k = np.matmul(d_logits.swapaxes(-1, -2), q4)
+        d_k = _matmul_merged(d_logits.swapaxes(-1, -2), q4)
         d_k *= scale
-        grads = (_merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v))
-        return grads + ((d_mask,) if mask is not None else ())
+        return (d_q, d_k, d_v) + ((d_mask,) if mask is not None else ())
 
     parents = (q, k, v) if mask is None else (q, k, v, mask)
     return Tensor._make(out_data, parents, backward), attention
@@ -652,9 +651,9 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # on the whole array as its forward, and the graph-free inference pass
 # ``TransformerPredictor.stacked_inference`` runs the same functions once per
 # row block.  Each computes item by item over its leading axes (per-item
-# GEMMs, elementwise ufuncs, last-axis reductions), so a block of rows gets
-# exactly the bits the whole batch would, and the inference pass equals the
-# autodiff forward bit for bit.
+# GEMMs and GEMVs, elementwise ufuncs, column folds), so a block of rows
+# gets exactly the bits the whole batch would, and the inference pass
+# equals the autodiff forward bit for bit.
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
@@ -681,10 +680,8 @@ def layer_norm_forward(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis: ``(out, normalised, inv_std)``."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    variance = centered * centered
-    variance = variance.mean(axis=-1, keepdims=True)
+    centered = x - _row_mean(x)
+    variance = _row_mean(centered * centered)
     variance += eps
     np.sqrt(variance, out=variance)
     inv_std = np.divide(1.0, variance, out=variance)
@@ -731,10 +728,56 @@ def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], num_heads, x.shape[-1] // num_heads).swapaxes(-3, -2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """``(..., heads, tokens, head_dim)`` -> ``(..., tokens, embed)``."""
-    *lead, heads, tokens, head_dim = x.shape
-    return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(*lead, tokens, heads * head_dim)
+def _matmul_merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b)`` of head-split operands, in the merged layout.
+
+    The ``(..., heads, tokens, head_dim)`` product is written straight
+    into a ``(..., tokens, embed)`` array through its head-split view, so
+    no merge copy follows; each item's GEMM only writes with a wider row
+    stride, which leaves its bits unchanged.
+    """
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    heads, tokens, head_dim = lead[-1], a.shape[-2], b.shape[-1]
+    merged = np.empty((*lead[:-1], tokens, heads * head_dim), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_split_heads(merged, heads))
+    return merged
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` as one GEMV per item against a ones column.
+
+    Items are the ``(rows, columns)`` matrices of the last two axes (each
+    row on its own below three axes), so like every kernel step the sum is
+    slice-stable: a block of items gets the bits the whole batch would.
+    BLAS accumulates in another order than numpy's pairwise reduction, so
+    the result may differ from ``np.sum`` in the last few ULPs.
+    """
+    ones = np.ones((x.shape[-1], 1), dtype=x.dtype)
+    if x.ndim < 3:
+        return np.matmul(x[..., None, :], ones)[..., 0, :]
+    return np.matmul(x, ones)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` through :func:`_row_sum`."""
+    mean = _row_sum(x)
+    mean /= x.shape[-1]
+    return mean
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` as a fold of ``np.maximum`` over the columns.
+
+    One elementwise pass per column over every row at once, instead of a
+    reduction that numpy runs one short row at a time.  The maximum does
+    not depend on the order it is taken in, so the values equal the
+    reduction's (only a zero maximum among mixed-sign zeros may take the
+    other sign, which a shift ``x - max`` cannot tell apart).
+    """
+    out = x[..., :1].copy()
+    for column in range(1, x.shape[-1]):
+        np.maximum(out, x[..., column : column + 1], out=out)
+    return out
 
 
 def attention_forward(
@@ -755,7 +798,7 @@ def attention_forward(
     logits *= scale
     if mask is not None:
         logits += mask
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= _row_max(logits)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return _merge_heads(np.matmul(logits, v4)), logits
+    logits /= _row_sum(logits)
+    return _matmul_merged(logits, v4), logits

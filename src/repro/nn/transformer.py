@@ -192,8 +192,19 @@ class TransformerPredictor(Module):
         return mlp("head", self.head, pooled)[..., 0]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Numpy-in / numpy-out inference helper (no graph is built)."""
-        return self.forward(Tensor(np.asarray(inputs, dtype=self.dtype))).data.copy()
+        """Numpy-in / numpy-out inference helper (no graph is built).
+
+        Runs :meth:`stacked_inference` on a one-model stack of this model's
+        own parameters over ``(batch, P)`` inputs cast to the model's dtype,
+        which returns bit for bit what :meth:`forward` returns.
+        """
+        inputs = np.asarray(inputs, dtype=self.dtype)
+        if inputs.ndim != 2:
+            raise ValueError(
+                f"expected (batch, {self.num_parameters}) input, got {inputs.shape}"
+            )
+        params = {name: p.data[None] for name, p in self.named_parameters()}
+        return self.stacked_inference(params, inputs)[0]
 
     # -- attention access for WAM ------------------------------------------------
     @property

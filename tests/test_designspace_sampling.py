@@ -181,3 +181,67 @@ class TestFocusedSampler:
         bad[0] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
             FocusedSampler(space, bad)
+
+
+class TestVectorisedDraw:
+    """A pool is one ``rng.integers`` call that consumes the generator exactly
+    as one scalar draw per parameter per configuration, row by row, would."""
+
+    @staticmethod
+    def _scalar_loop(space, levels, rng, count):
+        """The per-parameter reference: one ``rng.integers(0, L_i)`` each."""
+        return [
+            space.from_indices(
+                [int(options[int(rng.integers(0, len(options)))]) for options in levels]
+            )
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def _assert_same_stream(sampler_rng, reference_rng):
+        assert sampler_rng.bit_generator.state == reference_rng.bit_generator.state
+        np.testing.assert_array_equal(
+            sampler_rng.integers(0, 1000, 8), reference_rng.integers(0, 1000, 8)
+        )
+
+    @pytest.mark.parametrize("count", (0, 1, 4000))
+    @pytest.mark.parametrize("seed", (0, 77))
+    def test_random_sampler_equals_scalar_loop(self, space, count, seed):
+        sampler = RandomSampler(space, seed=seed)
+        reference_rng = np.random.default_rng(seed)
+        levels = [np.arange(p.cardinality) for p in space.parameters]
+        assert sampler.sample(count) == self._scalar_loop(
+            space, levels, reference_rng, count
+        )
+        self._assert_same_stream(sampler.rng, reference_rng)
+
+    @pytest.mark.parametrize("count", (0, 1, 4000))
+    @pytest.mark.parametrize(
+        "keep_fraction, coarse_levels", ((0.3, 1), (0.5, 3), (0.05, 1), (1.0, 1))
+    )
+    def test_focused_sampler_equals_scalar_loop(
+        self, space, count, keep_fraction, coarse_levels
+    ):
+        scores = np.random.default_rng(4).random(space.num_parameters)
+        sampler = FocusedSampler(
+            space, scores, keep_fraction=keep_fraction,
+            coarse_levels=coarse_levels, seed=9,
+        )
+        if coarse_levels == 1 and keep_fraction < 1.0:
+            # Clamped parameters keep a single level and draw nothing.
+            assert any(len(levels) == 1 for levels in sampler._levels)
+        reference_rng = np.random.default_rng(9)
+        assert sampler.sample(count) == self._scalar_loop(
+            space, sampler._levels, reference_rng, count
+        )
+        self._assert_same_stream(sampler.rng, reference_rng)
+
+    def test_consecutive_pools_continue_the_stream(self, space):
+        sampler = RandomSampler(space, seed=3)
+        reference_rng = np.random.default_rng(3)
+        levels = [np.arange(p.cardinality) for p in space.parameters]
+        for count in (5, 0, 17):
+            assert sampler.sample(count) == self._scalar_loop(
+                space, levels, reference_rng, count
+            )
+        self._assert_same_stream(sampler.rng, reference_rng)

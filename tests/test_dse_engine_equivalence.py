@@ -13,13 +13,16 @@ last-round predictions.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.baselines.trees import GradientBoostingRegressor, RandomForestRegressor
+from repro.core.config import paper_scale_config
 from repro.dse.acquisition import ExplorationBonusAcquisition, ParetoRankAcquisition
 from repro.dse.engine import (
     CampaignEngine,
@@ -208,8 +211,12 @@ def _fitted_tree_surrogate(fast_simulator, table1_space, seed=0):
     return surrogate
 
 
-def _predictors(num_objectives, mask=None, dtype="float64"):
-    """Small architecture-identical predictors, one per objective.
+#: The small predictor shape most tests here use.
+SMALL_ARCHITECTURE = dict(embed_dim=8, num_heads=2, num_layers=2, head_hidden=8)
+
+
+def _predictors(num_objectives, mask=None, dtype="float64", tokens=TOKENS, architecture=None):
+    """Architecture-identical predictors, one per objective (small by default).
 
     ``mask`` installs a WAM-style logit bias in the last layer, a parameter
     stacked like the weights: different per objective (``"learnable"``) or
@@ -218,13 +225,38 @@ def _predictors(num_objectives, mask=None, dtype="float64"):
     predictors = []
     for seed in range(num_objectives):
         predictor = TransformerPredictor(
-            TOKENS, embed_dim=8, num_heads=2, num_layers=2, head_hidden=8, seed=seed
+            tokens, **(architecture or SMALL_ARCHITECTURE), seed=seed
         ).to_dtype(dtype)
         if mask is not None:
             bias = np.random.default_rng(seed if mask == "learnable" else 99)
-            predictor.install_mask(bias.normal(size=(TOKENS, TOKENS)))
+            predictor.install_mask(bias.normal(size=(tokens, tokens)))
         predictors.append(predictor)
     return predictors
+
+
+def _assert_predict_equals_autodiff(predictors, rows, dtype, threads):
+    """The stacked surrogate's rows are the autodiff stacked forward's bits."""
+    num_objectives = len(predictors)
+    surrogate = _stacked_surrogate(predictors)
+    features = np.random.default_rng(rows).uniform(size=(rows, predictors[0].num_parameters))
+    try:
+        with nn_parallel.threads(threads):
+            predicted = surrogate.predict(features)
+    finally:
+        nn_parallel.shutdown_pool()
+
+    template = predictors[0]
+    stacked = {
+        name: np.stack([p.state_dict()[name] for p in predictors])
+        for name in template.state_dict()
+    }
+    cast = features.astype(dtype)
+    block = np.broadcast_to(cast, (num_objectives,) + cast.shape).copy()
+    out = template.functional_call(stacked, Tensor(block))
+    means, stds = _label_scale(num_objectives)
+    expected = np.asarray(out.data, dtype=np.float64).T * stds + means
+    assert predicted.dtype == np.float64
+    np.testing.assert_array_equal(predicted, expected)
 
 
 def _label_scale(count):
@@ -309,26 +341,32 @@ class TestStackedInferencePass:
         self, num_objectives, rows, dtype, mask, threads
     ):
         predictors = _predictors(num_objectives, mask, dtype)
-        surrogate = _stacked_surrogate(predictors)
-        features = np.random.default_rng(rows).uniform(size=(rows, TOKENS))
-        try:
-            with nn_parallel.threads(threads):
-                predicted = surrogate.predict(features)
-        finally:
-            nn_parallel.shutdown_pool()
+        _assert_predict_equals_autodiff(predictors, rows, dtype, threads)
 
-        template = predictors[0]
-        stacked = {
-            name: np.stack([p.state_dict()[name] for p in predictors])
-            for name in template.state_dict()
-        }
-        cast = features.astype(dtype)
-        block = np.broadcast_to(cast, (num_objectives,) + cast.shape).copy()
-        out = template.functional_call(stacked, Tensor(block))
-        means, stds = _label_scale(num_objectives)
-        expected = np.asarray(out.data, dtype=np.float64).T * stds + means
-        assert predicted.dtype == np.float64
-        np.testing.assert_array_equal(predicted, expected)
+    @pytest.mark.parametrize("mask", (None, "learnable"))
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_predict_equals_autodiff_at_paper_scale_shapes(self, dtype, mask):
+        """The same contract at ``paper_scale_config``'s predictor (embed 64,
+        8 heads, 3 layers) over the 22 Table I tokens."""
+        architecture = asdict(paper_scale_config().predictor)
+        predictors = _predictors(2, mask, dtype, tokens=22, architecture=architecture)
+        _assert_predict_equals_autodiff(predictors, 65, dtype, threads=1)
+
+    def test_traced_screen_counts_its_tiles(self, tmp_path):
+        """``run_tiles`` adds the blocks and the rows they cover to the trace,
+        and tracing leaves the predictions bitwise unchanged."""
+        surrogate = _stacked_surrogate(_predictors(2, "learnable"))
+        features = np.random.default_rng(6).uniform(size=(257, TOKENS))
+        untraced = screen_predict(surrogate, features)
+        path = tmp_path / "screen.trace.jsonl"
+        with obs.tracing(path):
+            traced = screen_predict(surrogate, features)
+            screen_predict(surrogate, features[:10])
+        counters = [r for r in obs.read_trace(path) if r["type"] == "counters"][-1]
+        spans = nn_parallel.tile_spans(257) + nn_parallel.tile_spans(10)
+        assert counters["counters"]["nn.tiles"] == len(spans) == 6
+        assert counters["counters"]["nn.tile_rows"] == 267
+        np.testing.assert_array_equal(traced, untraced)
 
     @pytest.mark.parametrize("kind", ("tree", "stacked"))
     @settings(max_examples=15, deadline=None)

@@ -367,16 +367,12 @@ class TestStackedSGD:
         assert updated["frozen"] is frozen
         assert updated["p"].requires_grad and updated["p"].grad is None
 
-    def test_lr_scales_and_momentum(self):
+    def test_lr_scales(self):
         p = Tensor(np.ones((2, 2)), requires_grad=True)
-        optimizer = StackedSGD(0.1, momentum=0.5, lr_scales={"p": 2.0})
+        optimizer = StackedSGD(0.1, lr_scales={"p": 2.0})
         p.grad = np.ones((2, 2))
         step1 = optimizer.step({"p": p})
         np.testing.assert_allclose(step1["p"].data, 1.0 - 0.2)
-        step1["p"].grad = np.ones((2, 2))
-        step2 = optimizer.step(step1)
-        # velocity = 0.5 * 1 + 1 = 1.5 -> update = 0.1 * 2.0 * 1.5
-        np.testing.assert_allclose(step2["p"].data, 0.8 - 0.3)
 
     def test_invalid_learning_rate(self):
         p = Tensor(np.ones(2), requires_grad=True)

@@ -76,13 +76,41 @@ class TestTransformerPredictor:
         assert isinstance(predictions, np.ndarray)
         assert predictions.shape == (4,)
 
+    @pytest.mark.parametrize("mask", (False, True), ids=("no-mask", "mask"))
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_predict_is_the_forward_without_a_graph(self, dtype, mask, monkeypatch):
+        """``predict`` returns the forward's bits and makes no graph node."""
+        model = TransformerPredictor(
+            6, embed_dim=8, num_heads=2, num_layers=2, seed=0
+        ).to_dtype(dtype)
+        if mask:
+            model.install_mask(np.random.default_rng(3).normal(size=(6, 6)))
+        x = np.random.default_rng(4).random((70, 6))
+        expected = model(Tensor(x.astype(dtype))).data
+        recorded = model.last_attention_layer.last_attention
+
+        def no_graph(cls, *args):
+            raise AssertionError("predict made a graph node")
+
+        monkeypatch.setattr(Tensor, "_make", classmethod(no_graph))
+        predicted = model.predict(x)
+        assert predicted.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(predicted, expected)
+        # Nothing is recorded on the module either.
+        assert model.last_attention_layer.last_attention is recorded
+
+    def test_predict_rejects_a_task_axis(self):
+        model = TransformerPredictor(6, embed_dim=8, num_heads=2, num_layers=1, seed=0)
+        with pytest.raises(ValueError, match="expected"):
+            model.predict(np.zeros((2, 3, 6)))
+
     def test_invalid_layer_count(self):
         with pytest.raises(ValueError):
             TransformerPredictor(6, num_layers=0)
 
     def test_last_attention_accessible(self):
         model = TransformerPredictor(6, embed_dim=8, num_heads=2, num_layers=2, seed=0)
-        model.predict(np.random.default_rng(2).random((5, 6)))
+        model(Tensor(np.random.default_rng(2).random((5, 6))))
         weights = model.last_attention_layer.last_attention.mean(axis=(0, 1))
         assert weights.shape == (6, 6)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0)

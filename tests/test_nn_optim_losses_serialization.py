@@ -35,30 +35,10 @@ class TestSGD:
             optimizer.step()
         np.testing.assert_allclose(theta.data, [3.0, -2.0], atol=1e-3)
 
-    def test_momentum_accelerates(self):
-        theta_plain, loss_plain = quadratic_problem()
-        theta_momentum, loss_momentum = quadratic_problem()
-        plain = SGD([theta_plain], 0.01)
-        momentum = SGD([theta_momentum], 0.01, momentum=0.9)
-        for _ in range(30):
-            plain.zero_grad(); loss_plain().backward(); plain.step()
-            momentum.zero_grad(); loss_momentum().backward(); momentum.step()
-        assert loss_momentum().item() < loss_plain().item()
-
-    def test_weight_decay_shrinks_parameters(self):
-        theta = Tensor(np.ones(3), requires_grad=True)
-        optimizer = SGD([theta], 0.1, weight_decay=0.5)
-        optimizer.zero_grad()
-        (theta.sum() * 0.0).backward()
-        optimizer.step()
-        assert np.all(np.abs(theta.data) < 1.0)
-
     def test_invalid_hyperparameters(self):
         theta = Tensor(np.zeros(1), requires_grad=True)
         with pytest.raises(ValueError):
             SGD([theta], -0.1)
-        with pytest.raises(ValueError):
-            SGD([theta], 0.1, momentum=1.0)
         with pytest.raises(ValueError):
             SGD([], 0.1)
 

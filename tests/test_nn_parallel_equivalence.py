@@ -21,11 +21,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nn import parallel as par
 from repro.nn.gradcheck import check_tensor_gradient
 from repro.nn.tensor import (
     Tensor,
+    _row_max,
+    _row_sum,
     affine,
     affine_forward,
     attention_forward,
@@ -62,6 +66,7 @@ def _case_arrays(name, dtype):
         "gelu": (make(13, 5),),
         "gelu-3d": (make(13, 3, 5),),
         "layer_norm": (make(13, 7, 6), make(6), make(6)),
+        "layer_norm-2d": (make(13, 6), make(6), make(6)),
         # gamma/beta carrying the batch axis: their gradients are the
         # kernel's per-row products, not sums over the batch.
         "layer_norm-batched-params": (make(13, 1, 6), make(13, 1, 6), make(13, 1, 6)),
@@ -112,6 +117,7 @@ SHARED_FORWARDS = {
     "gelu": (Tensor.gelu, _gelu_block, 0, 1),
     "gelu-3d": (Tensor.gelu, _gelu_block, 0, 1),
     "layer_norm": (Tensor.layer_norm, _layer_norm_block, 0, 1),
+    "layer_norm-2d": (Tensor.layer_norm, _layer_norm_block, 0, 1),
     "layer_norm-batched-params": (Tensor.layer_norm, _layer_norm_block, 0, 3),
     "affine-2d": (affine, affine_forward, 0, 1),
     "affine-3d": (affine, affine_forward, 0, 1),
@@ -180,6 +186,75 @@ class TestSharedForwardFunctions:
 
 
 # -- affine input shapes -----------------------------------------------------------
+# -- the short last-axis reductions the kernels share --------------------------
+#: Values that make ties, signed zeros, infinities and NaNs common.
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan)
+
+_UINT = {np.float32: np.uint32, np.float64: np.uint64}
+
+
+def _bits(array):
+    return array.view(_UINT[array.dtype.type])
+
+
+@st.composite
+def _rows_with_specials(draw, dtype):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=9))
+    width = 32 if dtype is np.float32 else 64
+    elements = st.one_of(
+        st.sampled_from(SPECIAL_VALUES),
+        st.floats(width=width, allow_nan=False, allow_infinity=False),
+    )
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+class TestShortAxisReductions:
+    """The column fold and the per-item GEMV that replace numpy's short-row
+    reductions in the kernels (``docs/kernels.md``)."""
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("f32", "f64"))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_max_fold_equals_max_reduction(self, dtype, data):
+        x = data.draw(_rows_with_specials(dtype))
+        expected = x.max(axis=-1, keepdims=True)
+        got = _row_max(x)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        # Bitwise, NaN and infinities included; a zero maximum among zeros
+        # of both signs may carry either sign (numpy's SIMD reduction picks
+        # by lane order), so zeros compare by value.
+        zero = expected == 0
+        np.testing.assert_array_equal(_bits(got)[~zero], _bits(expected)[~zero])
+        np.testing.assert_array_equal(got[zero], 0)
+        # The softmax shift it serves is bitwise either way.
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(
+                _bits(np.exp(x - got)), _bits(np.exp(x - expected))
+            )
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=("f32", "f64"))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        width=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    )
+    def test_row_sum_gemv_is_slice_stable_and_near_np_sum(
+        self, dtype, lead, width, seed, bounds
+    ):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(*lead, width)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+        whole = _row_sum(x)
+        reference = x.sum(axis=-1, keepdims=True)
+        assert whole.shape == reference.shape and whole.dtype == reference.dtype
+        start, stop = sorted(bounds)
+        np.testing.assert_array_equal(_bits(_row_sum(x[start:stop])), _bits(whole[start:stop]))
+        # Another accumulation order: a few ULPs of the magnitude sum apart.
+        magnitude = np.abs(x).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(whole - reference) <= 8 * np.spacing(magnitude))
+
+
 class TestAffineShapes:
     """Inputs outside the ``(..., in)`` / ``(T, ..., in)`` batch layouts.
 
