@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_finite, check_same_length
 
@@ -81,6 +80,9 @@ def confidence_interval(values, *, confidence: float = 0.95) -> float:
         raise ValueError("confidence_interval needs at least one value")
     if values.size == 1:
         return 0.0
+    # Imported here: ``scipy.stats`` costs about a second at import time.
+    from scipy import stats
+
     sem = stats.sem(values)
     half = sem * stats.t.ppf((1.0 + confidence) / 2.0, values.size - 1)
     return float(half)

@@ -37,7 +37,7 @@ from repro.nn.precision import (
     set_default_dtype,
 )
 from repro.nn.serialization import load_state, save_model
-from repro.nn.tensor import Tensor, concatenate, ones, tensor, zeros
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoderLayer, TransformerPredictor
 
 __all__ = [
@@ -50,10 +50,6 @@ __all__ = [
     "num_threads",
     "set_num_threads",
     "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "concatenate",
     "Module",
     "Linear",
     "LayerNorm",

@@ -44,11 +44,11 @@ convention at the tensor level::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.nn.precision import default_dtype, resolve_dtype
+from repro.nn.precision import default_dtype
 
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
 
@@ -165,23 +165,6 @@ class Tensor:
     def item(self) -> float:
         """Return the single element of a scalar tensor."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """Return (a copy of) the underlying data."""
-        return self.data.copy()
-
-    def astype(self, dtype) -> "Tensor":
-        """Cast to *dtype* (differentiable; the gradient is cast back)."""
-        target = resolve_dtype(dtype)
-        if self.data.dtype == target:
-            return self
-        out_data = self.data.astype(target)
-        source = self.data.dtype
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad.astype(source),)
-
-        return Tensor._make(out_data, (self,), backward)
 
     # -- gradient bookkeeping ---------------------------------------------------
     def zero_grad(self) -> None:
@@ -374,25 +357,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     # -- elementwise nonlinearities ------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad * out_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad / self.data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation).
 
@@ -418,15 +382,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> tuple:
-            return (grad * sign,)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # -- reductions ---------------------------------------------------------------
     def sum(self, axis: Optional[int | tuple[int, ...]] = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -449,12 +404,6 @@ class Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        """Biased variance (matches layer-norm conventions)."""
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     # -- shape manipulation -----------------------------------------------------
     def reshape(self, *shape: int) -> "Tensor":
@@ -518,25 +467,6 @@ class Tensor:
             return (d_normalised, grad_gamma, grad_beta)
 
         return Tensor._make(out_data, (self, gamma, beta), backward)
-
-
-def tensor(data: ArrayLike, *, dtype=None, requires_grad: bool = False) -> Tensor:
-    """Functional constructor mirroring ``torch.tensor``."""
-    return Tensor(
-        data,
-        dtype=None if dtype is None else resolve_dtype(dtype),
-        requires_grad=requires_grad,
-    )
-
-
-def zeros(shape: Sequence[int], *, dtype=None, requires_grad: bool = False) -> Tensor:
-    """A tensor of zeros (in the policy dtype unless *dtype* is given)."""
-    return Tensor(np.zeros(shape, dtype=resolve_dtype(dtype)), requires_grad=requires_grad)
-
-
-def ones(shape: Sequence[int], *, dtype=None, requires_grad: bool = False) -> Tensor:
-    """A tensor of ones (in the policy dtype unless *dtype* is given)."""
-    return Tensor(np.ones(shape, dtype=resolve_dtype(dtype)), requires_grad=requires_grad)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -625,24 +555,6 @@ def scaled_dot_product_attention(
 
     parents = (q, k, v) if mask is None else (q, k, v, mask)
     return Tensor._make(out_data, parents, backward), attention
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along *axis* (differentiable)."""
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> tuple:
-        grads = []
-        for i in range(len(tensors)):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(grad[tuple(index)])
-        return tuple(grads)
-
-    return Tensor._make(data, tuple(tensors), backward)
 
 
 # -- slice-stable forward math ------------------------------------------------

@@ -2,14 +2,63 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import wasserstein_distance
 
 from repro.datasets.similarity import (
     SimilarityMatrix,
+    _wasserstein_distance,
     select_similar_sources,
     similarity_matrix,
     standardized_wasserstein,
 )
+
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sample_pairs(draw):
+    """Two float64 samples of 1-300 values each: free values, values drawn
+    from a few shared atoms (ties within and across the samples), or one
+    sample twice."""
+    kind = draw(st.sampled_from(("free", "tied", "identical")))
+    elements = _VALUES
+    if kind == "tied":
+        elements = st.sampled_from(draw(st.lists(_VALUES, min_size=1, max_size=8)))
+    sizes = st.integers(1, 300)
+    u = draw(hnp.arrays(np.float64, sizes, elements=elements))
+    v = u.copy() if kind == "identical" else draw(hnp.arrays(np.float64, sizes, elements=elements))
+    return u, v
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestWassersteinPort:
+    """The NumPy distance returns SciPy's bits (SciPy is the test oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sample_pairs())
+    @example((np.array([0.5]), np.array([-1.0, 0.5, 0.5, 2.0])))
+    @example((np.array([3.0]), np.array([3.0])))
+    def test_bitwise_equal_to_scipy(self, pair):
+        u, v = pair
+        assert _bits(_wasserstein_distance(u, v)) == _bits(wasserstein_distance(u, v))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_sample_pairs())
+    def test_standardized_distance_is_scipys(self, pair):
+        a, b = pair
+        pooled = np.concatenate([a, b])
+        scale = pooled.std()
+        if scale < 1e-12:
+            expected = 0.0
+        else:
+            mean = pooled.mean()
+            expected = float(wasserstein_distance((a - mean) / scale, (b - mean) / scale))
+        assert _bits(standardized_wasserstein(a, b)) == _bits(expected)
 
 
 class TestStandardizedWasserstein:
@@ -27,6 +76,17 @@ class TestStandardizedWasserstein:
 
     def test_constant_samples(self):
         assert standardized_wasserstein(np.ones(10), np.ones(10)) == 0.0
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_sample_is_rejected(self, empty_first):
+        samples = (np.array([]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="empty"):
+            standardized_wasserstein(*(samples if empty_first else samples[::-1]))
+
+    def test_zero_spread_returns_zero(self):
+        # The pooled spread is about 1e-15, below the 1e-12 cut-off.
+        distance = standardized_wasserstein(np.full(3, 5.0), np.full(7, 5.0 + 4e-15))
+        assert type(distance) is float and distance == 0.0
 
     def test_shifted_distributions_have_positive_distance(self):
         rng = np.random.default_rng(2)

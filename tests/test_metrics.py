@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats
 
 from repro.metrics.regression import (
     confidence_interval,
@@ -106,6 +107,12 @@ class TestConfidenceInterval:
 
     def test_positive(self):
         assert confidence_interval([1.0, 2.0, 3.0]) > 0.0
+
+    def test_is_scipys_student_t_half_width(self):
+        for size in (2, 5, 30):
+            values = np.random.default_rng(size).normal(1.0, 0.4, size=size)
+            expected = stats.sem(values) * stats.t.ppf(0.975, size - 1)
+            assert np.float64(confidence_interval(values)).tobytes() == expected.tobytes()
 
 
 class TestEvaluatePredictions:

@@ -35,19 +35,16 @@ class TestTensorOperations:
             lambda x: x * 3.0 + 1.0,
             lambda x: x * x,
             lambda x: (x + 2.0) / (x * x + 1.0),
-            lambda x: x.exp(),
-            lambda x: (x * x + 0.1).log(),
             lambda x: x.gelu(),
             lambda x: (x ** 3),
             lambda x: x.mean(axis=0),
-            lambda x: x.var(),
             lambda x: x.reshape(6, 2),
             lambda x: x.swapaxes(1, 0),
             lambda x: x[1:, :2],
         ],
         ids=[
-            "affine", "square", "rational", "exp", "log", "gelu", "pow3",
-            "mean", "var", "reshape", "swapaxes", "slice",
+            "affine", "square", "rational", "gelu", "pow3",
+            "mean", "reshape", "swapaxes", "slice",
         ],
     )
     def test_elementwise_and_shape_ops(self, operation):

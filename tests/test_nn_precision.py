@@ -19,7 +19,7 @@ from repro.nn.precision import (
     set_default_dtype,
 )
 from repro.nn.serialization import load_state, save_model
-from repro.nn.tensor import Tensor, ones, zeros
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerPredictor
 
 
@@ -68,8 +68,6 @@ class TestTensorAllocation:
         with precision("float32"):
             assert Tensor([1.0, 2.0]).dtype == np.float32
             assert Tensor(3).dtype == np.float32
-            assert zeros((2, 2)).dtype == np.float32
-            assert ones((2,)).dtype == np.float32
 
     def test_explicit_float_arrays_keep_their_dtype(self):
         with precision("float32"):
@@ -84,14 +82,6 @@ class TestTensorAllocation:
     def test_dtype_kwarg_wins_over_policy(self):
         with precision("float32"):
             assert Tensor([1.0], dtype=np.float64).dtype == np.float64
-
-    def test_astype_is_differentiable_and_casts_grad_back(self):
-        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        y = x.astype("float64")
-        assert y.dtype == np.float64
-        (y * 2.0).sum().backward()
-        assert x.grad.dtype == np.float32
-        np.testing.assert_allclose(x.grad, 2.0)
 
 
 class TestGraphDtype:
@@ -272,4 +262,4 @@ class TestGradcheckGuard:
                 check_tensor_gradient(lambda x: x * x, np.ones(3))
 
     def test_gradcheck_passes_in_float64(self):
-        check_tensor_gradient(lambda x: (x * 0.5).exp(), np.linspace(-1, 1, 5))
+        check_tensor_gradient(lambda x: (x * 0.5).gelu(), np.linspace(-1, 1, 5))

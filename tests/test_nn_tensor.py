@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.tensor import (
-    Tensor,
-    attention_forward,
-    concatenate,
-    ones,
-    scaled_dot_product_attention,
-    tensor,
-    zeros,
-)
+from repro.nn.tensor import Tensor, attention_forward, scaled_dot_product_attention
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -60,10 +52,8 @@ class TestBasicOps:
         assert (4 / a).item() == 2.0
         assert (1 - a).item() == -1.0
 
-    def test_item_and_numpy(self):
-        t = Tensor([[5.0]])
-        assert t.item() == 5.0
-        assert t.numpy().shape == (1, 1)
+    def test_item(self):
+        assert Tensor([[5.0]]).item() == 5.0
 
     def test_shape_ndim_size(self):
         t = Tensor(np.zeros((2, 3, 4)))
@@ -74,11 +64,6 @@ class TestBasicOps:
         out = Tensor(data).swapaxes(0, 2)
         np.testing.assert_array_equal(out.data, data.swapaxes(0, 2))
 
-    def test_constructors(self):
-        assert zeros((2, 3)).data.shape == (2, 3)
-        assert ones((4,)).data.sum() == 4.0
-        assert tensor([1, 2]).data.dtype == np.float64
-
 
 class TestGradients:
     @pytest.mark.parametrize("op", [
@@ -86,13 +71,8 @@ class TestGradients:
         lambda t: t + t * 2.0,
         lambda t: t / (t + 1.0),
         lambda t: t ** 3,
-        lambda t: t.exp(),
-        lambda t: t.log(),
-        lambda t: t.sqrt(),
         lambda t: t.gelu(),
-        lambda t: t.abs(),
         lambda t: t.mean(axis=0),
-        lambda t: t.var(axis=-1),
         lambda t: t.reshape(12),
         lambda t: t.swapaxes(1, 0),
         lambda t: t[1:, :2],
@@ -140,14 +120,6 @@ class TestGradients:
         (a * 3).backward()
         a.zero_grad()
         assert a.grad is None
-
-    def test_concatenate_gradient(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = concatenate([a, b], axis=0)
-        (out * 2).sum().backward()
-        np.testing.assert_allclose(a.grad, np.full((2, 2), 2.0))
-        np.testing.assert_allclose(b.grad, np.full((3, 2), 2.0))
 
     def test_pow_requires_scalar_exponent(self):
         with pytest.raises(TypeError):
@@ -206,14 +178,3 @@ class TestNumericalStability:
         np.testing.assert_allclose(probabilities[..., 2], 0.0, atol=1e-300)
         np.testing.assert_allclose(probabilities.sum(axis=-1), 1.0)
         assert np.all(np.isfinite(out.data))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
-            elements=st.floats(-10, 10, allow_nan=False),
-        )
-    )
-    def test_var_is_non_negative(self, values):
-        assert np.all(Tensor(values).var(axis=-1).data >= -1e-12)

@@ -495,7 +495,7 @@ class TestDottedReferences:
             "repro.dse.engine",
             "repro.dse.engine.CampaignEngine",
             "repro.dse.engine.CampaignEngine.run_campaign",
-            "repro.nn.tensor.concatenate",
+            "repro.nn.tensor.affine",
             "repro.dse.RandomPool",
         ],
     )

@@ -211,7 +211,6 @@ BARE_NAME_ALLOWLIST: dict[str, str] = {
     "CLAIM": "a make variable of `make bench-pairs`",
     "PARENT": "a make variable of `make bench-pairs`",
     "SEED": "a make variable of `make bench-repo` and `make bench-pairs`",
-    "PYTHONPATH": "the environment variable every drive command sets",
     "NaN": "the floating-point value, named in prose",
     "theta_hat": "the adapted-parameter notation of Algorithm 1",
 }
