@@ -37,14 +37,17 @@ class TestTensorOperations:
             lambda x: (x + 2.0) / (x * x + 1.0),
             lambda x: x.gelu(),
             lambda x: (x ** 3),
+            lambda x: x ** 2,
+            lambda x: -(x - x * x),
+            lambda x: 1.0 - 2.0 / (x * x + 1.0),
             lambda x: x.mean(axis=0),
             lambda x: x.reshape(6, 2),
             lambda x: x.swapaxes(1, 0),
             lambda x: x[1:, :2],
         ],
         ids=[
-            "affine", "square", "rational", "gelu", "pow3",
-            "mean", "reshape", "swapaxes", "slice",
+            "affine", "square", "rational", "gelu", "pow3", "pow2",
+            "neg_sub", "rsub_rdiv", "mean", "reshape", "swapaxes", "slice",
         ],
     )
     def test_elementwise_and_shape_ops(self, operation):

@@ -76,6 +76,11 @@ class TestGradients:
         lambda t: t.reshape(12),
         lambda t: t.swapaxes(1, 0),
         lambda t: t[1:, :2],
+        lambda t: -t,
+        lambda t: t - t * t,
+        lambda t: 2.0 - 1.0 / (t + 1.0),
+        lambda t: t ** 2,
+        lambda t: t.sum(axis=1, keepdims=True),
     ], ids=lambda f: "op")
     def test_elementwise_and_shape_ops(self, op):
         check_gradient(op)
